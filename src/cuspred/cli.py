@@ -20,7 +20,10 @@ Data travel as JSON.  A datum is
 where polynomials list their coefficients from the constant term up.
 Every subcommand accepts a file path, inline JSON, or "-" for stdin, and
 prints JSON (canonically ordered, byte-deterministic) or markdown.
-Exit codes: 0 success, 1 failed validation or a failed check, 2 bad input.
+Exit codes: 0 success, 1 failed validation or a failed check, 2 bad input:
+malformed JSON, input that is not a JSON object, an unknown key, a
+polynomial listed twice in one support, or an enumerate that would list
+classes past degree 8 (pass --degree 8 or less).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .cuspdata import (
     enumerate_data,
     validate_support,
 )
-from .ffpoly import FieldSpec, Poly, SelfDualClass
+from .ffpoly import MAX_ENUM_DEGREE, DegreeLimitError, FieldSpec, Poly, SelfDualClass
 from .fixtures import evaluate_entry, gallery, gallery_entry
 from .groups import GroupSpec, ParahoricSpec
 from .hecke import ired, jordan, parameter_shapes, reducibility_report
@@ -57,11 +60,20 @@ class SchemaError(ValueError):
     """The input is well-formed JSON but not a valid object description."""
 
 
+def _check_keys(obj, allowed: tuple[str, ...], what: str) -> None:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} is not a JSON object")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise SchemaError(f"unknown key {unknown[0]!r} in {what}")
+
+
 def field_to_obj(field: FieldSpec) -> dict:
     return {"p": field.p, "e": field.e, "ext": field.ext}
 
 
 def field_from_obj(obj) -> FieldSpec:
+    _check_keys(obj, ("p", "e", "ext"), "field")
     try:
         return FieldSpec(int(obj["p"]), int(obj.get("e", 1)),
                          str(obj.get("ext", "trivial")))
@@ -80,6 +92,7 @@ def group_to_obj(group: GroupSpec) -> dict:
 
 
 def group_from_obj(obj) -> GroupSpec:
+    _check_keys(obj, ("family", "epsilon", "witt_index", "aniso", "field"), "group")
     try:
         witt = int(obj["witt_index"])
         a1, a2 = (int(a) for a in obj["aniso"])
@@ -99,6 +112,7 @@ def support_to_obj(support: FactorSupport) -> list:
 def _support_from_obj(obj, field: FieldSpec) -> FactorSupport:
     pairs = []
     for item in obj:
+        _check_keys(item, ("poly", "m"), "support entry")
         cls = SelfDualClass(Poly.make(field, [int(c) for c in item["poly"]]))
         pairs.append((cls, int(item["m"])))
     return FactorSupport.of(pairs)
@@ -112,10 +126,15 @@ def datum_to_obj(datum: CuspidalDatum) -> dict:
     }
 
 
+_DATUM_KEYS = ("group", "parahoric", "supports")
+
+
 def datum_parts_from_obj(obj) -> tuple[ParahoricSpec, tuple[FactorSupport, FactorSupport]]:
     """Build the pieces of a datum without running the support validation."""
+    _check_keys(obj, _DATUM_KEYS, "datum")
     try:
         group = group_from_obj(obj["group"])
+        _check_keys(obj["parahoric"], ("n1", "n2"), "parahoric")
         parahoric = ParahoricSpec(group, int(obj["parahoric"]["n1"]),
                                   int(obj["parahoric"]["n2"]))
         supports = obj["supports"]
@@ -137,12 +156,15 @@ def datum_from_obj(obj) -> CuspidalDatum:
 def _read_json(source: str):
     if source == "-":
         text = sys.stdin.read()
-    elif source.lstrip().startswith("{"):
+    elif source.lstrip().startswith(("{", "[")):
         text = source
     else:
         with open(source, encoding="utf-8") as handle:
             text = handle.read()
-    return json.loads(text)
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise SchemaError("input is not a JSON object")
+    return obj
 
 
 def _emit(args, obj, render_md) -> None:
@@ -438,8 +460,14 @@ def _cmd_crossform(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     obj = _read_json(args.input)
-    group = group_from_obj(obj.get("group", obj))
-    data = enumerate_data(group, max_degree=args.degree)
+    if "group" in obj:
+        _check_keys(obj, _DATUM_KEYS, "datum")
+        obj = obj["group"]
+    group = group_from_obj(obj)
+    try:
+        data = enumerate_data(group, max_degree=args.degree)
+    except DegreeLimitError as err:
+        raise SchemaError(f"{err}: pass --degree {MAX_ENUM_DEGREE} or less") from err
     payload = {
         "group": str(group),
         "degree_bound": args.degree,

@@ -59,7 +59,7 @@ __all__ = [
     "char_poly_exponent",
     "minus_type_exponent",
     "linear_multiplicities",
-    "implicit_linear_entries",
+    "exponent_total",
     "validate_support",
     "support_is_valid",
     "count_representations",
@@ -109,16 +109,17 @@ class FactorSupport:
 
     def __post_init__(self) -> None:
         keys = [cls.sort_key for cls, _ in self.entries]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
-            raise ValueError("entries must be sorted by class and distinct")
+        if len(set(keys)) != len(keys):
+            twice = next(cls for cls, _ in self.entries if keys.count(cls.sort_key) > 1)
+            raise ValueError(f"polynomial {twice.label} is listed twice in one support")
+        if keys != sorted(keys):
+            raise ValueError("entries must be sorted by class")
         if any(m < 1 for _, m in self.entries):
             raise ValueError("multiplicities must be positive")
 
     @staticmethod
     def of(pairs) -> "FactorSupport":
-        items = dict(pairs)
-        ordered = tuple(sorted(items.items(), key=lambda kv: kv[0].sort_key))
-        return FactorSupport(ordered)
+        return FactorSupport(tuple(sorted(pairs, key=lambda kv: kv[0].sort_key)))
 
     @staticmethod
     def empty() -> "FactorSupport":
@@ -146,22 +147,16 @@ def linear_multiplicities(support: FactorSupport, field: FieldSpec) -> tuple[int
             support.get(class_x_plus_one(field)))
 
 
-def implicit_linear_entries(factor: FiniteFactor, support: FactorSupport,
-                            field: FieldSpec) -> tuple[tuple[SelfDualClass, int, int], ...]:
-    """Entries present in the characteristic polynomial but not the support.
+def exponent_total(case: str, entries) -> int:
+    """Degree of the characteristic polynomial of (class, m) entries.
 
-    Only a symplectic factor has one: x - 1 with m = 0 and a = 1.
+    A symplectic factor (case ii) whose entries omit x - 1 still carries
+    it with m = 0 and a = 1, so the total gains one.  The entries are
+    read twice: pass a sequence or a dict view, not an iterator.
     """
-    if factor.case == "ii" and support.get(class_x_minus_one(field)) == 0:
-        return ((class_x_minus_one(field), 0, 1),)
-    return ()
-
-
-def _exponent_total(factor: FiniteFactor, support: FactorSupport, field: FieldSpec) -> int:
-    total = sum(char_poly_exponent(factor.case, cls, m) * cls.degree
-                for cls, m in support.entries)
-    for cls, m, a in implicit_linear_entries(factor, support, field):
-        total += a * cls.degree
+    total = sum(char_poly_exponent(case, cls, m) * cls.degree for cls, m in entries)
+    if case == "ii" and not any(cls.is_x_minus_one for cls, _ in entries):
+        total += 1
     return total
 
 
@@ -180,7 +175,7 @@ def validate_support(factor: FiniteFactor, support: FactorSupport, field: FieldS
             raise ValueError(f"clause a: class {cls.label} has odd degree above 1")
         if m < 1:
             raise ValueError(f"clause b: multiplicity of {cls.label} is not positive")
-    total = _exponent_total(factor, support, field)
+    total = exponent_total(factor.case, support.entries)
     if total != factor.dual_dim:
         raise ValueError(
             f"clause c: exponent total {total} differs from dual dimension {factor.dual_dim}")

@@ -42,6 +42,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
+    "MAX_ENUM_DEGREE",
+    "DegreeLimitError",
     "FieldSpec",
     "FieldTable",
     "Poly",
@@ -59,7 +61,11 @@ __all__ = [
 # Everything downstream is exact combinatorics over residue fields of
 # size at most a few dozen, so the tables stay tiny.
 _MAX_Q = 32
-_MAX_ENUM_DEGREE = 8
+MAX_ENUM_DEGREE = 8
+
+
+class DegreeLimitError(ValueError):
+    """A class enumeration asked for a degree above MAX_ENUM_DEGREE."""
 
 
 def _is_prime(n: int) -> bool:
@@ -142,54 +148,17 @@ class FieldSpec:
         return self.q
 
 
-def _poly_mul_mod(a: list[int], b: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
-    """Schoolbook product of digit vectors, reduced by x^e = -modulus."""
-    e = len(modulus)
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for k in range(len(prod) - 1, e - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for i, mi in enumerate(modulus):
-                prod[k - e + i] = (prod[k - e + i] - c * mi) % p
-    prod = prod[:e]
-    return prod + [0] * (e - len(prod))
-
-
-def _quotient_pow(base: list[int], n: int, modulus: tuple[int, ...], p: int) -> list[int]:
-    e = len(modulus)
-    result = [1] + [0] * (e - 1)
-    acc = list(base)
-    while n:
-        if n & 1:
-            result = _poly_mul_mod(result, acc, modulus, p)
-        acc = _poly_mul_mod(acc, acc, modulus, p)
-        n >>= 1
-    return result
-
-
 def _defining_polynomial(p: int, e: int) -> tuple[int, ...]:
     """Lower coefficients (c0 .. c_{e-1}) of the chosen modulus for GF(p^e)."""
-    if e > 3:
-        raise ValueError("fields beyond degree 3 over the prime field are not needed")
-    one = [1] + [0] * (e - 1)
+    prime = FieldSpec(p)
+    x, one = Poly.x(prime), Poly.one(prime)
     q = p ** e
-    factors = _prime_divisors(q - 1)
     for cand in itertools.product(range(p), repeat=e):
-        if cand[0] == 0:
-            continue
-        # Degree <= 3, so irreducibility is just the absence of roots.
-        if any((pow(a, e, p) + sum(c * pow(a, i, p) for i, c in enumerate(cand))) % p == 0
-               for a in range(p)):
-            continue
-        x = [0, 1] + [0] * (e - 2) if e >= 2 else [1]
-        if _quotient_pow(x, q - 1, cand, p) != one:
-            continue
-        if all(_quotient_pow(x, (q - 1) // r, cand, p) != one for r in factors):
+        modulus = Poly(prime, cand + (1,))
+        # Over an irreducible modulus x^(q-1) = 1 holds, so x generates
+        # the unit group when x^((q-1)/r) != 1 for each prime r | q-1.
+        if is_irreducible(modulus) and all(
+                x.pow_mod((q - 1) // r, modulus) != one for r in _prime_divisors(q - 1)):
             return cand
     raise ValueError(f"no primitive modulus found for GF({p}^{e})")
 
@@ -219,8 +188,11 @@ class FieldTable:
         if e == 1:
             self._mul = [[(a * b) % p for b in range(q)] for a in range(q)]
         else:
-            self._mul = [[undigits(_poly_mul_mod(digits(a), digits(b), self.modulus, p))
-                          for b in range(q)] for a in range(q)]
+            prime = FieldSpec(p)
+            modulus = Poly(prime, self.modulus + (1,))
+            elements = [Poly.make(prime, digits(a)) for a in range(q)]
+            self._mul = [[undigits((a * b % modulus).coeffs) for b in elements]
+                         for a in elements]
         self._neg = [self._add[a].index(0) for a in range(q)]
         self._inv = [0] * q
         for a in range(1, q):
@@ -544,8 +516,8 @@ def enumerate_self_dual_classes(field: FieldSpec, degree: int) -> tuple[SelfDual
     """
     if degree < 1:
         raise ValueError("degree must be positive")
-    if degree > _MAX_ENUM_DEGREE:
-        raise ValueError(f"enumeration is limited to degree {_MAX_ENUM_DEGREE}")
+    if degree > MAX_ENUM_DEGREE:
+        raise DegreeLimitError(f"enumeration is limited to degree {MAX_ENUM_DEGREE}")
     F = field_table(field)
     q = field.q
     found = []

@@ -51,7 +51,9 @@ __all__ = [
     "FiniteFactor",
     "GroupSpec",
     "ParahoricSpec",
+    "SLOT_CASES",
     "dual_dimension",
+    "group_forms",
     "enumerate_parahorics",
     "component_group_order",
 ]
@@ -61,6 +63,15 @@ FAMILIES = ("Sp", "SOodd", "SOeven", "Uunram", "Uram")
 # Admissible anisotropic splits (a1, a2) by family and dimension parity.
 _SO_EVEN_SPLITS = ((0, 0), (1, 1), (2, 0), (0, 2), (2, 2))
 _SO_ODD_SPLITS = ((1, 0), (0, 1), (2, 1), (1, 2))
+
+# Factor kind -> combinatorial case; the keys are the valid factor kinds.
+SLOT_CASES = {"SOodd": "i", "Sp": "ii", "SOeven": "iii", "U": "u"}
+
+
+def _dual_dim(kind: str, dim: int) -> int:
+    """Dual-side dimension of a space of the given family or factor kind:
+    one more for Sp, one less for SOodd, unchanged otherwise."""
+    return dim + {"Sp": 1, "SOodd": -1}.get(kind, 0)
 
 
 @dataclass(frozen=True)
@@ -78,7 +89,7 @@ class FiniteFactor:
     sign: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("Sp", "SOodd", "SOeven", "U"):
+        if self.kind not in SLOT_CASES:
             raise ValueError(f"unknown factor kind {self.kind!r}")
         if self.dim < 0:
             raise ValueError("factor dimension must be nonnegative")
@@ -99,16 +110,12 @@ class FiniteFactor:
     @property
     def case(self) -> str:
         """Combinatorial case tag: i, ii, iii or u."""
-        return {"SOodd": "i", "Sp": "ii", "SOeven": "iii", "U": "u"}[self.kind]
+        return SLOT_CASES[self.kind]
 
     @property
     def dual_dim(self) -> int:
         """Dimension of the dual-side space attached to the factor."""
-        if self.kind == "Sp":
-            return self.dim + 1
-        if self.kind == "SOodd":
-            return self.dim - 1
-        return self.dim
+        return _dual_dim(self.kind, self.dim)
 
     def __str__(self) -> str:
         if self.kind == "SOeven":
@@ -195,11 +202,24 @@ class GroupSpec:
 
 def dual_dimension(group: GroupSpec) -> int:
     """Dimension of the dual-side space N^ attached to the group."""
-    if group.family == "Sp":
-        return group.dim + 1
-    if group.family == "SOodd":
-        return group.dim - 1
-    return group.dim
+    return _dual_dim(group.family, group.dim)
+
+
+def group_forms(family: str, dim: int, field: FieldSpec):
+    """Yield every valid group of the family, dimension and field.
+
+    Anisotropic splits run over a1, a2 in range(3), and for Uram over
+    both epsilons, in (a1, a2, epsilon) order.
+    """
+    epsilons = (1, -1) if family == "Uram" else (0,)
+    for a1 in range(3):
+        for a2 in range(3):
+            for epsilon in epsilons:
+                try:
+                    yield GroupSpec(family, dim, (dim - a1 - a2) // 2, (a1, a2),
+                                    field, epsilon)
+                except ValueError:
+                    continue
 
 
 def _slot_factor(kind: str, n: int, a: int) -> FiniteFactor:

@@ -43,11 +43,12 @@ from .cuspdata import (
     FactorSupport,
     char_poly_exponent,
     count_representations,
+    exponent_total,
     minus_type_exponent,
     slot_series,
 )
 from .ffpoly import SelfDualClass, class_x_plus_one
-from .groups import GroupSpec, ParahoricSpec, enumerate_parahorics
+from .groups import SLOT_CASES, GroupSpec, ParahoricSpec, enumerate_parahorics, group_forms
 from .hecke import HalfInt, ired, iteration_domain, jordan, reducibility_pair
 
 __all__ = [
@@ -147,14 +148,6 @@ def _swapped_supports(datum: CuspidalDatum, swap_set) -> tuple[dict, dict]:
     return s1, s2
 
 
-def _support_total(case: str, entries: dict, field) -> int:
-    total = sum(char_poly_exponent(case, cls, m) * cls.degree
-                for cls, m in entries.items())
-    if case == "ii" and all(not cls.is_x_minus_one for cls in entries):
-        total += 1
-    return total
-
-
 def _solve_parahoric(group: GroupSpec, totals: tuple[int, int]) -> ParahoricSpec | None:
     """The parahoric whose factor dual dimensions equal the totals, if any."""
     for parahoric in enumerate_parahorics(group):
@@ -167,9 +160,8 @@ def _build_companion(group: GroupSpec, datum: CuspidalDatum, swap_set):
     """The re-solved datum after a swap, or None when nothing valid exists."""
     s1, s2 = _swapped_supports(datum, swap_set)
     kinds = group.slot_kinds
-    cases = {"Sp": "ii", "SOodd": "i", "SOeven": "iii", "U": "u"}
-    totals = (_support_total(cases[kinds[0]], s1, group.field),
-              _support_total(cases[kinds[1]], s2, group.field))
+    totals = (exponent_total(SLOT_CASES[kinds[0]], s1.items()),
+              exponent_total(SLOT_CASES[kinds[1]], s2.items()))
     parahoric = _solve_parahoric(group, totals)
     if parahoric is None or not parahoric.maximal:
         return None
@@ -208,25 +200,34 @@ def _subsets(classes):
         yield from itertools.combinations(ordered, r)
 
 
+def _swap_search(group: GroupSpec, datum: CuspidalDatum, raw, target):
+    """Yield (swap set, companion, whether its IRed is the target) for
+    every subset of the raw classes whose swap re-solves to a valid
+    datum on the group."""
+    for subset in _subsets(raw):
+        companion = _build_companion(group, datum, subset)
+        if companion is not None:
+            yield subset, companion, ired(companion) == target
+
+
+def _companion(subset, datum: CuspidalDatum) -> Companion:
+    return Companion(subset, datum, count_representations(datum).total)
+
+
 def companions(datum: CuspidalDatum) -> CompanionCensus:
     """Every swap of raw classes giving a valid datum with the same
     reducibility points.  Includes the empty swap, so the census always
     contains the datum itself."""
     qs = q_sets(datum)
-    target = ired(datum)
     kept = set(qs.kept)
     out = []
-    for subset in _subsets(qs.raw):
-        companion = _build_companion(datum.group, datum, subset)
-        if companion is None:
-            continue
-        same_ired = ired(companion) == target
+    search = _swap_search(datum.group, datum, qs.raw, ired(datum))
+    for subset, companion, same_ired in search:
         if all(cls in kept for cls in subset) and not same_ired:
             raise AssertionError(
                 f"kept swap {[c.label for c in subset]} moved a reducibility point")
         if same_ired:
-            out.append(Companion(subset, companion,
-                                 count_representations(companion).total))
+            out.append(_companion(subset, companion))
     return CompanionCensus(datum, qs, tuple(out))
 
 
@@ -244,13 +245,8 @@ def enumerate_epsilon(datum: CuspidalDatum) -> EpsilonMap:
     subsets of the kept classes with evenly many constrained ones,
     subject only to the parahoric re-solving being possible."""
     qs = q_sets(datum)
-    group = datum.group
-    kinds = group.slot_kinds
-    cases = {"Sp": "ii", "SOodd": "i", "SOeven": "iii", "U": "u"}
-    case_pair = (cases[kinds[0]], cases[kinds[1]])
-    base1, base2 = _swapped_supports(datum, ())
-    totals = (_support_total(case_pair[0], base1, group.field),
-              _support_total(case_pair[1], base2, group.field))
+    # Clause c makes the unswapped totals the factors' dual dimensions.
+    f1, f2 = datum.parahoric.factors
     constrained = set(qs.constrained)
     out = []
     for subset in _subsets(qs.kept):
@@ -259,9 +255,9 @@ def enumerate_epsilon(datum: CuspidalDatum) -> EpsilonMap:
         shift = 0
         for cls in subset:
             m1, m2 = datum.multiplicity_pair(cls)
-            shift += (char_poly_exponent(case_pair[0], cls, m2)
-                      - char_poly_exponent(case_pair[0], cls, m1)) * cls.degree
-        if _solve_slots(group, (totals[0] + shift, totals[1] - shift)):
+            shift += (char_poly_exponent(f1.case, cls, m2)
+                      - char_poly_exponent(f1.case, cls, m1)) * cls.degree
+        if _solve_slots(datum.group, (f1.dual_dim + shift, f2.dual_dim - shift)):
             out.append(subset)
     return EpsilonMap(datum, qs, tuple(out))
 
@@ -295,19 +291,8 @@ class CrossFormEntry:
 
 
 def _other_forms(group: GroupSpec) -> tuple[GroupSpec, ...]:
-    out = []
-    for a1 in range(3):
-        for a2 in range(3):
-            if (group.dim - a1 - a2) % 2 or group.dim - a1 - a2 < 0:
-                continue
-            witt = (group.dim - a1 - a2) // 2
-            if (witt, (a1, a2)) == (group.witt, group.aniso):
-                continue
-            try:
-                out.append(GroupSpec(group.family, group.dim, witt, (a1, a2),
-                                     group.field, group.epsilon))
-            except ValueError:
-                continue
+    out = [form for form in group_forms(group.family, group.dim, group.field)
+           if form.epsilon == group.epsilon and form != group]
     return tuple(sorted(out, key=lambda g: (-g.witt, g.aniso)))
 
 
@@ -315,18 +300,14 @@ def cross_form_companions(datum: CuspidalDatum) -> tuple[CrossFormEntry, ...]:
     """For every other form of the group, the swaps of raw classes that
     validate there with the same reducibility points.  Forms with no
     match are reported with an empty census."""
-    qs = q_sets(datum)
+    raw = q_sets(datum).raw
     target = ired(datum)
     out = []
     for form in _other_forms(datum.group):
-        found = []
-        for subset in _subsets(qs.raw):
-            companion = _build_companion(form, datum, subset)
-            if companion is None or ired(companion) != target:
-                continue
-            found.append(Companion(subset, companion,
-                                   count_representations(companion).total))
-        out.append(CrossFormEntry(form, tuple(found)))
+        search = _swap_search(form, datum, raw, target)
+        out.append(CrossFormEntry(form, tuple(
+            _companion(subset, companion) for subset, companion, same_ired in search
+            if same_ired)))
     return tuple(out)
 
 

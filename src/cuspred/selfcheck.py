@@ -27,7 +27,7 @@ from .cuspdata import (
     signature_representative,
 )
 from .ffpoly import FieldSpec
-from .groups import GroupSpec, dual_dimension
+from .groups import FAMILIES, dual_dimension, group_forms
 from .hecke import iteration_domain, reducibility_pair, verify_identity
 from .packets import companions, enumerate_epsilon, packet_stats, recover_m_pair
 
@@ -74,23 +74,12 @@ def iter_group_specs(q0_values=(3, 5), max_dual: int = 13):
     for q0 in q0_values:
         trivial = FieldSpec(q0)
         quadratic = FieldSpec(q0, 2, "quadratic")
-        for family in ("Sp", "SOodd", "SOeven", "Uunram", "Uram"):
+        for family in FAMILIES:
             field = quadratic if family == "Uunram" else trivial
-            epsilons = (1, -1) if family == "Uram" else (0,)
             for dim in range(1, max_dual + 3):
-                for a1 in range(3):
-                    for a2 in range(3):
-                        if (dim - a1 - a2) % 2 or dim - a1 - a2 < 0:
-                            continue
-                        witt = (dim - a1 - a2) // 2
-                        for epsilon in epsilons:
-                            try:
-                                group = GroupSpec(family, dim, witt, (a1, a2),
-                                                  field, epsilon)
-                            except ValueError:
-                                continue
-                            if dual_dimension(group) <= max_dual:
-                                yield group
+                for group in group_forms(family, dim, field):
+                    if dual_dimension(group) <= max_dual:
+                        yield group
 
 
 def _check_identity(datum) -> str | None:

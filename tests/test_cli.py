@@ -206,6 +206,62 @@ class TestErrorPaths:
         code, out, err = run(capsys, "examples", "--name", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("path, key", [
+        ((), "extra"),
+        (("group",), "Family"),
+        (("group", "field"), "E"),
+        (("parahoric",), "n3"),
+        (("supports", 0, 0), "mult"),
+    ])
+    def test_unknown_key(self, capsys, path, key):
+        obj = datum_to_obj(gallery_entry("sp6").datum)
+        target = obj
+        for step in path:
+            target = target[step]
+        target[key] = 1
+        code, out, err = run(capsys, "validate", json.dumps(obj))
+        assert code == 2
+        assert repr(key) in err
+
+    @pytest.mark.parametrize("text", ["[1,2]", " []", "3"])
+    def test_input_not_an_object(self, capsys, tmp_path, text):
+        if not text.lstrip().startswith("["):
+            path = tmp_path / "datum.json"
+            path.write_text(text)
+            text = str(path)
+        code, out, err = run(capsys, "describe", text)
+        assert code == 2
+        assert "not a JSON object" in err
+
+    def test_repeated_polynomial(self, capsys):
+        obj = datum_to_obj(gallery_entry("sp6").datum)
+        obj["supports"][0].append({"poly": [2, 1], "m": 3})
+        code, out, err = run(capsys, "validate", json.dumps(obj))
+        assert code == 2
+        assert "x-1 is listed twice" in err
+
+    def test_enumerate_past_degree_limit(self, capsys):
+        sp18 = json.dumps({"family": "Sp", "witt_index": 9, "aniso": [0, 0],
+                           "field": {"p": 3}})
+        for extra in ((), ("--degree", "10")):
+            code, out, err = run(capsys, "enumerate", "--count", sp18, *extra)
+            assert code == 2
+            assert "--degree 8 or less" in err
+
+    def test_enumerate_degree_above_limit_within_budget(self, capsys):
+        group = json.dumps(group_to_obj(gallery_entry("sp4").datum.group))
+        code, rep = run_json(capsys, "enumerate", "--count", group, "--degree", "10")
+        assert code == 0
+        assert rep["count"] == 12
+
+    def test_enumerate_accepts_full_datum_but_not_unknown_keys(self, capsys):
+        obj = datum_to_obj(gallery_entry("sp4").datum)
+        code, rep = run_json(capsys, "enumerate", "--count", json.dumps(obj))
+        assert code == 0 and rep["count"] == 12
+        obj["extra"] = 1
+        code, out, err = run(capsys, "enumerate", "--count", json.dumps(obj))
+        assert code == 2 and "'extra'" in err
+
     def test_invalid_datum_on_describe(self, capsys):
         obj = datum_to_obj(gallery_entry("sp6").datum)
         obj["supports"][0][0]["m"] = 2

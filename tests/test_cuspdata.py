@@ -10,7 +10,7 @@ from cuspred.cuspdata import (
     enumerate_data,
     enumerate_signatures,
     enumerate_supports,
-    implicit_linear_entries,
+    exponent_total,
     linear_multiplicities,
     minus_type_exponent,
     signature_of,
@@ -90,6 +90,11 @@ class TestFactorSupport:
         with pytest.raises(ValueError):
             FactorSupport(((xp, 1), (xm, 1)))  # unsorted
 
+    def test_repeated_class_rejected(self):
+        xm, xp = class_x_minus_one(F3), class_x_plus_one(F3)
+        with pytest.raises(ValueError, match="x-1 is listed twice"):
+            FactorSupport.of([(xm, 1), (xp, 1), (xm, 2)])
+
     def test_str(self):
         xm = class_x_minus_one(F3)
         assert str(FactorSupport.of([(xm, 2)])) == "(x-1)^2"
@@ -113,12 +118,15 @@ class TestValidation:
             validate_support(f, support(F3, (xp, 1)), F3)
 
     def test_implicit_entry(self):
+        # Only case ii counts an absent x - 1, with a = 1: 2 + 2 + 1 below.
         xm, xp = class_x_minus_one(F3), class_x_plus_one(F3)
-        f = FiniteFactor("Sp", 4)
-        assert implicit_linear_entries(f, support(F3, (xp, 1), (P2, 1)), F3) == ((xm, 0, 1),)
-        assert implicit_linear_entries(f, support(F3, (xm, 1)), F3) == ()
-        g = FiniteFactor("SOeven", 4, sign=1)
-        assert implicit_linear_entries(g, FactorSupport.empty(), F3) == ()
+        assert exponent_total("ii", support(F3, (xp, 1), (P2, 1)).entries) == 5
+        assert exponent_total("ii", support(F3, (xm, 1)).entries) == 5
+        assert exponent_total("ii", ()) == 1
+        assert exponent_total("iii", support(F3, (xp, 1), (P2, 1)).entries) == 4
+        assert exponent_total("iii", FactorSupport.empty().entries) == 0
+        # A dict view, as the companion search passes it.
+        assert exponent_total("ii", {xp: 1, P2: 1}.items()) == 5
 
     def test_even_orthogonal_sign_law(self):
         xm, xp = class_x_minus_one(F3), class_x_plus_one(F3)

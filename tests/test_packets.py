@@ -23,6 +23,7 @@ from cuspred.packets import (
     q_sets,
     recover_m_pair,
     _build_companion,
+    _other_forms,
 )
 
 F3 = FieldSpec(3)
@@ -239,6 +240,18 @@ class TestCrossForm:
         assert (comp.datum.parahoric.n1, comp.datum.parahoric.n2) == (6, 1)
         assert labels(comp.swap_set) == ["x^2+1"]
         assert comp.reps == 1
+
+    @pytest.mark.parametrize("group, others", [
+        (GroupSpec("SOeven", 8, 4, (0, 0), F3),
+         ["SO(8)[w3,a02]/F3", "SO(8)[w3,a11]/F3", "SO(8)[w3,a20]/F3", "SO(8)[w2,a22]/F3"]),
+        (GroupSpec("SOodd", 7, 3, (1, 0), F3),
+         ["SO(7)[w3,a01]/F3", "SO(7)[w2,a12]/F3", "SO(7)[w2,a21]/F3"]),
+        (GroupSpec("Uunram", 6, 3, (0, 0), F9Q), ["U(6)[w2,a11,ur]/F9"]),
+        (GroupSpec("Uram", 8, 4, (0, 0), F3, 1), ["U(8)[w3,a20,e+]/F3"]),
+        (GroupSpec("Uram", 8, 4, (0, 0), F3, -1), ["U(8)[w3,a02,e-]/F3"]),
+    ])
+    def test_other_forms_are_pinned(self, group, others):
+        assert [str(form) for form in _other_forms(group)] == others
 
     def test_symplectic_has_no_other_forms(self):
         assert cross_form_companions(gallery_entry("sp6").datum) == ()

@@ -1,5 +1,7 @@
 """Tests for the sweep driver: group iteration and report plumbing."""
 
+import hashlib
+
 import pytest
 
 from cuspred.groups import dual_dimension
@@ -27,6 +29,12 @@ class TestGroupIteration:
     def test_no_duplicates(self):
         groups = list(iter_group_specs((3, 5), 8))
         assert len(groups) == len(set(groups))
+
+    def test_acceptance_sweep_groups_are_pinned(self):
+        groups = [str(g) for g in iter_group_specs((3, 5), 13)]
+        assert len(set(groups)) == len(groups) == 248
+        digest = hashlib.sha256("\n".join(groups).encode()).hexdigest()
+        assert digest[:16] == "a5ad344c6746406e"
 
     def test_bound_is_sharp(self):
         small = {g for g in iter_group_specs((3,), 7)}
