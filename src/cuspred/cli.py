@@ -21,9 +21,12 @@ where polynomials list their coefficients from the constant term up.
 Every subcommand accepts a file path, inline JSON, or "-" for stdin, and
 prints JSON (canonically ordered, byte-deterministic) or markdown.
 Exit codes: 0 success, 1 failed validation or a failed check, 2 bad input:
-malformed JSON, input that is not a JSON object, an unknown key, a
-polynomial listed twice in one support, or an enumerate that would list
-classes past degree 8 (pass --degree 8 or less).
+malformed JSON, input that is not a JSON object, an unknown key, a number
+that is not a JSON integer (3.7, "2" and true are refused), a polynomial
+listed twice in one support, a negative --degree or --dualdim, or an
+enumerate that would list classes past degree 8 (pass --degree 8 or less).
+An internal invariant failure exits 1 with "internal error:" and the input
+JSON as a reproducer on stderr.
 """
 
 from __future__ import annotations
@@ -68,6 +71,13 @@ def _check_keys(obj, allowed: tuple[str, ...], what: str) -> None:
         raise SchemaError(f"unknown key {unknown[0]!r} in {what}")
 
 
+def _json_int(value, key: str, what: str) -> int:
+    """The value when it is a JSON integer; bool is refused though it is an int."""
+    if type(value) is not int:
+        raise SchemaError(f"{key!r} in {what} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
 def field_to_obj(field: FieldSpec) -> dict:
     return {"p": field.p, "e": field.e, "ext": field.ext}
 
@@ -75,7 +85,8 @@ def field_to_obj(field: FieldSpec) -> dict:
 def field_from_obj(obj) -> FieldSpec:
     _check_keys(obj, ("p", "e", "ext"), "field")
     try:
-        return FieldSpec(int(obj["p"]), int(obj.get("e", 1)),
+        return FieldSpec(_json_int(obj["p"], "p", "field"),
+                         _json_int(obj.get("e", 1), "e", "field"),
                          str(obj.get("ext", "trivial")))
     except (KeyError, TypeError, ValueError) as err:
         raise SchemaError(f"bad field description: {err}") from err
@@ -94,11 +105,11 @@ def group_to_obj(group: GroupSpec) -> dict:
 def group_from_obj(obj) -> GroupSpec:
     _check_keys(obj, ("family", "epsilon", "witt_index", "aniso", "field"), "group")
     try:
-        witt = int(obj["witt_index"])
-        a1, a2 = (int(a) for a in obj["aniso"])
+        witt = _json_int(obj["witt_index"], "witt_index", "group")
+        a1, a2 = (_json_int(a, "aniso", "group") for a in obj["aniso"])
         field = field_from_obj(obj["field"])
         return GroupSpec(str(obj["family"]), 2 * witt + a1 + a2, witt, (a1, a2),
-                         field, int(obj.get("epsilon", 0)))
+                         field, _json_int(obj.get("epsilon", 0), "epsilon", "group"))
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError) as err:
@@ -113,8 +124,9 @@ def _support_from_obj(obj, field: FieldSpec) -> FactorSupport:
     pairs = []
     for item in obj:
         _check_keys(item, ("poly", "m"), "support entry")
-        cls = SelfDualClass(Poly.make(field, [int(c) for c in item["poly"]]))
-        pairs.append((cls, int(item["m"])))
+        coeffs = [_json_int(c, "poly", "support entry") for c in item["poly"]]
+        pairs.append((SelfDualClass(Poly.make(field, coeffs)),
+                      _json_int(item["m"], "m", "support entry")))
     return FactorSupport.of(pairs)
 
 
@@ -135,8 +147,8 @@ def datum_parts_from_obj(obj) -> tuple[ParahoricSpec, tuple[FactorSupport, Facto
     try:
         group = group_from_obj(obj["group"])
         _check_keys(obj["parahoric"], ("n1", "n2"), "parahoric")
-        parahoric = ParahoricSpec(group, int(obj["parahoric"]["n1"]),
-                                  int(obj["parahoric"]["n2"]))
+        parahoric = ParahoricSpec(group, _json_int(obj["parahoric"]["n1"], "n1", "parahoric"),
+                                  _json_int(obj["parahoric"]["n2"], "n2", "parahoric"))
         supports = obj["supports"]
         if len(supports) != 2:
             raise SchemaError("a datum carries exactly two supports")
@@ -197,8 +209,7 @@ _CLAUSES = ("a", "b", "c", "d")
 
 
 def _cmd_validate(args) -> int:
-    obj = _read_json(args.input)
-    parahoric, supports = datum_parts_from_obj(obj)
+    parahoric, supports = datum_parts_from_obj(args.obj)
     field = parahoric.group.field
     factors = []
     valid = parahoric.maximal
@@ -249,7 +260,7 @@ def _cmd_validate(args) -> int:
 # ---------------------------------------------------------------- describe
 
 def _cmd_describe(args) -> int:
-    datum = datum_from_obj(_read_json(args.input))
+    datum = datum_from_obj(args.obj)
     report = reducibility_report(datum)
     reps = count_representations(datum)
     shapes = parameter_shapes(datum)
@@ -337,7 +348,7 @@ def _cmd_describe(args) -> int:
 # ---------------------------------------------------------------- packet
 
 def _cmd_packet(args) -> int:
-    datum = datum_from_obj(_read_json(args.input))
+    datum = datum_from_obj(args.obj)
     census = companions(datum)
     stats = packet_stats(datum, census)
     qs = census.qsets
@@ -420,7 +431,7 @@ def _cmd_packet(args) -> int:
 # ---------------------------------------------------------------- crossform
 
 def _cmd_crossform(args) -> int:
-    datum = datum_from_obj(_read_json(args.input))
+    datum = datum_from_obj(args.obj)
     entries = cross_form_companions(datum)
     obj = {
         "datum": str(datum),
@@ -459,7 +470,7 @@ def _cmd_crossform(args) -> int:
 # ---------------------------------------------------------------- enumerate
 
 def _cmd_enumerate(args) -> int:
-    obj = _read_json(args.input)
+    obj = args.obj
     if "group" in obj:
         _check_keys(obj, _DATUM_KEYS, "datum")
         obj = obj["group"]
@@ -598,6 +609,13 @@ def _cmd_examples(args) -> int:
 
 # ---------------------------------------------------------------- driver
 
+def _bound(text: str) -> int:
+    """A nonnegative integer bound; argparse exits 2 on anything else."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cuspred",
@@ -621,7 +639,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("crossform", _cmd_crossform, "companion censuses on the other forms")
 
     p = add("enumerate", _cmd_enumerate, "all cuspidal data for a group")
-    p.add_argument("--degree", type=int, default=None,
+    p.add_argument("--degree", type=_bound, default=None,
                    help="bound on polynomial class degrees")
     p.add_argument("--count", action="store_true",
                    help="print only the census size")
@@ -630,9 +648,9 @@ def _build_parser() -> argparse.ArgumentParser:
             needs_input=False)
     p.add_argument("--q", type=int, action="append",
                    help="residue field size, repeatable (default 3 and 5)")
-    p.add_argument("--dualdim", type=int, default=13,
+    p.add_argument("--dualdim", type=_bound, default=13,
                    help="bound on the dual dimension (default 13)")
-    p.add_argument("--degree", type=int, default=None,
+    p.add_argument("--degree", type=_bound, default=None,
                    help="bound on polynomial class degrees (default 4)")
     p.add_argument("--checks", default=None,
                    help=f"comma separated subset of {','.join(ALL_CHECKS)}")
@@ -648,10 +666,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if "input" in args:
+            args.obj = _read_json(args.input)
         return args.func(args)
     except (json.JSONDecodeError, OSError, SchemaError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except AssertionError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        if "obj" in args:
+            print(f"reproducer: {json.dumps(args.obj, sort_keys=True)}", file=sys.stderr)
+        return 1
     except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return 1

@@ -23,6 +23,10 @@ dimension; (d) an even orthogonal factor's support has the right type:
 the parity of m(x-1) + m(x+1) + sum of a_P over nonlinear P must match
 the factor sign, minus-type blocks carrying one sign each.
 
+Every computed quantity reads a datum through one map, CuspidalDatum.pairs:
+each support class, together with x - 1 and x + 1, goes to its pair of
+multiplicities (m1, m2), one per slot, with 0 where the class is absent.
+
 Representation counts: a factor contributes one inertial series, or two
 when the semisimple class supports a split pair, and the component group
 of the parahoric (order at most 2) acts on the labels.  The count rules
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 from .ffpoly import (
@@ -131,10 +136,6 @@ class FactorSupport:
                 return m
         return 0
 
-    @property
-    def classes(self) -> tuple[SelfDualClass, ...]:
-        return tuple(c for c, _ in self.entries)
-
     def __str__(self) -> str:
         if not self.entries:
             return "1"
@@ -215,15 +216,16 @@ class CuspidalDatum:
     def field(self) -> FieldSpec:
         return self.group.field
 
-    def support_classes(self) -> tuple[SelfDualClass, ...]:
-        seen = {}
-        for support in self.supports:
-            for cls, _ in support.entries:
-                seen[cls.sort_key] = cls
-        return tuple(seen[k] for k in sorted(seen))
-
-    def multiplicity_pair(self, cls: SelfDualClass) -> tuple[int, int]:
-        return (self.supports[0].get(cls), self.supports[1].get(cls))
+    @cached_property
+    def pairs(self) -> dict[SelfDualClass, tuple[int, int]]:
+        """Class -> (m1, m2) over the support classes and x -+ 1, in sort_key
+        order, 0 where a class is absent.  Computed once, outside the fields
+        (==, hash and repr ignore it); callers must not mutate it."""
+        m1, m2 = (dict(support.entries) for support in self.supports)
+        field = self.field
+        classes = {class_x_minus_one(field), class_x_plus_one(field), *m1, *m2}
+        return {cls: (m1.get(cls, 0), m2.get(cls, 0))
+                for cls in sorted(classes, key=lambda c: c.sort_key)}
 
     def __str__(self) -> str:
         s1, s2 = self.supports
@@ -376,8 +378,9 @@ def signature_of(datum: CuspidalDatum) -> DatumSignature:
     pooled = []
     m_plus = (0, 0)
     m_minus = (0, 0)
-    for cls in datum.support_classes():
-        pair = datum.multiplicity_pair(cls)
+    for cls, pair in datum.pairs.items():
+        if pair == (0, 0):
+            continue  # x -+ 1 when absent
         if field.ext == "trivial" and cls.is_x_minus_one:
             m_plus = pair
         elif field.ext == "trivial" and cls.is_x_plus_one:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 __all__ = [
     "MAX_ENUM_DEGREE",
@@ -459,29 +459,30 @@ class SelfDualClass:
     def field(self) -> FieldSpec:
         return self.poly.field
 
-    @property
+    # Computed once each; cached_property leaves ==, hash and repr alone.
+    @cached_property
     def degree(self) -> int:
         return self.poly.degree
 
-    @property
+    @cached_property
     def is_linear(self) -> bool:
         return self.degree == 1
 
-    @property
+    @cached_property
     def is_x_minus_one(self) -> bool:
         return self.degree == 1 and self.poly.coeffs[0] == field_table(self.field).minus_one
 
-    @property
+    @cached_property
     def is_x_plus_one(self) -> bool:
         return self.degree == 1 and self.poly.coeffs[0] == 1
 
-    @property
+    @cached_property
     def label(self) -> str:
         if self.is_x_minus_one:
             return "x-1"
         return str(self.poly)
 
-    @property
+    @cached_property
     def sort_key(self) -> tuple:
         # x - 1 and x + 1 first; they play a distinguished role everywhere.
         if self.is_x_minus_one:

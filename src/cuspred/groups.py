@@ -43,6 +43,7 @@ orthogonal, (u) unitary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ffpoly import FieldSpec
 
@@ -174,7 +175,7 @@ class GroupSpec:
         if self.dim < 1:
             raise ValueError("dimension must be positive")
 
-    @property
+    @cached_property
     def slot_kinds(self) -> tuple[str, str]:
         """Factor kinds of the two parahoric slots (independent of N1)."""
         a1, a2 = self.aniso
@@ -245,13 +246,13 @@ class ParahoricSpec:
         if self.n1 < 0 or self.n2 < 0 or self.n1 + self.n2 != self.group.witt:
             raise ValueError("(n1, n2) must be a nonnegative split of the Witt index")
 
-    @property
+    @cached_property
     def factors(self) -> tuple[FiniteFactor, FiniteFactor]:
         k1, k2 = self.group.slot_kinds
         a1, a2 = self.group.aniso
         return (_slot_factor(k1, self.n1, a1), _slot_factor(k2, self.n2, a2))
 
-    @property
+    @cached_property
     def maximal(self) -> bool:
         """False exactly when a slot degenerates to the split SO(2) torus."""
         return not any(f.kind == "SOeven" and f.dim == 2 and f.sign == 1

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .cuspdata import CuspidalDatum
-from .ffpoly import SelfDualClass, class_x_minus_one, class_x_plus_one
+from .ffpoly import SelfDualClass
 from .groups import dual_dimension
 
 __all__ = [
@@ -118,10 +118,9 @@ def finite_parameter(case: str, cls: SelfDualClass, m: int) -> HalfInt:
 
 def parameter_pair(datum: CuspidalDatum, cls: SelfDualClass) -> tuple[HalfInt, HalfInt]:
     """(f1, f2) of the class in the two slots."""
-    out = []
-    for factor, support in zip(datum.parahoric.factors, datum.supports):
-        out.append(finite_parameter(factor.case, cls, support.get(cls)))
-    return (out[0], out[1])
+    f1, f2 = datum.parahoric.factors
+    m1, m2 = datum.pairs.get(cls, (0, 0))
+    return (finite_parameter(f1.case, cls, m1), finite_parameter(f2.case, cls, m2))
 
 
 def reducibility_pair(datum: CuspidalDatum, cls: SelfDualClass) -> tuple[HalfInt, HalfInt]:
@@ -136,21 +135,14 @@ def reducibility_pair(datum: CuspidalDatum, cls: SelfDualClass) -> tuple[HalfInt
 
 def iteration_domain(datum: CuspidalDatum) -> tuple[SelfDualClass, ...]:
     """Support classes together with x -+ 1, in canonical order."""
-    field = datum.field
-    seen = {c.sort_key: c for c in (class_x_minus_one(field), class_x_plus_one(field))}
-    for c in datum.support_classes():
-        seen[c.sort_key] = c
-    return tuple(seen[k] for k in sorted(seen))
+    return tuple(datum.pairs)
 
 
 def ired(datum: CuspidalDatum) -> tuple[tuple[SelfDualClass, HalfInt], ...]:
     """Multiset of real reducibility points: members with s >= 1."""
-    out = []
-    for cls in iteration_domain(datum):
-        for s in reducibility_pair(datum, cls):
-            if s.twice >= 2:
-                out.append((cls, s))
-    return tuple(sorted(out, key=lambda e: (e[0].sort_key, -e[1].twice)))
+    # Classes come in canonical order and s >= s', so this is sorted.
+    return tuple((cls, s) for cls in datum.pairs
+                 for s in reducibility_pair(datum, cls) if s.twice >= 2)
 
 
 def jordan_chain(s: HalfInt) -> tuple[int, ...]:
@@ -167,7 +159,7 @@ class JordanEntry:
 
 def jordan(datum: CuspidalDatum) -> tuple[JordanEntry, ...]:
     out = []
-    for cls in iteration_domain(datum):
+    for cls in datum.pairs:
         for member, s in enumerate(reducibility_pair(datum, cls)):
             out.extend(JordanEntry(cls, member, m) for m in jordan_chain(s))
     return tuple(out)
@@ -175,7 +167,7 @@ def jordan(datum: CuspidalDatum) -> tuple[JordanEntry, ...]:
 
 def identity_sides(datum: CuspidalDatum) -> tuple[int, int]:
     lhs = 0
-    for cls in iteration_domain(datum):
+    for cls in datum.pairs:
         s, s2 = reducibility_pair(datum, cls)
         lhs += (s.floor_square + s2.floor_square) * cls.degree
     return lhs, dual_dimension(datum.group)
@@ -213,7 +205,7 @@ class ReducibilityReport:
 
 def reducibility_report(datum: CuspidalDatum) -> ReducibilityReport:
     reports = []
-    for cls in iteration_domain(datum):
+    for cls in datum.pairs:
         f_pair = parameter_pair(datum, cls)
         s_pair = reducibility_pair(datum, cls)
         chains = (jordan_chain(s_pair[0]), jordan_chain(s_pair[1]))
@@ -262,7 +254,7 @@ def parameter_shapes(datum: CuspidalDatum) -> tuple[ParamShape, ...]:
     trivial_ext = datum.field.ext == "trivial"
     per_class: list[list[tuple[SelfDualClass, tuple[ShapeMember, ShapeMember]]]] = []
     free_determinant = False
-    for cls in iteration_domain(datum):
+    for cls in datum.pairs:
         s, s2 = reducibility_pair(datum, cls)
         chains = (jordan_chain(s), jordan_chain(s2))
         if not chains[0] and not chains[1]:

@@ -49,7 +49,7 @@ from .cuspdata import (
 )
 from .ffpoly import SelfDualClass, class_x_plus_one
 from .groups import SLOT_CASES, GroupSpec, ParahoricSpec, enumerate_parahorics, group_forms
-from .hecke import HalfInt, ired, iteration_domain, jordan, reducibility_pair
+from .hecke import HalfInt, ired, jordan, reducibility_pair
 
 __all__ = [
     "QSets",
@@ -110,8 +110,7 @@ def q_sets(datum: CuspidalDatum) -> QSets:
     raw, kept, removed, constrained, free = [], [], [], [], []
     has_iii = "iii" in cases
     unitary = "u" in cases
-    for cls in iteration_domain(datum):
-        m1, m2 = datum.multiplicity_pair(cls)
+    for cls, (m1, m2) in datum.pairs.items():
         if m1 == m2:
             continue
         raw.append(cls)
@@ -127,8 +126,7 @@ def q_sets(datum: CuspidalDatum) -> QSets:
         else:
             pinned = 0
         (constrained if pinned else free).append(cls)
-    xp = class_x_plus_one(datum.field)
-    delta = sum(1 for support in datum.supports if support.get(xp) > 0)
+    delta = sum(1 for m in datum.pairs[class_x_plus_one(datum.field)] if m > 0)
     return QSets(tuple(raw), tuple(kept), tuple(removed),
                  tuple(constrained), tuple(free), delta)
 
@@ -137,8 +135,7 @@ def _swapped_supports(datum: CuspidalDatum, swap_set) -> tuple[dict, dict]:
     """Multiplicity maps of both slots after swapping the given classes."""
     swapped = set(swap_set)
     s1, s2 = {}, {}
-    for cls in iteration_domain(datum):
-        m1, m2 = datum.multiplicity_pair(cls)
+    for cls, (m1, m2) in datum.pairs.items():
         if cls in swapped:
             m1, m2 = m2, m1
         if m1:
@@ -195,9 +192,9 @@ class CompanionCensus:
 
 
 def _subsets(classes):
-    ordered = sorted(classes, key=lambda c: c.sort_key)
-    for r in range(len(ordered) + 1):
-        yield from itertools.combinations(ordered, r)
+    """Every subset, by size; the classes come in canonical order."""
+    for r in range(len(classes) + 1):
+        yield from itertools.combinations(classes, r)
 
 
 def _swap_search(group: GroupSpec, datum: CuspidalDatum, raw, target):
@@ -254,7 +251,7 @@ def enumerate_epsilon(datum: CuspidalDatum) -> EpsilonMap:
             continue
         shift = 0
         for cls in subset:
-            m1, m2 = datum.multiplicity_pair(cls)
+            m1, m2 = datum.pairs[cls]
             shift += (char_poly_exponent(f1.case, cls, m2)
                       - char_poly_exponent(f1.case, cls, m1)) * cls.degree
         if _solve_slots(datum.group, (f1.dual_dim + shift, f2.dual_dim - shift)):
@@ -373,7 +370,7 @@ def packet_stats(datum: CuspidalDatum,
     census = census if census is not None else companions(datum)
     size = len(jordan(datum))
     e = e0 = 0
-    for cls in iteration_domain(datum):
+    for cls in datum.pairs:
         for s in reducibility_pair(datum, cls):
             if s.is_integral and s.twice >= 2:
                 e += 1

@@ -28,7 +28,7 @@ from .cuspdata import (
 )
 from .ffpoly import FieldSpec
 from .groups import FAMILIES, dual_dimension, group_forms
-from .hecke import iteration_domain, reducibility_pair, verify_identity
+from .hecke import reducibility_pair, verify_identity
 from .packets import companions, enumerate_epsilon, packet_stats, recover_m_pair
 
 __all__ = [
@@ -89,9 +89,8 @@ def _check_identity(datum) -> str | None:
 
 
 def _check_recovery(datum) -> str | None:
-    for cls in iteration_domain(datum):
+    for cls, pair in datum.pairs.items():
         s, s2 = reducibility_pair(datum, cls)
-        pair = datum.multiplicity_pair(cls)
         if recover_m_pair(cls, s, s2) != (max(pair), min(pair)):
             return f"multiplicities of {cls.label} not recovered"
     return None

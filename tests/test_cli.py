@@ -262,6 +262,66 @@ class TestErrorPaths:
         code, out, err = run(capsys, "enumerate", "--count", json.dumps(obj))
         assert code == 2 and "'extra'" in err
 
+    @pytest.mark.parametrize("path, key, value, name", [
+        (("group", "field"), "p", 3.7, "p"),
+        (("group", "field"), "e", "1", "e"),
+        (("group",), "witt_index", "2", "witt_index"),
+        (("group", "aniso"), 1, 0.0, "aniso"),
+        (("group",), "epsilon", False, "epsilon"),
+        (("parahoric",), "n1", 2.0, "n1"),
+        (("parahoric",), "n2", "1", "n2"),
+        (("supports", 0, 0, "poly"), 0, 2.5, "poly"),
+        (("supports", 0, 0), "m", True, "m"),
+    ])
+    def test_number_that_is_not_a_json_integer(self, capsys, path, key, value, name):
+        obj = datum_to_obj(gallery_entry("sp6").datum)
+        target = obj
+        for step in path:
+            target = target[step]
+        target[key] = value
+        code, out, err = run(capsys, "validate", json.dumps(obj))
+        assert code == 2
+        assert f"{name!r}" in err and "must be a JSON integer" in err
+
+    @pytest.mark.parametrize("key, value", [("p", 3.7), ("witt_index", "2")])
+    def test_enumerate_refuses_repaired_numbers(self, capsys, key, value):
+        group = {"family": "Sp", "witt_index": 2, "aniso": [0, 0], "field": {"p": 3}}
+        (group["field"] if key == "p" else group)[key] = value
+        code, out, err = run(capsys, "enumerate", "--count", json.dumps(group))
+        assert code == 2 and out == ""
+        assert f"{key!r}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--degree", "-1", TestEnumerate.GROUP),
+        ("selfcheck", "--dualdim", "-3"),
+        ("selfcheck", "--degree", "-1"),
+        ("selfcheck", "--dualdim", "2.5"),
+    ])
+    def test_negative_or_fractional_bound(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 2
+        assert "nonnegative integer" in capsys.readouterr().err
+
+    def test_zero_bounds_stay_valid(self, capsys):
+        code, rep = run_json(capsys, "enumerate", TestEnumerate.GROUP, "--degree", "0")
+        assert code == 0 and rep["degree_bound"] == 0
+        code, rep = run_json(capsys, "selfcheck", "--dualdim", "0", "--degree", "0")
+        assert code == 0 and rep["max_dual"] == 0 and rep["ok"] is True
+
+    def test_internal_error_prints_reproducer(self, capsys, monkeypatch):
+        def broken(datum):
+            raise AssertionError("kept swap ['x-1'] moved a reducibility point")
+
+        monkeypatch.setattr("cuspred.cli.companions", broken)
+        text = datum_text("sp6")
+        code, out, err = run(capsys, "packet", text)
+        assert code == 1 and out == ""
+        first, second = err.splitlines()
+        assert first == "internal error: kept swap ['x-1'] moved a reducibility point"
+        assert second.startswith("reproducer: ")
+        assert json.loads(second[len("reproducer: "):]) == json.loads(text)
+
     def test_invalid_datum_on_describe(self, capsys):
         obj = datum_to_obj(gallery_entry("sp6").datum)
         obj["supports"][0][0]["m"] = 2

@@ -29,6 +29,9 @@ from cuspred.ffpoly import (
     field_table,
 )
 from cuspred.groups import FiniteFactor, GroupSpec, ParahoricSpec
+from cuspred.hecke import identity_sides, ired, parameter_shapes
+from cuspred.packets import companions, enumerate_epsilon, packet_stats
+from cuspred.selfcheck import _CHECKS
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
@@ -83,7 +86,7 @@ class TestFactorSupport:
     def test_sorted_and_positive(self):
         xm, xp = class_x_minus_one(F3), class_x_plus_one(F3)
         s = FactorSupport.of([(xp, 1), (xm, 2)])
-        assert s.classes == (xm, xp)
+        assert s.entries == ((xm, 2), (xp, 1))
         assert s.get(xm) == 2 and s.get(xp) == 1 and s.get(P2) == 0
         with pytest.raises(ValueError):
             FactorSupport(((xm, 0),))
@@ -229,11 +232,15 @@ class TestDatum:
                            FactorSupport.empty()))
 
     def test_multiplicity_pairs(self):
-        d = so20_datum()
         xm, xp = class_x_minus_one(F3), class_x_plus_one(F3)
-        assert d.multiplicity_pair(xm) == (2, 1)
-        assert d.multiplicity_pair(xp) == (1, 2)
-        assert d.support_classes() == (xm, xp)
+        assert so20_datum().pairs == {xm: (2, 1), xp: (1, 2)}
+        # x -+ 1 are always present, and the map runs in canonical order.
+        assert list(so8_datum().pairs.items()) == [(xm, (2, 0)), (xp, (0, 0))]
+        d = u14_datum()
+        assert list(d.pairs.items()) == [(xm, (0, 0)), (xp, (0, 0)), (P2, (1, 3))]
+        # Computed once, and invisible to equality and hashing.
+        assert d.pairs is d.pairs
+        assert d == u14_datum() and hash(d) == hash(u14_datum())
 
     def test_str(self):
         assert str(sp6_datum()) == "Sp(6)/F3:(2,1) [(x-1)^1] x [(x+1)^1]"
@@ -348,3 +355,57 @@ class TestSignatures:
         sigs = {sig: w for sig, w in enumerate_signatures(group)}
         deg4 = [sig for sig in sigs if any(d == 4 for d, _, _ in sig.pooled)]
         assert deg4 and all(sigs[s] == 2 for s in deg4)
+
+    def test_every_datum_matches_its_representative(self):
+        # The sweep checks one representative per signature.  Every
+        # concrete datum must pass the same checks and give the same
+        # results as its representative.
+        checked = 0
+        for group in self.GROUPS:
+            trivial = group.field.ext == "trivial"
+            expected = {}
+            for datum in enumerate_data(group, max_degree=4):
+                for name, check in _CHECKS.items():
+                    assert check(datum) is None, (name, str(datum))
+                sig = signature_of(datum)
+                if sig not in expected:
+                    rep = signature_representative(group, sig)
+                    expected[sig] = _signature_invariants(rep, trivial)
+                assert _signature_invariants(datum, trivial) == expected[sig], str(datum)
+                checked += 1
+        assert checked == 489
+
+
+def _signature_invariants(datum, trivial):
+    """The checked quantities of a datum, with classes abstracted to degree.
+
+    The x -+ 1 labels are kept only under the trivial involution, where
+    those classes are not pooled.  delta (the slots carrying x + 1) is
+    compared only there too: under the quadratic involution x + 1 is one
+    of the pooled degree one classes, so delta depends on which of them a
+    datum names (on U(5)/F9 it differs for 153 data), while the census
+    law that reads delta applies to Sp alone.
+    """
+    def tag(cls):
+        return (cls.degree, cls.label if trivial and cls.is_linear else "")
+
+    def swaps(swap_sets):
+        return sorted(sorted(tag(c) for c in s) for s in swap_sets)
+
+    census = companions(datum)
+    stats = packet_stats(datum, census)
+    out = {
+        "identity": identity_sides(datum),
+        "ired": sorted((tag(c), s.twice) for c, s in ired(datum)),
+        "companions": swaps(census.swap_sets),
+        "closed form": swaps(enumerate_epsilon(datum).swap_sets),
+        "reps": count_representations(datum).total,
+        "census": stats.census_total,
+        "q": stats.q,
+        "e": (stats.e, stats.e0),
+        "jordan": stats.jordan_size,
+        "shapes": len(parameter_shapes(datum)),
+    }
+    if trivial:
+        out["delta"] = stats.delta
+    return out

@@ -13,7 +13,7 @@ from cuspred.ffpoly import (
 )
 from cuspred.fixtures import gallery, gallery_entry
 from cuspred.groups import GroupSpec, ParahoricSpec
-from cuspred.hecke import ired, iteration_domain, reducibility_pair
+from cuspred.hecke import ired, reducibility_pair
 from cuspred.packets import (
     companions,
     cross_form_companions,
@@ -46,9 +46,8 @@ class TestRecovery:
     def test_gallery_round_trip(self):
         for entry in gallery():
             datum = entry.datum
-            for cls in iteration_domain(datum):
+            for cls, pair in datum.pairs.items():
                 s, s2 = reducibility_pair(datum, cls)
-                pair = datum.multiplicity_pair(cls)
                 assert recover_m_pair(cls, s, s2) == (max(pair), min(pair)), \
                     (entry.name, cls.label)
 
@@ -57,9 +56,8 @@ class TestRecovery:
                       GroupSpec("SOeven", 8, 3, (1, 1), F3),
                       GroupSpec("Uunram", 5, 2, (1, 0), F9Q)):
             for datum in enumerate_data(group, max_degree=4):
-                for cls in iteration_domain(datum):
+                for cls, pair in datum.pairs.items():
                     s, s2 = reducibility_pair(datum, cls)
-                    pair = datum.multiplicity_pair(cls)
                     assert recover_m_pair(cls, s, s2) == (max(pair), min(pair))
 
 
