@@ -23,8 +23,9 @@ prints JSON (canonically ordered, byte-deterministic) or markdown.
 Exit codes: 0 success, 1 failed validation or a failed check, 2 bad input:
 malformed JSON, input that is not a JSON object, an unknown key, a number
 that is not a JSON integer (3.7, "2" and true are refused), a polynomial
-listed twice in one support, a negative --degree or --dualdim, or an
-enumerate that would list classes past degree 8 (pass --degree 8 or less).
+listed twice in one support, a negative --degree or --dualdim, a selfcheck
+residue size or check given twice or an empty check name, or an enumerate
+that would list classes past degree 8 (pass --degree 8 or less).
 An internal invariant failure exits 1 with "internal error:" and the input
 JSON as a reproducer on stderr.
 """
@@ -506,14 +507,13 @@ def _cmd_enumerate(args) -> int:
 # ---------------------------------------------------------------- selfcheck
 
 def _cmd_selfcheck(args) -> int:
-    checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
+    checks = ALL_CHECKS if args.checks is None else tuple(args.checks.split(","))
     try:
         report = run_selfcheck(
             q0_values=tuple(args.q) if args.q else (3, 5),
             max_dual=args.dualdim,
             max_degree=args.degree if args.degree is not None else 4,
-            checks=checks,
-            fail_fast=True)
+            checks=checks)
     except ValueError as err:
         raise SchemaError(str(err)) from err
     obj = {

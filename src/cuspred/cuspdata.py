@@ -17,11 +17,17 @@ entry is implicit with m = 0 and a = 1, so the exponent totals of a
 symplectic factor add to dim + 1 rather than dim.
 
 Validation clauses, in order: (a) classes match the factor's field,
-involution and degree parity; (b) multiplicities are positive; (c) the
-exponent totals (with the implicit entry) equal the factor's dual
-dimension; (d) an even orthogonal factor's support has the right type:
-the parity of m(x-1) + m(x+1) + sum of a_P over nonlinear P must match
-the factor sign, minus-type blocks carrying one sign each.
+involution and degree parity; (b) multiplicities are positive, which
+FactorSupport enforces on construction; (c) the exponent totals (with the
+implicit entry) equal the factor's dual dimension; (d) an even orthogonal
+factor's support has the right type: the parity of m(x-1) + m(x+1) + sum
+of a_P over nonlinear P must match the factor sign, minus-type blocks
+carrying one sign each.
+
+Enumeration follows one fitting rule for every class, x - 1 and x + 1
+included: take each m whose cost a_P(m) deg P still fits the remaining
+exponent budget.  Only the exponent table tells x -+ 1 apart, so under
+the trivial involution they are the first two entries of the class pool.
 
 Every computed quantity reads a datum through one map, CuspidalDatum.pairs:
 each support class, together with x - 1 and x + 1, goes to its pair of
@@ -36,9 +42,10 @@ are in count_representations.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from math import factorial
+from functools import cached_property, partial
+from math import factorial, perm
 
 from .ffpoly import (
     FieldSpec,
@@ -166,7 +173,7 @@ def validate_support(factor: FiniteFactor, support: FactorSupport, field: FieldS
     quadratic = field.ext == "quadratic"
     if (factor.case == "u") != quadratic:
         raise ValueError("clause a: factor kind does not match the field involution")
-    for cls, m in support.entries:
+    for cls, _ in support.entries:
         if cls.field != field:
             raise ValueError(f"clause a: class {cls.label} lives over the wrong field")
         if factor.case == "u":
@@ -174,8 +181,6 @@ def validate_support(factor: FiniteFactor, support: FactorSupport, field: FieldS
                 raise ValueError(f"clause a: class {cls.label} has even degree")
         elif cls.degree != 1 and cls.degree % 2:
             raise ValueError(f"clause a: class {cls.label} has odd degree above 1")
-        if m < 1:
-            raise ValueError(f"clause b: multiplicity of {cls.label} is not positive")
     total = exponent_total(factor.case, support.entries)
     if total != factor.dual_dim:
         raise ValueError(
@@ -284,66 +289,64 @@ def _degree_pool(field: FieldSpec, budget: int, max_degree: int | None) -> list[
     return [d for d in range(1, cap + 1, 2) if count_self_dual_classes(field, d) > 0]
 
 
+def _fits(exponent, degree: int, budget: int):
+    """Yield (m, cost) for m = 0, 1, ... while cost = exponent(m) * degree
+    fits the budget: the one fitting rule of every multiplicity loop.
+
+    Every exponent table grows with m, so the first cost over the budget
+    ends the run.  In case ii, x - 1 costs 1 already at m = 0: the
+    implicit entry.
+    """
+    m = 0
+    while (cost := exponent(m) * degree) <= budget:
+        yield m, cost
+        m += 1
+
+
+def _pooled_exponent(m: int) -> int:
+    """a_P(m) of a pooled class, which always follows the nonlinear formula."""
+    return m * (m + 1) // 2
+
+
 def enumerate_supports(factor: FiniteFactor, field: FieldSpec,
                        max_degree: int | None = None) -> tuple[FactorSupport, ...]:
     """All valid supports of one factor, nonlinear degrees capped if asked."""
-    budget = factor.dual_dim
     case = factor.case
+    pool = [c for d in _degree_pool(field, factor.dual_dim, max_degree)
+            for c in enumerate_self_dual_classes(field, d)]
+    if case != "u":
+        pool = [class_x_minus_one(field), class_x_plus_one(field), *pool]
     out: list[FactorSupport] = []
+    acc: list[tuple[SelfDualClass, int]] = []
 
-    def fill_pool(pool_index: int, remaining: int, acc: list, pool: list[SelfDualClass]):
-        if pool_index >= len(pool):
+    def fill(index: int, remaining: int) -> None:
+        if index == len(pool):
             if remaining == 0:
-                entries = [(c, m) for c, m in acc if m > 0]
-                support = FactorSupport.of(entries)
+                support = FactorSupport.of([(c, m) for c, m in acc if m > 0])
                 if support_is_valid(factor, support, field):
                     out.append(support)
             return
-        cls = pool[pool_index]
+        cls = pool[index]
+        # The fitting rule of _fits, inlined: a generator per call made
+        # census runs measurably slower.
         m = 0
-        while True:
-            # a(0) = 0 for pooled classes, so cost climbs from zero.
-            cost = char_poly_exponent(case, cls, m) * cls.degree
-            if cost > remaining:
-                break
+        while (cost := char_poly_exponent(case, cls, m) * cls.degree) <= remaining:
             acc.append((cls, m))
-            fill_pool(pool_index + 1, remaining - cost, acc, pool)
+            fill(index + 1, remaining - cost)
             acc.pop()
             m += 1
 
-    pool = [c for d in _degree_pool(field, budget, max_degree)
-            for c in enumerate_self_dual_classes(field, d)]
-    if case == "u":
-        fill_pool(0, budget, [], pool)
-        return tuple(out)
-
-    xm, xp = class_x_minus_one(field), class_x_plus_one(field)
-    m_plus = 0
-    while char_poly_exponent(case, xm, m_plus) <= budget:
-        used_p = char_poly_exponent(case, xm, m_plus)
-        m_minus = 0
-        while used_p + char_poly_exponent(case, xp, m_minus) <= budget:
-            used = used_p + char_poly_exponent(case, xp, m_minus)
-            acc = [(xm, m_plus), (xp, m_minus)]
-            fill_pool(0, budget - used, acc, pool)
-            m_minus += 1
-        m_plus += 1
+    fill(0, factor.dual_dim)
     return tuple(out)
 
 
 def enumerate_data(group: GroupSpec, max_degree: int | None = None) -> tuple[CuspidalDatum, ...]:
     """Every cuspidal datum of the group, over all maximal parahorics."""
-    out = []
-    for parahoric in enumerate_parahorics(group):
-        if not parahoric.maximal:
-            continue
-        f1, f2 = parahoric.factors
-        lists = (enumerate_supports(f1, group.field, max_degree),
-                 enumerate_supports(f2, group.field, max_degree))
-        for s1 in lists[0]:
-            for s2 in lists[1]:
-                out.append(CuspidalDatum(parahoric, (s1, s2)))
-    return tuple(out)
+    return tuple(
+        CuspidalDatum(parahoric, supports)
+        for parahoric in enumerate_parahorics(group) if parahoric.maximal
+        for supports in itertools.product(*(enumerate_supports(f, group.field, max_degree)
+                                            for f in parahoric.factors)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,49 +396,33 @@ def signature_of(datum: CuspidalDatum) -> DatumSignature:
 
 def signature_weight(group: GroupSpec, sig: DatumSignature) -> int:
     """Number of concrete data sharing the signature."""
+    if group.field.ext == "trivial" and any(d == 1 for d, _, _ in sig.pooled):
+        raise ValueError("linear classes are not pooled for the trivial involution")
+    # Distinct classes go to the pooled triples of each degree in order;
+    # triples that repeat are interchangeable.
     weight = 1
-    for degree in sorted({d for d, _, _ in sig.pooled}):
-        triples = [t for t in sig.pooled if t[0] == degree]
-        n = count_self_dual_classes(group.field, degree)
-        if group.field.ext == "trivial" and degree == 1:
-            raise ValueError("linear classes are not pooled for the trivial involution")
-        k = len(triples)
-        ways = 1
-        for i in range(k):
-            ways *= (n - i)
-        for t in set(triples):
-            ways //= factorial(triples.count(t))
-        weight *= ways
+    for degree, k in Counter(d for d, _, _ in sig.pooled).items():
+        weight *= perm(count_self_dual_classes(group.field, degree), k)
+    for repeats in Counter(sig.pooled).values():
+        weight //= factorial(repeats)
     return weight
 
 
 def signature_representative(group: GroupSpec, sig: DatumSignature) -> CuspidalDatum:
     """A concrete datum with the given signature, on canonical classes."""
     field = group.field
-    parahoric = ParahoricSpec(group, sig.n1, sig.n2)
-    s1: list[tuple[SelfDualClass, int]] = []
-    s2: list[tuple[SelfDualClass, int]] = []
-    if sig.m_plus[0]:
-        s1.append((class_x_minus_one(field), sig.m_plus[0]))
-    if sig.m_plus[1]:
-        s2.append((class_x_minus_one(field), sig.m_plus[1]))
-    if sig.m_minus[0]:
-        s1.append((class_x_plus_one(field), sig.m_minus[0]))
-    if sig.m_minus[1]:
-        s2.append((class_x_plus_one(field), sig.m_minus[1]))
+    entries = [(class_x_minus_one(field), sig.m_plus), (class_x_plus_one(field), sig.m_minus)]
     by_degree: dict[int, list[tuple[int, int]]] = {}
     for d, a, b in sig.pooled:
         by_degree.setdefault(d, []).append((a, b))
     for d, pairs in by_degree.items():
-        classes = enumerate_self_dual_classes(group.field, d)
+        classes = enumerate_self_dual_classes(field, d)
         if len(pairs) > len(classes):
             raise ValueError(f"not enough degree {d} classes for the signature")
-        for cls, (a, b) in zip(classes, pairs):
-            if a:
-                s1.append((cls, a))
-            if b:
-                s2.append((cls, b))
-    return CuspidalDatum(parahoric, (FactorSupport.of(s1), FactorSupport.of(s2)))
+        entries.extend(zip(classes, pairs))
+    supports = (FactorSupport.of([(cls, pair[slot]) for cls, pair in entries if pair[slot]])
+                for slot in (0, 1))
+    return CuspidalDatum(ParahoricSpec(group, sig.n1, sig.n2), tuple(supports))
 
 
 def _pooled_signatures(field: FieldSpec, budgets: tuple[int, int],
@@ -461,21 +448,13 @@ def _pooled_signatures(field: FieldSpec, budgets: tuple[int, int],
             yield from rec(deg_index + 1, r1, r2, acc)
             if left == 0:
                 return
-            m1 = 0
-            while m1 * (m1 + 1) // 2 * d <= r1:
-                c1 = m1 * (m1 + 1) // 2 * d
-                m2 = 0
-                while True:
-                    c2 = m2 * (m2 + 1) // 2 * d
-                    if c2 > r2:
-                        break
-                    pair = (m1, m2)
-                    if pair != (0, 0) and pair <= last_pair:
-                        acc.append((d, m1, m2))
-                        yield from choose(pair, left - 1, r1 - c1, r2 - c2)
-                        acc.pop()
-                    m2 += 1
-                m1 += 1
+            for (m1, c1), (m2, c2) in itertools.product(_fits(_pooled_exponent, d, r1),
+                                                        _fits(_pooled_exponent, d, r2)):
+                pair = (m1, m2)
+                if pair != (0, 0) and pair <= last_pair:
+                    acc.append((d, m1, m2))
+                    yield from choose(pair, left - 1, r1 - c1, r2 - c2)
+                    acc.pop()
 
         top = (max(budgets) + 1, max(budgets) + 1)
         yield from choose(top, counts[d], b1, b2)
@@ -490,25 +469,18 @@ def enumerate_signatures(group: GroupSpec, max_degree: int | None = None):
         if not parahoric.maximal:
             continue
         f1, f2 = parahoric.factors
-        budgets = (f1.dual_dim, f2.dual_dim)
-        case_pair = (f1.case, f2.case)
+        b1, b2 = budgets = (f1.dual_dim, f2.dual_dim)
         if field.ext == "quadratic":
             linear_choices = [((0, 0), (0, 0), budgets)]
         else:
+            def fits(cls, r1, r2):  # ((m1, cost1), (m2, cost2)) in both slots
+                return itertools.product(_fits(partial(char_poly_exponent, f1.case, cls), 1, r1),
+                                         _fits(partial(char_poly_exponent, f2.case, cls), 1, r2))
+
             xm, xp = class_x_minus_one(field), class_x_plus_one(field)
-            linear_choices = []
-            for mp1, mp2 in itertools.product(range(budgets[0] + 1), range(budgets[1] + 1)):
-                ap = (char_poly_exponent(case_pair[0], xm, mp1),
-                      char_poly_exponent(case_pair[1], xm, mp2))
-                if ap[0] > budgets[0] or ap[1] > budgets[1]:
-                    continue
-                for mm1, mm2 in itertools.product(range(budgets[0] + 1), range(budgets[1] + 1)):
-                    am = (char_poly_exponent(case_pair[0], xp, mm1),
-                          char_poly_exponent(case_pair[1], xp, mm2))
-                    rem = (budgets[0] - ap[0] - am[0], budgets[1] - ap[1] - am[1])
-                    if rem[0] < 0 or rem[1] < 0:
-                        continue
-                    linear_choices.append(((mp1, mp2), (mm1, mm2), rem))
+            linear_choices = [((mp1, mp2), (mm1, mm2), (b1 - cp1 - cm1, b2 - cp2 - cm2))
+                              for (mp1, cp1), (mp2, cp2) in fits(xm, b1, b2)
+                              for (mm1, cm1), (mm2, cm2) in fits(xp, b1 - cp1, b2 - cp2)]
         for m_plus, m_minus, rem in linear_choices:
             for pooled in _pooled_signatures(field, rem, max_degree):
                 sig = DatumSignature(parahoric.n1, parahoric.n2, m_plus, m_minus,

@@ -68,48 +68,31 @@ class DegreeLimitError(ValueError):
     """A class enumeration asked for a degree above MAX_ENUM_DEGREE."""
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _factor(n: int) -> dict[int, int]:
+    """Prime factorization {prime: exponent} by trial division; {} below 2."""
+    out: dict[int, int] = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            return False
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1
-    return True
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def _is_prime(n: int) -> bool:
+    return _factor(n) == {n: 1}
 
 
 def _mobius(n: int) -> int:
-    value = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            value = -value
-        d += 1
-    if n > 1:
-        value = -value
-    return value
+    exponents = _factor(n).values()
+    return 0 if any(k > 1 for k in exponents) else (-1) ** len(exponents)
 
 
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -158,7 +141,7 @@ def _defining_polynomial(p: int, e: int) -> tuple[int, ...]:
         # Over an irreducible modulus x^(q-1) = 1 holds, so x generates
         # the unit group when x^((q-1)/r) != 1 for each prime r | q-1.
         if is_irreducible(modulus) and all(
-                x.pow_mod((q - 1) // r, modulus) != one for r in _prime_divisors(q - 1)):
+                x.pow_mod((q - 1) // r, modulus) != one for r in _factor(q - 1)):
             return cand
     raise ValueError(f"no primitive modulus found for GF({p}^{e})")
 
@@ -197,7 +180,6 @@ class FieldTable:
         self._inv = [0] * q
         for a in range(1, q):
             self._inv[a] = self._mul[a].index(1)
-        self._frob = [self.pow(a, p) for a in range(q)]
         if spec.ext == "quadratic":
             self._sigma = [self.pow(a, spec.q0) for a in range(q)]
         else:
@@ -224,9 +206,6 @@ class FieldTable:
             raise ZeroDivisionError("inverse of zero")
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self._mul[a][self.inv(b)]
-
     def pow(self, a: int, n: int) -> int:
         result = 1
         acc = a
@@ -236,9 +215,6 @@ class FieldTable:
             acc = self._mul[acc][acc]
             n >>= 1
         return result
-
-    def frob(self, a: int) -> int:
-        return self._frob[a]
 
     def sigma(self, a: int) -> int:
         return self._sigma[a]
@@ -357,13 +333,6 @@ class Poly:
         scale = F.inv(self.coeffs[-1])
         return Poly(self.field, tuple(F.mul(scale, c) for c in self.coeffs))
 
-    def evaluate(self, a: int) -> int:
-        F = field_table(self.field)
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, a), c)
-        return acc
-
     def pow_mod(self, n: int, modulus: "Poly") -> "Poly":
         result = Poly.one(self.field) % modulus
         acc = self % modulus
@@ -416,7 +385,7 @@ def is_irreducible(poly: Poly) -> bool:
         frob[k] = h
     if frob[n] != x % poly:
         return False
-    for r in _prime_divisors(n):
+    for r in _factor(n):
         if poly_gcd(frob[n // r] - x, poly).degree != 0:
             return False
     return True

@@ -49,7 +49,7 @@ from .cuspdata import (
 )
 from .ffpoly import SelfDualClass, class_x_plus_one
 from .groups import SLOT_CASES, GroupSpec, ParahoricSpec, enumerate_parahorics, group_forms
-from .hecke import HalfInt, ired, jordan, reducibility_pair
+from .hecke import HalfInt, ired, jordan
 
 __all__ = [
     "QSets",
@@ -369,13 +369,10 @@ def packet_stats(datum: CuspidalDatum,
                  census: CompanionCensus | None = None) -> PacketStats:
     census = census if census is not None else companions(datum)
     size = len(jordan(datum))
-    e = e0 = 0
-    for cls in datum.pairs:
-        for s in reducibility_pair(datum, cls):
-            if s.is_integral and s.twice >= 2:
-                e += 1
-                if (s.twice // 2) % 2:
-                    e0 = 1
+    # e counts the integral members of IRed; e0 is 1 when one of them is odd.
+    integral = [s.as_int() for _, s in ired(datum) if s.is_integral]
+    e = len(integral)
+    e0 = int(any(s % 2 for s in integral))
     expected = 2 ** (e - e0)
     stats = dict(
         datum=datum,

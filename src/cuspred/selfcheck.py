@@ -41,8 +41,6 @@ __all__ = [
 
 ALL_CHECKS = ("identity", "recovery", "epsilon", "census-law")
 
-_MAX_DETAILS = 25  # failure records kept per check
-
 
 @dataclass(frozen=True)
 class CheckFailure:
@@ -124,16 +122,26 @@ _CHECKS = {
 }
 
 
+def _check_selection(what: str, values) -> None:
+    if not values:
+        raise ValueError(f"no {what} selected")
+    for value in values:
+        if values.count(value) > 1:
+            raise ValueError(f"{what} {value!r} is given twice")
+
+
 def run_selfcheck(q0_values=(3, 5), max_dual: int = 13, max_degree: int = 4,
-                  checks=ALL_CHECKS, fail_fast: bool = False) -> SelfcheckReport:
+                  checks=ALL_CHECKS) -> SelfcheckReport:
+    """Sweep the groups and stop after the first datum that fails a check."""
+    q0_values, checks = tuple(q0_values), tuple(checks)
+    _check_selection("residue size", q0_values)
+    _check_selection("check", checks)
     for name in checks:
         if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}")
     started = time.monotonic()
     groups = signatures = data_weight = 0
-    failure_counts = {name: 0 for name in checks}
     failures: list[CheckFailure] = []
-    stop = False
     for group in iter_group_specs(q0_values, max_dual):
         groups += 1
         for sig, weight in enumerate_signatures(group, max_degree=max_degree):
@@ -146,19 +154,17 @@ def run_selfcheck(q0_values=(3, 5), max_dual: int = 13, max_degree: int = 4,
                 except (AssertionError, ValueError) as err:
                     detail = f"raised {err}"
                 if detail is not None:
-                    failure_counts[name] += 1
-                    if failure_counts[name] <= _MAX_DETAILS:
-                        failures.append(CheckFailure(name, datum, detail))
-                    stop = stop or fail_fast
-            if stop:
+                    failures.append(CheckFailure(name, datum, detail))
+            if failures:
                 break
-        if stop:
+        if failures:
             break
+    failure_counts = {name: sum(f.check == name for f in failures) for name in checks}
     return SelfcheckReport(
-        q0_values=tuple(q0_values),
+        q0_values=q0_values,
         max_dual=max_dual,
         max_degree=max_degree,
-        checks=tuple(checks),
+        checks=checks,
         groups=groups,
         signatures=signatures,
         data_weight=data_weight,

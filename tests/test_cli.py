@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -164,6 +165,24 @@ class TestSelfcheck:
         assert code == 2
         assert "bogus" in err
 
+    def test_repeated_residue_size_is_usage_error(self, capsys):
+        # It used to sweep F3 twice and report 48 groups.
+        code, out, err = run(capsys, "selfcheck", "--q", "3", "--q", "3", "--dualdim", "2")
+        assert (code, out) == (2, "")
+        assert "residue size 3 is given twice" in err
+
+    def test_repeated_check_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "selfcheck", "--dualdim", "2",
+                             "--checks", "identity,identity")
+        assert (code, out) == (2, "")
+        assert "check 'identity' is given twice" in err
+
+    def test_empty_check_list_is_usage_error(self, capsys):
+        # It used to run all four checks, as if --checks were absent.
+        code, out, err = run(capsys, "selfcheck", "--dualdim", "2", "--checks", "")
+        assert (code, out) == (2, "")
+        assert "unknown check ''" in err
+
 
 class TestExamples:
     def test_all_entries_match(self, capsys):
@@ -180,6 +199,22 @@ class TestExamples:
         entry = rep["entries"][0]
         assert entry["match"] is True
         assert "inconsistent" in entry["note"]
+
+
+class TestMarkdown:
+    def test_gallery_markdown_is_pinned(self, capsys):
+        # md is the default format; pin every query command and a degree
+        # bounded census on each gallery entry, plus examples.
+        h = hashlib.sha256()
+        commands = (["validate"], ["describe"], ["packet"], ["crossform"],
+                    ["enumerate", "--degree", "4"])
+        runs = [argv + [datum_text(entry.name)] for entry in gallery() for argv in commands]
+        for argv in runs + [["examples"]]:
+            code, out, err = run(capsys, *argv)
+            assert err == ""
+            h.update(f"{code}\n{out}".encode())
+        assert len(runs) + 1 == 31
+        assert h.hexdigest()[:16] == "1c6db0a7ecbbe0aa"
 
 
 class TestErrorPaths:

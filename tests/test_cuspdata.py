@@ -1,5 +1,7 @@
 """Tests for cuspidal supports: validation, counts, enumeration."""
 
+import hashlib
+
 import pytest
 
 from cuspred.cuspdata import (
@@ -31,7 +33,7 @@ from cuspred.ffpoly import (
 from cuspred.groups import FiniteFactor, GroupSpec, ParahoricSpec
 from cuspred.hecke import identity_sides, ired, parameter_shapes
 from cuspred.packets import companions, enumerate_epsilon, packet_stats
-from cuspred.selfcheck import _CHECKS
+from cuspred.selfcheck import _CHECKS, iter_group_specs
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
@@ -409,3 +411,28 @@ def _signature_invariants(datum, trivial):
     if trivial:
         out["delta"] = stats.delta
     return out
+
+
+class TestEnumerationPins:
+    """Both enumerations, pinned by digest: listings, signature order,
+    weights and representatives must not move when the code does."""
+
+    @staticmethod
+    def digest(lines):
+        h = hashlib.sha256()
+        for line in lines:
+            h.update(line.encode() + b"\n")
+        return h.hexdigest()[:16]
+
+    def test_signatures_are_pinned(self):
+        lines = [f"{g}|{sig}|{w}|{signature_representative(g, sig)}"
+                 for g in iter_group_specs((3, 5), 9)
+                 for sig, w in enumerate_signatures(g, max_degree=4)]
+        assert len(lines) == 2806
+        assert self.digest(lines) == "a2e3e043f04f64aa"
+
+    def test_concrete_data_are_pinned(self):
+        lines = [str(d) for g in iter_group_specs((3, 5), 6)
+                 for d in enumerate_data(g, max_degree=4)]
+        assert len(lines) == 37234
+        assert self.digest(lines) == "872a902b5c567335"

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from cuspred.groups import dual_dimension
-from cuspred.selfcheck import iter_group_specs, run_selfcheck
+from cuspred.selfcheck import _CHECKS, iter_group_specs, run_selfcheck
 
 
 class TestGroupIteration:
@@ -56,6 +56,23 @@ class TestReport:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
             run_selfcheck(checks=("identity", "bogus"))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"q0_values": (3, 3)}, "residue size 3 is given twice"),
+        ({"checks": ("identity", "identity")}, "check 'identity' is given twice"),
+        ({"q0_values": ()}, "no residue size selected"),
+        ({"checks": ()}, "no check selected"),
+    ])
+    def test_repeated_or_empty_selection_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            run_selfcheck(max_dual=2, **kwargs)
+
+    def test_stops_at_first_failing_datum(self, monkeypatch):
+        monkeypatch.setitem(_CHECKS, "identity", lambda datum: "planted")
+        report = run_selfcheck(q0_values=(3,), max_dual=6, checks=("identity", "recovery"))
+        assert report.signatures == 1 and not report.ok
+        assert report.failure_counts == {"identity": 1, "recovery": 0}
+        assert [(f.check, f.detail) for f in report.failures] == [("identity", "planted")]
 
     def test_check_subset_runs_alone(self):
         report = run_selfcheck(q0_values=(3,), max_dual=4, checks=("identity",))
