@@ -217,6 +217,59 @@ class TestMarkdown:
         assert h.hexdigest()[:16] == "1c6db0a7ecbbe0aa"
 
 
+def _broken(name: str, edit) -> str:
+    obj = datum_to_obj(gallery_entry(name).datum)
+    edit(obj)
+    return json.dumps(obj)
+
+
+def _set(path, value):
+    def edit(obj):
+        for step in path[:-1]:
+            obj = obj[step]
+        obj[path[-1]] = value
+    return edit
+
+
+# Gallery data broken one way each.  Clause a cannot be reached from JSON,
+# which only builds self-dual irreducible classes over the group's field,
+# so the two class-level breaks stand in for it and exit 2 before any
+# clause is checked.
+BROKEN_DATA = {
+    "class not self-dual": _broken("sp6", _set(("supports", 0, 0, "poly"), [2, 1, 1])),
+    "class reducible": _broken("so8", _set(("supports", 0, 0, "poly"), [1, 1, 1])),
+    "clause c, Sp slot": _broken("sp6", _set(("supports", 0, 0, "m"), 2)),
+    "clause c, both slots": _broken("sp4", lambda obj: [
+        entry.update(m=2) for support in obj["supports"] for entry in support]),
+    "clause c, ramified unitary": _broken("u14", _set(("supports", 1, 0, "m"), 2)),
+    "clause c, SO odd slot": _broken("so5", _set(("supports", 1), [{"poly": [2, 1], "m": 1}])),
+    "clause d, split SO(20)": _broken("so20", lambda obj: (
+        obj["group"].update(witt_index=10, aniso=[0, 0]),
+        obj.update(parahoric={"n1": 5, "n2": 5}))),
+    "clause d, SO(8)": _broken("so8", _set(("supports", 0), [
+        {"poly": [2, 1], "m": 1}, {"poly": [1, 1], "m": 1},
+        {"poly": [1, 1, 1, 1, 1], "m": 1}])),
+    "non-maximal, empty supports": _broken("so8", lambda obj: obj.update(
+        parahoric={"n1": 1, "n2": 3}, supports=[[], []])),
+    "non-maximal, gallery supports": _broken("so8", _set(("parahoric",), {"n1": 3, "n2": 1})),
+}
+
+
+class TestInvalidData:
+    def test_invalid_data_outputs_are_pinned(self, capsys):
+        # validate and describe, JSON and md, stdout and stderr together.
+        h = hashlib.sha256()
+        codes = []
+        for text in BROKEN_DATA.values():
+            for command in ("validate", "describe"):
+                for fmt in ("json", "md"):
+                    code, out, err = run(capsys, command, text, "--format", fmt)
+                    codes.append(code)
+                    h.update(f"{code}\n{out}\n{err}".encode())
+        assert codes == [2] * 8 + [1] * 32
+        assert h.hexdigest()[:16] == "a180f2317e8dc5e4"
+
+
 class TestErrorPaths:
     def test_malformed_json(self, capsys):
         code, out, err = run(capsys, "describe", '{"group": ')
