@@ -41,7 +41,7 @@ from .cuspdata import (
     FactorSupport,
     count_representations,
     enumerate_data,
-    validate_support,
+    support_violation,
 )
 from .ffpoly import MAX_ENUM_DEGREE, DegreeLimitError, FieldSpec, Poly, SelfDualClass
 from .fixtures import evaluate_entry, gallery, gallery_entry
@@ -215,22 +215,16 @@ def _cmd_validate(args) -> int:
     factors = []
     valid = parahoric.maximal
     for factor, support in zip(parahoric.factors, supports):
-        verdicts = dict.fromkeys(_CLAUSES, "not checked")
-        try:
-            validate_support(factor, support, field)
-            for clause in _CLAUSES:
-                verdicts[clause] = "pass"
-            if factor.case != "iii":
+        violation = support_violation(factor, support, field)
+        if violation is None:
+            verdicts = dict.fromkeys(_CLAUSES, "pass")
+            if factor.kind != "SOeven":
                 verdicts["d"] = "pass (no sign condition)"
-            ok = True
-        except ValueError as err:
-            message = str(err)
-            if message.startswith("clause "):
-                clause, message = message[7], message.split(": ", 1)[1]
-            else:
-                clause = "a"
-            verdicts[clause] = message
-            ok = False
+        else:
+            clause, reason = violation
+            verdicts = dict.fromkeys(_CLAUSES, "not checked")
+            verdicts[clause] = reason
+        ok = violation is None
         valid = valid and ok
         factors.append({"factor": str(factor), "clauses": verdicts, "valid": ok})
     report = {

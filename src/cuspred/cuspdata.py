@@ -4,13 +4,13 @@ A depth-zero cuspidal datum assigns to each of the two finite factors of
 a maximal parahoric quotient a support: a finite set of self-dual
 classes P with multiplicities m_P >= 1.  The support encodes a semisimple
 class with characteristic polynomial prod P^(a_P), where the exponent
-a_P depends on the factor case and on whether P is linear:
+a_P depends on the factor kind and on whether P is linear:
 
-    nonlinear P, every case:      a_P = m (m + 1) / 2
-    linear, case i   (SO odd):    a(x-1) = 2 (m^2 + m),  a(x+1) = same
-    linear, case ii  (Sp):        a(x-1) = 2 (m^2 + m) + 1,  a(x+1) = 2 m^2
-    linear, case iii (SO even):   a(x-1) = 2 m^2,  a(x+1) = 2 m^2
-    case u (unitary):             the nonlinear formula throughout
+    nonlinear P, every kind:  a_P = m (m + 1) / 2
+    linear, SOodd:            a(x-1) = 2 (m^2 + m),  a(x+1) = same
+    linear, Sp:               a(x-1) = 2 (m^2 + m) + 1,  a(x+1) = 2 m^2
+    linear, SOeven:           a(x-1) = 2 m^2,  a(x+1) = 2 m^2
+    U:                        the nonlinear formula throughout
 
 A symplectic factor always carries x - 1: when the support omits it, the
 entry is implicit with m = 0 and a = 1, so the exponent totals of a
@@ -19,10 +19,11 @@ symplectic factor add to dim + 1 rather than dim.
 Validation clauses, in order: (a) classes match the factor's field,
 involution and degree parity; (b) multiplicities are positive, which
 FactorSupport enforces on construction; (c) the exponent totals (with the
-implicit entry) equal the factor's dual dimension; (d) an even orthogonal
-factor's support has the right type: the parity of m(x-1) + m(x+1) + sum
-of a_P over nonlinear P must match the factor sign, minus-type blocks
-carrying one sign each.
+implicit entry) equal the factor's dual dimension; (d) an SOeven factor's
+support has the right type: the parity of m(x-1) + m(x+1) + sum of a_P
+over nonlinear P must match the factor sign, minus-type blocks carrying
+one sign each.  support_violation returns the first failing clause as a
+value; validate_support raises it.
 
 Enumeration follows one fitting rule for every class, x - 1 and x + 1
 included: take each m whose cost a_P(m) deg P still fits the remaining
@@ -72,8 +73,8 @@ __all__ = [
     "minus_type_exponent",
     "linear_multiplicities",
     "exponent_total",
+    "support_violation",
     "validate_support",
-    "support_is_valid",
     "count_representations",
     "slot_series",
     "enumerate_supports",
@@ -85,32 +86,40 @@ __all__ = [
 ]
 
 
-def char_poly_exponent(case: str, cls: SelfDualClass, m: int) -> int:
+def _triangular(m: int) -> int:
+    """m (m + 1) / 2: a_P of a nonlinear class, and of every class in a U slot."""
+    return m * (m + 1) // 2
+
+
+def char_poly_exponent(kind: str, cls: SelfDualClass, m: int) -> int:
     """Exponent a_P of the class P in the characteristic polynomial."""
     if m < 0:
         raise ValueError("multiplicity must be nonnegative")
-    if case == "u" or not cls.is_linear:
-        return m * (m + 1) // 2
-    if case == "i":
+    if kind == "U" or not cls.is_linear:
+        return _triangular(m)
+    if kind == "SOodd":
         return 2 * (m * m + m)
-    if case == "ii":
+    if kind == "Sp":
         return 2 * (m * m + m) + 1 if cls.is_x_minus_one else 2 * m * m
-    if case == "iii":
+    if kind == "SOeven":
         return 2 * m * m
-    raise ValueError(f"unknown case {case!r}")
+    raise ValueError(f"unknown factor kind {kind!r}")
 
 
 def minus_type_exponent(cls: SelfDualClass, m: int) -> int:
-    """Number of minus-type blocks contributed to an even orthogonal factor.
+    """Number of minus-type blocks contributed to an SOeven factor.
 
     Each linear eigenvalue block of parameter m contributes m such
     blocks; a nonlinear class contributes one per copy, that is a_P,
     since its restriction-of-scalars torus has minus type in every even
     degree.
     """
-    if cls.is_linear:
-        return m
-    return m * (m + 1) // 2
+    return m if cls.is_linear else _triangular(m)
+
+
+def _type_matches(factor: FiniteFactor, blocks: int) -> bool:
+    """Clause d: the parity of the minus-type blocks gives the factor sign."""
+    return (-1) ** blocks == factor.sign
 
 
 @dataclass(frozen=True)
@@ -155,48 +164,48 @@ def linear_multiplicities(support: FactorSupport, field: FieldSpec) -> tuple[int
             support.get(class_x_plus_one(field)))
 
 
-def exponent_total(case: str, entries) -> int:
+def exponent_total(kind: str, entries) -> int:
     """Degree of the characteristic polynomial of (class, m) entries.
 
-    A symplectic factor (case ii) whose entries omit x - 1 still carries
-    it with m = 0 and a = 1, so the total gains one.  The entries are
-    read twice: pass a sequence or a dict view, not an iterator.
+    An Sp factor whose entries omit x - 1 still carries it with m = 0
+    and a = 1, so the total gains one.  The entries are read twice: pass
+    a sequence or a dict view, not an iterator.
     """
-    total = sum(char_poly_exponent(case, cls, m) * cls.degree for cls, m in entries)
-    if case == "ii" and not any(cls.is_x_minus_one for cls, _ in entries):
+    total = sum(char_poly_exponent(kind, cls, m) * cls.degree for cls, m in entries)
+    if kind == "Sp" and not any(cls.is_x_minus_one for cls, _ in entries):
         total += 1
     return total
 
 
-def validate_support(factor: FiniteFactor, support: FactorSupport, field: FieldSpec) -> None:
-    """Raise ValueError (with the clause named) when the support is bad."""
-    quadratic = field.ext == "quadratic"
-    if (factor.case == "u") != quadratic:
-        raise ValueError("clause a: factor kind does not match the field involution")
+def support_violation(factor: FiniteFactor, support: FactorSupport,
+                      field: FieldSpec) -> tuple[str, str] | None:
+    """(clause, reason) of the first clause the support fails, None if valid."""
+    unitary = factor.kind == "U"
+    if unitary != (field.ext == "quadratic"):
+        return "a", "factor kind does not match the field involution"
     for cls, _ in support.entries:
         if cls.field != field:
-            raise ValueError(f"clause a: class {cls.label} lives over the wrong field")
-        if factor.case == "u":
+            return "a", f"class {cls.label} lives over the wrong field"
+        if unitary:
             if cls.degree % 2 == 0:
-                raise ValueError(f"clause a: class {cls.label} has even degree")
+                return "a", f"class {cls.label} has even degree"
         elif cls.degree != 1 and cls.degree % 2:
-            raise ValueError(f"clause a: class {cls.label} has odd degree above 1")
-    total = exponent_total(factor.case, support.entries)
+            return "a", f"class {cls.label} has odd degree above 1"
+    total = exponent_total(factor.kind, support.entries)
     if total != factor.dual_dim:
-        raise ValueError(
-            f"clause c: exponent total {total} differs from dual dimension {factor.dual_dim}")
-    if factor.case == "iii":
-        exponent = sum(minus_type_exponent(cls, m) for cls, m in support.entries)
-        if (-1) ** exponent != factor.sign:
-            raise ValueError("clause d: support type does not match the factor sign")
+        return "c", f"exponent total {total} differs from dual dimension {factor.dual_dim}"
+    if factor.kind == "SOeven" and not _type_matches(
+            factor, sum(minus_type_exponent(cls, m) for cls, m in support.entries)):
+        return "d", "support type does not match the factor sign"
+    return None
 
 
-def support_is_valid(factor: FiniteFactor, support: FactorSupport, field: FieldSpec) -> bool:
-    try:
-        validate_support(factor, support, field)
-    except ValueError:
-        return False
-    return True
+def validate_support(factor: FiniteFactor, support: FactorSupport, field: FieldSpec) -> None:
+    """Raise ValueError naming the first clause the support fails."""
+    violation = support_violation(factor, support, field)
+    if violation is not None:
+        clause, reason = violation
+        raise ValueError(f"clause {clause}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -250,12 +259,12 @@ class RepCount:
 
 def slot_series(factor: FiniteFactor, support: FactorSupport, field: FieldSpec) -> tuple[int, str]:
     """Number of inertial series of the slot and the component action on them."""
-    if factor.case in ("i", "u"):
+    if factor.kind in ("SOodd", "U"):
         return 1, "fixed"
     m_plus, m_minus = linear_multiplicities(support, field)
-    if factor.case == "ii":
+    if factor.kind == "Sp":
         return (2 if m_minus > 0 else 1), "fixed"
-    # case iii
+    # SOeven
     if m_plus == 0 and m_minus == 0:
         if factor.dual_dim > 0:
             return 2, "swapped"
@@ -294,7 +303,7 @@ def _fits(exponent, degree: int, budget: int):
     fits the budget: the one fitting rule of every multiplicity loop.
 
     Every exponent table grows with m, so the first cost over the budget
-    ends the run.  In case ii, x - 1 costs 1 already at m = 0: the
+    ends the run.  In an Sp slot, x - 1 costs 1 already at m = 0: the
     implicit entry.
     """
     m = 0
@@ -303,18 +312,13 @@ def _fits(exponent, degree: int, budget: int):
         m += 1
 
 
-def _pooled_exponent(m: int) -> int:
-    """a_P(m) of a pooled class, which always follows the nonlinear formula."""
-    return m * (m + 1) // 2
-
-
 def enumerate_supports(factor: FiniteFactor, field: FieldSpec,
                        max_degree: int | None = None) -> tuple[FactorSupport, ...]:
     """All valid supports of one factor, nonlinear degrees capped if asked."""
-    case = factor.case
+    kind = factor.kind
     pool = [c for d in _degree_pool(field, factor.dual_dim, max_degree)
             for c in enumerate_self_dual_classes(field, d)]
-    if case != "u":
+    if kind != "U":
         pool = [class_x_minus_one(field), class_x_plus_one(field), *pool]
     out: list[FactorSupport] = []
     acc: list[tuple[SelfDualClass, int]] = []
@@ -323,14 +327,14 @@ def enumerate_supports(factor: FiniteFactor, field: FieldSpec,
         if index == len(pool):
             if remaining == 0:
                 support = FactorSupport.of([(c, m) for c, m in acc if m > 0])
-                if support_is_valid(factor, support, field):
+                if support_violation(factor, support, field) is None:
                     out.append(support)
             return
         cls = pool[index]
         # The fitting rule of _fits, inlined: a generator per call made
         # census runs measurably slower.
         m = 0
-        while (cost := char_poly_exponent(case, cls, m) * cls.degree) <= remaining:
+        while (cost := char_poly_exponent(kind, cls, m) * cls.degree) <= remaining:
             acc.append((cls, m))
             fill(index + 1, remaining - cost)
             acc.pop()
@@ -448,8 +452,8 @@ def _pooled_signatures(field: FieldSpec, budgets: tuple[int, int],
             yield from rec(deg_index + 1, r1, r2, acc)
             if left == 0:
                 return
-            for (m1, c1), (m2, c2) in itertools.product(_fits(_pooled_exponent, d, r1),
-                                                        _fits(_pooled_exponent, d, r2)):
+            for (m1, c1), (m2, c2) in itertools.product(_fits(_triangular, d, r1),
+                                                        _fits(_triangular, d, r2)):
                 pair = (m1, m2)
                 if pair != (0, 0) and pair <= last_pair:
                     acc.append((d, m1, m2))
@@ -474,8 +478,8 @@ def enumerate_signatures(group: GroupSpec, max_degree: int | None = None):
             linear_choices = [((0, 0), (0, 0), budgets)]
         else:
             def fits(cls, r1, r2):  # ((m1, cost1), (m2, cost2)) in both slots
-                return itertools.product(_fits(partial(char_poly_exponent, f1.case, cls), 1, r1),
-                                         _fits(partial(char_poly_exponent, f2.case, cls), 1, r2))
+                return itertools.product(_fits(partial(char_poly_exponent, f1.kind, cls), 1, r1),
+                                         _fits(partial(char_poly_exponent, f2.kind, cls), 1, r2))
 
             xm, xp = class_x_minus_one(field), class_x_plus_one(field)
             linear_choices = [((mp1, mp2), (mm1, mm2), (b1 - cp1 - cm1, b2 - cp2 - cm2))
@@ -493,10 +497,10 @@ def enumerate_signatures(group: GroupSpec, max_degree: int | None = None):
 def _signature_sign_ok(parahoric: ParahoricSpec, sig: DatumSignature) -> bool:
     """Clause d, evaluated on the signature without building a datum."""
     for index, factor in enumerate(parahoric.factors):
-        if factor.case != "iii":
+        if factor.kind != "SOeven":
             continue
-        exponent = sig.m_plus[index] + sig.m_minus[index]
-        exponent += sum(m * (m + 1) // 2 for d, *pair in sig.pooled for m in [pair[index]])
-        if (-1) ** exponent != factor.sign:
+        blocks = sig.m_plus[index] + sig.m_minus[index]
+        blocks += sum(_triangular(pair[index]) for _, *pair in sig.pooled)
+        if not _type_matches(factor, blocks):
             return False
     return True

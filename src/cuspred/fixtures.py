@@ -36,10 +36,6 @@ class GalleryEntry:
     note: str = ""
 
 
-def _support(pairs) -> FactorSupport:
-    return FactorSupport.of(pairs)
-
-
 @lru_cache(maxsize=1)
 def gallery() -> tuple[GalleryEntry, ...]:
     f3 = FieldSpec(3)
@@ -51,7 +47,7 @@ def gallery() -> tuple[GalleryEntry, ...]:
         title="Sp(6), eigenvalue 1 on the first slot and -1 on the second",
         datum=CuspidalDatum(
             ParahoricSpec(GroupSpec("Sp", 6, 3, (0, 0), f3), 2, 1),
-            (_support([(xm, 1)]), _support([(xp, 1)]))),
+            (FactorSupport.of([(xm, 1)]), FactorSupport.of([(xp, 1)]))),
         expected={
             "rep_total": 2,
             "identity": [7, 7],
@@ -75,7 +71,7 @@ def gallery() -> tuple[GalleryEntry, ...]:
         title="Sp(4), eigenvalue -1 on both slots",
         datum=CuspidalDatum(
             ParahoricSpec(GroupSpec("Sp", 4, 2, (0, 0), f3), 1, 1),
-            (_support([(xp, 1)]), _support([(xp, 1)]))),
+            (FactorSupport.of([(xp, 1)]), FactorSupport.of([(xp, 1)]))),
         expected={
             "rep_total": 4,
             "identity": [5, 5],
@@ -99,7 +95,7 @@ def gallery() -> tuple[GalleryEntry, ...]:
         title="split SO(8), eigenvalue 1 with multiplicity two",
         datum=CuspidalDatum(
             ParahoricSpec(GroupSpec("SOeven", 8, 4, (0, 0), f3), 4, 0),
-            (_support([(xm, 2)]), FactorSupport.empty())),
+            (FactorSupport.of([(xm, 2)]), FactorSupport.empty())),
         expected={
             "rep_total": 1,
             "identity": [8, 8],
@@ -124,7 +120,7 @@ def gallery() -> tuple[GalleryEntry, ...]:
         title="nonsplit SO(20) of Witt index 8, both eigenvalues on both slots",
         datum=CuspidalDatum(
             ParahoricSpec(GroupSpec("SOeven", 20, 8, (2, 2), f3), 4, 4),
-            (_support([(xm, 2), (xp, 1)]), _support([(xm, 1), (xp, 2)]))),
+            (FactorSupport.of([(xm, 2), (xp, 1)]), FactorSupport.of([(xm, 1), (xp, 2)]))),
         expected={
             "rep_total": 8,
             "identity": [20, 20],
@@ -155,7 +151,7 @@ def gallery() -> tuple[GalleryEntry, ...]:
         title="ramified U(14), one quadratic class on both slots",
         datum=CuspidalDatum(
             ParahoricSpec(GroupSpec("Uram", 14, 6, (2, 0), f3, epsilon=1), 0, 6),
-            (_support([(p2, 1)]), _support([(p2, 3)]))),
+            (FactorSupport.of([(p2, 1)]), FactorSupport.of([(p2, 3)]))),
         expected={
             "rep_total": 1,
             "identity": [14, 14],
@@ -181,7 +177,7 @@ def gallery() -> tuple[GalleryEntry, ...]:
         title="SO(5) of Witt index 2, both eigenvalues on the even slot",
         datum=CuspidalDatum(
             ParahoricSpec(GroupSpec("SOodd", 5, 2, (0, 1), f3), 2, 0),
-            (_support([(xm, 1), (xp, 1)]), FactorSupport.empty())),
+            (FactorSupport.of([(xm, 1), (xp, 1)]), FactorSupport.empty())),
         expected={
             "rep_total": 4,
             "identity": [4, 4],

@@ -23,13 +23,14 @@ follow the family:
     Uram    -> SO(2*N1 + a1)   x Sp(2*N2)        (epsilon = +1)
                Sp(2*N1)        x SO(2*N2 + a2)   (epsilon = -1)
 
-where (a1, a2) is the anisotropic split.  An even orthogonal factor
-carries a type sign: split (plus) when its anisotropic part is 0, and
-nonsplit (minus) when it is 2.
+where (a1, a2) is the anisotropic split.  An orthogonal slot is of kind
+SOodd when its anisotropic part is odd and SOeven otherwise.  An even
+orthogonal factor carries a type sign: split (plus) when its anisotropic
+part is 0, and nonsplit (minus) when it is 2.
 
-Each finite factor falls in one of four combinatorial cases used by the
-rest of the package: (i) odd orthogonal, (ii) symplectic, (iii) even
-orthogonal, (u) unitary.
+The factor kind, Sp, SOodd, SOeven or U, is the only name of a slot type
+in the package: it alone fixes the exponent table, the parameter table and
+the sign condition of the slot.
 
 >>> G = GroupSpec("Sp", 6, 3, (0, 0), FieldSpec(3))
 >>> dual_dimension(G)
@@ -49,10 +50,10 @@ from .ffpoly import FieldSpec
 
 __all__ = [
     "FAMILIES",
+    "FACTOR_KINDS",
     "FiniteFactor",
     "GroupSpec",
     "ParahoricSpec",
-    "SLOT_CASES",
     "dual_dimension",
     "group_forms",
     "enumerate_parahorics",
@@ -60,13 +61,11 @@ __all__ = [
 ]
 
 FAMILIES = ("Sp", "SOodd", "SOeven", "Uunram", "Uram")
+FACTOR_KINDS = ("Sp", "SOodd", "SOeven", "U")
 
 # Admissible anisotropic splits (a1, a2) by family and dimension parity.
 _SO_EVEN_SPLITS = ((0, 0), (1, 1), (2, 0), (0, 2), (2, 2))
 _SO_ODD_SPLITS = ((1, 0), (0, 1), (2, 1), (1, 2))
-
-# Factor kind -> combinatorial case; the keys are the valid factor kinds.
-SLOT_CASES = {"SOodd": "i", "Sp": "ii", "SOeven": "iii", "U": "u"}
 
 
 def _dual_dim(kind: str, dim: int) -> int:
@@ -90,7 +89,7 @@ class FiniteFactor:
     sign: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in SLOT_CASES:
+        if self.kind not in FACTOR_KINDS:
             raise ValueError(f"unknown factor kind {self.kind!r}")
         if self.dim < 0:
             raise ValueError("factor dimension must be nonnegative")
@@ -107,11 +106,6 @@ class FiniteFactor:
                 raise ValueError("the trivial orthogonal factor is split")
         elif self.sign != 0:
             raise ValueError("only even orthogonal factors carry a sign")
-
-    @property
-    def case(self) -> str:
-        """Combinatorial case tag: i, ii, iii or u."""
-        return SLOT_CASES[self.kind]
 
     @property
     def dual_dim(self) -> int:
@@ -224,14 +218,8 @@ def group_forms(family: str, dim: int, field: FieldSpec):
 
 
 def _slot_factor(kind: str, n: int, a: int) -> FiniteFactor:
-    dim = 2 * n + a
-    if kind == "Sp":
-        return FiniteFactor("Sp", dim)
-    if kind == "SOodd":
-        return FiniteFactor("SOodd", dim)
-    if kind == "SOeven":
-        return FiniteFactor("SOeven", dim, 1 if a == 0 else -1)
-    return FiniteFactor("U", dim)
+    """An even orthogonal slot is split exactly when its anisotropic part is 0."""
+    return FiniteFactor(kind, 2 * n + a, (1 if a == 0 else -1) if kind == "SOeven" else 0)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ are always inspected, gets a pair of finite parameters (f1, f2), one per
 slot, read off the multiplicities through the tables
 
     trivial involution, linear P:
-        case i:   f = 2m + 1 at both eigenvalues
-        case ii:  f = 2m + 1 at x - 1,  f = 2m at x + 1
-        case iii: f = 2m at both
-    even degree (trivial) and every class of a unitary slot:
+        SOodd:   f = 2m + 1 at both eigenvalues
+        Sp:      f = 2m + 1 at x - 1,  f = 2m at x + 1
+        SOeven:  f = 2m at both
+    even degree (trivial) and every class of a U slot:
         f = (2m + 1) deg(P) / 2,   a half-integer when deg(P) is odd
 
 with m = 0 when P does not appear in the slot.  The two reducibility
@@ -86,12 +86,6 @@ class HalfInt:
         """floor of the square: exact for integers, k^2 + k for k + 1/2."""
         return self.twice * self.twice // 4
 
-    def __add__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice + other.twice)
-
-    def __sub__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice - other.twice)
-
     def __str__(self) -> str:
         if self.twice % 2 == 0:
             return str(self.twice // 2)
@@ -101,26 +95,26 @@ class HalfInt:
         return f"HalfInt({self.twice})"
 
 
-def finite_parameter(case: str, cls: SelfDualClass, m: int) -> HalfInt:
+def finite_parameter(kind: str, cls: SelfDualClass, m: int) -> HalfInt:
     """The slot parameter f of the class at multiplicity m (0 if absent)."""
     if m < 0:
         raise ValueError("multiplicity must be nonnegative")
-    if case == "u" or not cls.is_linear:
+    if kind == "U" or not cls.is_linear:
         return HalfInt((2 * m + 1) * cls.degree)
-    if case == "i":
+    if kind == "SOodd":
         return HalfInt.of(2 * m + 1)
-    if case == "ii":
+    if kind == "Sp":
         return HalfInt.of(2 * m + 1 if cls.is_x_minus_one else 2 * m)
-    if case == "iii":
+    if kind == "SOeven":
         return HalfInt.of(2 * m)
-    raise ValueError(f"unknown case {case!r}")
+    raise ValueError(f"unknown factor kind {kind!r}")
 
 
 def parameter_pair(datum: CuspidalDatum, cls: SelfDualClass) -> tuple[HalfInt, HalfInt]:
     """(f1, f2) of the class in the two slots."""
     f1, f2 = datum.parahoric.factors
     m1, m2 = datum.pairs.get(cls, (0, 0))
-    return (finite_parameter(f1.case, cls, m1), finite_parameter(f2.case, cls, m2))
+    return (finite_parameter(f1.kind, cls, m1), finite_parameter(f2.kind, cls, m2))
 
 
 def reducibility_pair(datum: CuspidalDatum, cls: SelfDualClass) -> tuple[HalfInt, HalfInt]:

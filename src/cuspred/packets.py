@@ -48,12 +48,11 @@ from .cuspdata import (
     slot_series,
 )
 from .ffpoly import SelfDualClass, class_x_plus_one
-from .groups import SLOT_CASES, GroupSpec, ParahoricSpec, enumerate_parahorics, group_forms
+from .groups import GroupSpec, ParahoricSpec, enumerate_parahorics, group_forms
 from .hecke import HalfInt, ired, jordan
 
 __all__ = [
     "QSets",
-    "EpsilonMap",
     "Companion",
     "CompanionCensus",
     "CrossFormEntry",
@@ -97,32 +96,31 @@ class QSets:
         return len(self.raw)
 
 
-def _constant_difference(case1: str, case2: str, cls: SelfDualClass) -> bool:
+def _constant_difference(kind1: str, kind2: str, cls: SelfDualClass) -> bool:
     """Whether the two slot exponent formulas differ by a constant."""
-    diffs = {char_poly_exponent(case1, cls, m) - char_poly_exponent(case2, cls, m)
+    diffs = {char_poly_exponent(kind1, cls, m) - char_poly_exponent(kind2, cls, m)
              for m in range(3)}
     return len(diffs) == 1
 
 
 def q_sets(datum: CuspidalDatum) -> QSets:
-    factors = datum.parahoric.factors
-    cases = (factors[0].case, factors[1].case)
+    kinds = datum.group.slot_kinds
     raw, kept, removed, constrained, free = [], [], [], [], []
-    has_iii = "iii" in cases
-    unitary = "u" in cases
+    even_orthogonal = "SOeven" in kinds
+    unitary = "U" in kinds
     for cls, (m1, m2) in datum.pairs.items():
         if m1 == m2:
             continue
         raw.append(cls)
-        if not _constant_difference(cases[0], cases[1], cls):
+        if not _constant_difference(kinds[0], kinds[1], cls):
             removed.append(cls)
             continue
         kept.append(cls)
-        if has_iii:
+        if even_orthogonal:
             pinned = (minus_type_exponent(cls, m1) - minus_type_exponent(cls, m2)) % 2
         elif unitary:
-            pinned = (char_poly_exponent("u", cls, m1)
-                      - char_poly_exponent("u", cls, m2)) % 2
+            pinned = (char_poly_exponent("U", cls, m1)
+                      - char_poly_exponent("U", cls, m2)) % 2
         else:
             pinned = 0
         (constrained if pinned else free).append(cls)
@@ -157,12 +155,11 @@ def _build_companion(group: GroupSpec, datum: CuspidalDatum, swap_set):
     """The re-solved datum after a swap, or None when nothing valid exists."""
     s1, s2 = _swapped_supports(datum, swap_set)
     kinds = group.slot_kinds
-    totals = (exponent_total(SLOT_CASES[kinds[0]], s1.items()),
-              exponent_total(SLOT_CASES[kinds[1]], s2.items()))
-    parahoric = _solve_parahoric(group, totals)
-    if parahoric is None or not parahoric.maximal:
+    parahoric = _solve_parahoric(group, (exponent_total(kinds[0], s1.items()),
+                                         exponent_total(kinds[1], s2.items())))
+    if parahoric is None:
         return None
-    try:
+    try:  # CuspidalDatum also rejects a parahoric that is not maximal
         return CuspidalDatum(parahoric, (FactorSupport.of(s1.items()),
                                          FactorSupport.of(s2.items())))
     except ValueError:
@@ -228,16 +225,7 @@ def companions(datum: CuspidalDatum) -> CompanionCensus:
     return CompanionCensus(datum, qs, tuple(out))
 
 
-@dataclass(frozen=True)
-class EpsilonMap:
-    """The closed description of the surviving swap sets."""
-
-    datum: CuspidalDatum
-    qsets: QSets
-    swap_sets: tuple[tuple[SelfDualClass, ...], ...]
-
-
-def enumerate_epsilon(datum: CuspidalDatum) -> EpsilonMap:
+def enumerate_epsilon(datum: CuspidalDatum) -> tuple[tuple[SelfDualClass, ...], ...]:
     """Surviving swap sets computed without validating any support:
     subsets of the kept classes with evenly many constrained ones,
     subject only to the parahoric re-solving being possible."""
@@ -252,11 +240,11 @@ def enumerate_epsilon(datum: CuspidalDatum) -> EpsilonMap:
         shift = 0
         for cls in subset:
             m1, m2 = datum.pairs[cls]
-            shift += (char_poly_exponent(f1.case, cls, m2)
-                      - char_poly_exponent(f1.case, cls, m1)) * cls.degree
+            shift += (char_poly_exponent(f1.kind, cls, m2)
+                      - char_poly_exponent(f1.kind, cls, m1)) * cls.degree
         if _solve_slots(datum.group, (f1.dual_dim + shift, f2.dual_dim - shift)):
             out.append(subset)
-    return EpsilonMap(datum, qs, tuple(out))
+    return tuple(out)
 
 
 def _solve_slots(group: GroupSpec, totals: tuple[int, int]) -> bool:

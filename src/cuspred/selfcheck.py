@@ -97,9 +97,9 @@ def _check_recovery(datum) -> str | None:
 def _check_epsilon(datum) -> str | None:
     census = companions(datum)
     closed = enumerate_epsilon(datum)
-    if census.swap_sets != closed.swap_sets:
+    if census.swap_sets != closed:
         got = [[c.label for c in s] for s in census.swap_sets]
-        predicted = [[c.label for c in s] for s in closed.swap_sets]
+        predicted = [[c.label for c in s] for s in closed]
         return f"census swaps {got} but closed form {predicted}"
     return None
 

@@ -18,7 +18,7 @@ from cuspred.cuspdata import (
     signature_of,
     signature_representative,
     signature_weight,
-    support_is_valid,
+    support_violation,
     validate_support,
 )
 from cuspred.ffpoly import (
@@ -56,23 +56,23 @@ Q4A, Q4B = enumerate_self_dual_classes(F3, 4)
 class TestExponentFormulas:
     def test_linear_tables(self):
         xm, xp = class_x_minus_one(F3), class_x_plus_one(F3)
-        # case i: both eigenvalues follow 2(m^2 + m)
-        assert [char_poly_exponent("i", xm, m) for m in range(4)] == [0, 4, 12, 24]
-        assert [char_poly_exponent("i", xp, m) for m in range(4)] == [0, 4, 12, 24]
-        # case ii: x - 1 is shifted by the implicit copy, x + 1 is 2 m^2
-        assert [char_poly_exponent("ii", xm, m) for m in range(4)] == [1, 5, 13, 25]
-        assert [char_poly_exponent("ii", xp, m) for m in range(4)] == [0, 2, 8, 18]
-        # case iii: both are 2 m^2
-        assert [char_poly_exponent("iii", xm, m) for m in range(4)] == [0, 2, 8, 18]
-        assert [char_poly_exponent("iii", xp, m) for m in range(4)] == [0, 2, 8, 18]
+        # SOodd: both eigenvalues follow 2(m^2 + m)
+        assert [char_poly_exponent("SOodd", xm, m) for m in range(4)] == [0, 4, 12, 24]
+        assert [char_poly_exponent("SOodd", xp, m) for m in range(4)] == [0, 4, 12, 24]
+        # Sp: x - 1 is shifted by the implicit copy, x + 1 is 2 m^2
+        assert [char_poly_exponent("Sp", xm, m) for m in range(4)] == [1, 5, 13, 25]
+        assert [char_poly_exponent("Sp", xp, m) for m in range(4)] == [0, 2, 8, 18]
+        # SOeven: both are 2 m^2
+        assert [char_poly_exponent("SOeven", xm, m) for m in range(4)] == [0, 2, 8, 18]
+        assert [char_poly_exponent("SOeven", xp, m) for m in range(4)] == [0, 2, 8, 18]
 
     def test_nonlinear_is_triangular(self):
-        for case in ("i", "ii", "iii", "u"):
-            assert [char_poly_exponent(case, P2, m) for m in range(5)] == [0, 1, 3, 6, 10]
+        for kind in ("SOodd", "Sp", "SOeven", "U"):
+            assert [char_poly_exponent(kind, P2, m) for m in range(5)] == [0, 1, 3, 6, 10]
 
     def test_case_u_linear_is_triangular(self):
         xm9 = class_x_minus_one(F9Q)
-        assert [char_poly_exponent("u", xm9, m) for m in range(4)] == [0, 1, 3, 6]
+        assert [char_poly_exponent("U", xm9, m) for m in range(4)] == [0, 1, 3, 6]
 
     def test_minus_type_exponent(self):
         xm = class_x_minus_one(F3)
@@ -81,7 +81,14 @@ class TestExponentFormulas:
 
     def test_negative_multiplicity_rejected(self):
         with pytest.raises(ValueError):
-            char_poly_exponent("ii", class_x_minus_one(F3), -1)
+            char_poly_exponent("Sp", class_x_minus_one(F3), -1)
+
+    def test_unknown_kind_rejected(self):
+        # The factor kind is the only slot vocabulary; the old tags are gone.
+        with pytest.raises(ValueError, match="unknown factor kind 'ii'"):
+            char_poly_exponent("ii", class_x_minus_one(F3), 1)
+        with pytest.raises(ValueError, match="unknown factor kind 'i'"):
+            FiniteFactor("i", 3)
 
 
 class TestFactorSupport:
@@ -123,15 +130,15 @@ class TestValidation:
             validate_support(f, support(F3, (xp, 1)), F3)
 
     def test_implicit_entry(self):
-        # Only case ii counts an absent x - 1, with a = 1: 2 + 2 + 1 below.
+        # Only Sp counts an absent x - 1, with a = 1: 2 + 2 + 1 below.
         xm, xp = class_x_minus_one(F3), class_x_plus_one(F3)
-        assert exponent_total("ii", support(F3, (xp, 1), (P2, 1)).entries) == 5
-        assert exponent_total("ii", support(F3, (xm, 1)).entries) == 5
-        assert exponent_total("ii", ()) == 1
-        assert exponent_total("iii", support(F3, (xp, 1), (P2, 1)).entries) == 4
-        assert exponent_total("iii", FactorSupport.empty().entries) == 0
+        assert exponent_total("Sp", support(F3, (xp, 1), (P2, 1)).entries) == 5
+        assert exponent_total("Sp", support(F3, (xm, 1)).entries) == 5
+        assert exponent_total("Sp", ()) == 1
+        assert exponent_total("SOeven", support(F3, (xp, 1), (P2, 1)).entries) == 4
+        assert exponent_total("SOeven", FactorSupport.empty().entries) == 0
         # A dict view, as the companion search passes it.
-        assert exponent_total("ii", {xp: 1, P2: 1}.items()) == 5
+        assert exponent_total("Sp", {xp: 1, P2: 1}.items()) == 5
 
     def test_even_orthogonal_sign_law(self):
         xm, xp = class_x_minus_one(F3), class_x_plus_one(F3)
@@ -145,10 +152,10 @@ class TestValidation:
         # blocks here (one per class), five below (m = 2 gives three).
         u = support(F3, (xm, 1), (xp, 1), (P2, 1), (Q4A, 1))  # 2 + 2 + 2 + 4 = 10
         validate_support(plus, u, F3)
-        assert not support_is_valid(minus, u, F3)
+        assert support_violation(minus, u, F3)[0] == "d"
         v = support(F3, (xm, 1), (xp, 1), (P2, 2))  # 2 + 2 + 6 = 10
         validate_support(minus, v, F3)
-        assert not support_is_valid(plus, v, F3)
+        assert support_violation(plus, v, F3)[0] == "d"
 
     def test_field_and_degree_clauses(self):
         f = FiniteFactor("Sp", 4)
@@ -400,7 +407,7 @@ def _signature_invariants(datum, trivial):
         "identity": identity_sides(datum),
         "ired": sorted((tag(c), s.twice) for c, s in ired(datum)),
         "companions": swaps(census.swap_sets),
-        "closed form": swaps(enumerate_epsilon(datum).swap_sets),
+        "closed form": swaps(enumerate_epsilon(datum)),
         "reps": count_representations(datum).total,
         "census": stats.census_total,
         "q": stats.q,

@@ -58,7 +58,7 @@ class TestFactorTables:
         P = ParahoricSpec(G, 2, 1)
         assert factor_strs(P) == ("Sp(4)", "Sp(2)")
         assert tuple(f.dual_dim for f in P.factors) == (5, 3)
-        assert tuple(f.case for f in P.factors) == ("ii", "ii")
+        assert tuple(f.kind for f in P.factors) == ("Sp", "Sp")
 
     def test_even_orthogonal_split(self):
         G = GroupSpec("SOeven", 8, 4, (0, 0), F3)
@@ -75,7 +75,7 @@ class TestFactorTables:
         G = GroupSpec("SOeven", 12, 5, (1, 1), F3)
         P = ParahoricSpec(G, 3, 2)
         assert factor_strs(P) == ("SO(7)", "SO(5)")
-        assert tuple(f.case for f in P.factors) == ("i", "i")
+        assert tuple(f.kind for f in P.factors) == ("SOodd", "SOodd")
         assert tuple(f.dual_dim for f in P.factors) == (6, 4)
 
     def test_odd_orthogonal(self):
@@ -90,7 +90,7 @@ class TestFactorTables:
         G = GroupSpec("Uunram", 7, 3, (1, 0), F9Q)
         P = ParahoricSpec(G, 1, 2)
         assert factor_strs(P) == ("U(3)", "U(4)")
-        assert tuple(f.case for f in P.factors) == ("u", "u")
+        assert tuple(f.kind for f in P.factors) == ("U", "U")
 
     def test_ramified_unitary_both_signs(self):
         Gp = GroupSpec("Uram", 14, 6, (2, 0), F3, epsilon=1)
@@ -100,7 +100,7 @@ class TestFactorTables:
         assert factor_strs(ParahoricSpec(Gm, 3, 4)) == ("Sp(6)", "SO+(8)")
         Godd = GroupSpec("Uram", 7, 3, (1, 0), F3, epsilon=1)
         assert factor_strs(ParahoricSpec(Godd, 2, 1)) == ("SO(5)", "Sp(2)")
-        assert tuple(f.case for f in ParahoricSpec(Godd, 2, 1).factors) == ("i", "ii")
+        assert tuple(f.kind for f in ParahoricSpec(Godd, 2, 1).factors) == ("SOodd", "Sp")
 
     def test_dual_dim_sums(self):
         # The two factor dual dimensions always add to the same total,
