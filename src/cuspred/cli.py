@@ -23,9 +23,11 @@ prints JSON (canonically ordered, byte-deterministic) or markdown.
 Exit codes: 0 success, 1 failed validation or a failed check, 2 bad input:
 malformed JSON, input that is not a JSON object, an unknown key, a number
 that is not a JSON integer (3.7, "2" and true are refused), a polynomial
-listed twice in one support, a negative --degree or --dualdim, a selfcheck
-residue size or check given twice or an empty check name, or an enumerate
-that would list classes past degree 8 (pass --degree 8 or less).
+listed twice in one support, a support that is not a JSON list, a "poly"
+whose leading coefficient is 0, a field of more than 32 elements (however
+large p or e), a negative --degree or --dualdim, a selfcheck residue size
+or check given twice or an empty check name, or an enumerate that would
+list classes past degree 8 (pass --degree 8 or less).
 An internal invariant failure exits 1 with "internal error:" and the input
 JSON as a reproducer on stderr.
 """
@@ -121,12 +123,14 @@ def support_to_obj(support: FactorSupport) -> list:
     return [{"poly": list(cls.poly.coeffs), "m": m} for cls, m in support.entries]
 
 
-def _support_from_obj(obj, field: FieldSpec) -> FactorSupport:
+def _support_from_obj(obj, field: FieldSpec, index: int) -> FactorSupport:
+    if not isinstance(obj, list):
+        raise SchemaError(f"supports[{index}] is not a JSON list")
     pairs = []
     for item in obj:
         _check_keys(item, ("poly", "m"), "support entry")
-        coeffs = [_json_int(c, "poly", "support entry") for c in item["poly"]]
-        pairs.append((SelfDualClass(Poly.make(field, coeffs)),
+        coeffs = tuple(_json_int(c, "poly", "support entry") for c in item["poly"])
+        pairs.append((SelfDualClass(Poly(field, coeffs)),
                       _json_int(item["m"], "m", "support entry")))
     return FactorSupport.of(pairs)
 
@@ -153,7 +157,7 @@ def datum_parts_from_obj(obj) -> tuple[ParahoricSpec, tuple[FactorSupport, Facto
         supports = obj["supports"]
         if len(supports) != 2:
             raise SchemaError("a datum carries exactly two supports")
-        s1, s2 = (_support_from_obj(s, group.field) for s in supports)
+        s1, s2 = (_support_from_obj(s, group.field, i) for i, s in enumerate(supports))
         return parahoric, (s1, s2)
     except SchemaError:
         raise

@@ -108,10 +108,16 @@ class FieldSpec:
     ext: str = "trivial"
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p) or self.p == 2:
-            raise ValueError("p must be an odd prime")
         if self.e < 1:
             raise ValueError("e must be positive")
+        # Bound p and e before p is factored and before p ** e is formed:
+        # both take time that grows with the input.  For p >= 2 and
+        # e >= bit_length(_MAX_Q), p^e >= 2^e > _MAX_Q.
+        if self.p > _MAX_Q or (self.p > 1 and self.e >= _MAX_Q.bit_length()):
+            size = self.p if self.e == 1 else f"{self.p}^{self.e}"
+            raise ValueError(f"field size {size} exceeds {_MAX_Q}")
+        if not _is_prime(self.p) or self.p == 2:
+            raise ValueError("p must be an odd prime")
         if self.p ** self.e > _MAX_Q:
             raise ValueError(f"field size {self.p ** self.e} exceeds {_MAX_Q}")
         if self.ext not in ("trivial", "quadratic"):

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cuspred
 from cuspred.cli import datum_from_obj, datum_to_obj, group_from_obj, group_to_obj, main
 from cuspred.fixtures import gallery, gallery_entry
 
@@ -371,6 +376,21 @@ class TestErrorPaths:
         assert code == 2
         assert f"{name!r}" in err and "must be a JSON integer" in err
 
+    @pytest.mark.parametrize("path, key, value, message", [
+        # Neither may be read as something else: an empty support, x - 1.
+        (("supports",), 1, {}, "supports[1] is not a JSON list"),
+        (("supports", 0, 0), "poly", [2, 1, 0], "leading coefficient must be nonzero"),
+    ], ids=["support-object", "zero-leading-coefficient"])
+    def test_malformed_support_is_not_repaired(self, capsys, path, key, value, message):
+        obj = datum_to_obj(gallery_entry("so8").datum)
+        target = obj
+        for step in path:
+            target = target[step]
+        target[key] = value
+        code, out, err = run(capsys, "validate", json.dumps(obj))
+        assert (code, out) == (2, "")
+        assert message in err
+
     @pytest.mark.parametrize("key, value", [("p", 3.7), ("witt_index", "2")])
     def test_enumerate_refuses_repaired_numbers(self, capsys, key, value):
         group = {"family": "Sp", "witt_index": 2, "aniso": [0, 0], "field": {"p": 3}}
@@ -409,6 +429,24 @@ class TestErrorPaths:
         assert first == "internal error: kept swap ['x-1'] moved a reducibility point"
         assert second.startswith("reproducer: ")
         assert json.loads(second[len("reproducer: "):]) == json.loads(text)
+
+    @pytest.mark.parametrize("argv", [
+        ["selfcheck", "--q", "1000000000000000003", "--dualdim", "1"],
+        ["enumerate", "--count", json.dumps(
+            {"family": "Sp", "witt_index": 1, "aniso": [0, 0], "field": {"p": 3, "e": 100000000}})],
+        ["describe", json.dumps(
+            {"group": {"family": "Sp", "witt_index": 1, "aniso": [0, 0],
+                       "field": {"p": 3, "e": 2 ** 70}},
+             "parahoric": {"n1": 1, "n2": 0}, "supports": [[], []]})],
+    ])
+    def test_oversized_field_exits_at_once(self, argv):
+        # In a subprocess with a timeout, so that a size check made after
+        # the primality test of p or after p ** e fails instead of hanging.
+        env = dict(os.environ, PYTHONPATH=str(Path(cuspred.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "cuspred", *argv], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "exceeds 32" in done.stderr
 
     def test_invalid_datum_on_describe(self, capsys):
         obj = datum_to_obj(gallery_entry("sp6").datum)

@@ -132,6 +132,16 @@ class TestFieldTable:
             FieldSpec(3, 1, "quadratic")
         with pytest.raises(ValueError):
             FieldSpec(3, 1, "weird")
+        # The size is bounded before p is factored or p ** e is formed,
+        # so a huge p or e is refused at once.
+        with pytest.raises(ValueError, match="field size 1000000000000000003 exceeds 32"):
+            FieldSpec(1000000000000000003)
+        with pytest.raises(ValueError, match=r"field size 3\^100000000 exceeds 32"):
+            FieldSpec(3, 100000000)
+        with pytest.raises(ValueError, match="field size 37 exceeds 32"):
+            FieldSpec(37)
+        with pytest.raises(ValueError, match="field size 243 exceeds 32"):
+            FieldSpec(3, 5)
 
 
 class TestPoly:

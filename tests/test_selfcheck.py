@@ -1,10 +1,15 @@
 """Tests for the sweep driver: group iteration and report plumbing."""
 
 import hashlib
+import itertools
+import json
+import random
 
 import pytest
 
-from cuspred.groups import dual_dimension
+from cuspred.cli import datum_from_obj, datum_to_obj
+from cuspred.cuspdata import enumerate_signatures, signature_representative
+from cuspred.groups import FAMILIES, dual_dimension
 from cuspred.selfcheck import _CHECKS, iter_group_specs, run_selfcheck
 
 
@@ -79,3 +84,30 @@ class TestReport:
         assert report.checks == ("identity",)
         assert set(report.failure_counts) == {"identity"}
         assert report.ok
+
+
+class TestPastTheSweepBound:
+    """Seeded random data above the acceptance sweep bound of dual dimension 13."""
+
+    def test_random_data_pass_every_check(self):
+        rng = random.Random(2016)
+        groups = [g for g in iter_group_specs((3, 5), 21) if dual_dimension(g) > 13]
+        assert len(groups) == 160
+        # Draw round-robin over the families, so that the Sp census law
+        # always runs (only 8 of the 160 groups are Sp).  A group with
+        # fewer than five signatures at degree <= 3 is passed over.
+        pools = [rng.sample([g for g in groups if g.family == family], 8) for family in FAMILIES]
+        data = []
+        for group in itertools.chain.from_iterable(zip(*pools)):
+            signatures = [sig for sig, _ in enumerate_signatures(group, max_degree=3)]
+            if len(signatures) >= 5:
+                data.extend(signature_representative(group, sig)
+                            for sig in rng.sample(signatures, 5))
+            if len(data) == 60:
+                break
+        assert len(data) == 60
+        assert {datum.group.family for datum in data} == set(FAMILIES)
+        for datum in data:
+            assert datum_from_obj(json.loads(json.dumps(datum_to_obj(datum)))) == datum
+            for name, check in _CHECKS.items():
+                assert check(datum) is None, (name, str(datum))
