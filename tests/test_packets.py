@@ -1,10 +1,18 @@
 """Tests for companion censuses, cross-form matching and packet statistics."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from cuspred.cuspdata import CuspidalDatum, FactorSupport, enumerate_data
+from cuspred.cuspdata import (
+    CuspidalDatum,
+    FactorSupport,
+    count_representations,
+    enumerate_data,
+    enumerate_signatures,
+    signature_representative,
+)
 from cuspred.ffpoly import (
     FieldSpec,
     class_x_minus_one,
@@ -15,6 +23,7 @@ from cuspred.fixtures import gallery, gallery_entry
 from cuspred.groups import GroupSpec, ParahoricSpec
 from cuspred.hecke import ired, reducibility_pair
 from cuspred.packets import (
+    QSets,
     companions,
     cross_form_companions,
     enumerate_epsilon,
@@ -25,6 +34,7 @@ from cuspred.packets import (
     _build_companion,
     _other_forms,
 )
+from cuspred.selfcheck import iter_group_specs
 
 F3 = FieldSpec(3)
 F9Q = FieldSpec(3, 2, "quadratic")
@@ -195,14 +205,19 @@ class TestDeviationWitnesses:
         assert len(census.companions) == 4
         assert census.swap_sets == enumerate_epsilon(datum)
 
+    @staticmethod
+    def removed_pair_datum():
+        group = GroupSpec("SOodd", 17, 8, (1, 0), F3)
+        return CuspidalDatum(
+            ParahoricSpec(group, 6, 2),
+            (FactorSupport.of([(XM, 2)]), FactorSupport.of([(XM, 1), (XP, 1)])))
+
     def test_removed_pair_cancellation_is_filtered(self):
         # Swapping two removed classes together can conserve the totals
         # and produce a valid datum, but it moves a reducibility point,
         # so the census rejects it.
-        group = GroupSpec("SOodd", 17, 8, (1, 0), F3)
-        datum = CuspidalDatum(
-            ParahoricSpec(group, 6, 2),
-            (FactorSupport.of([(XM, 2)]), FactorSupport.of([(XM, 1), (XP, 1)])))
+        datum = self.removed_pair_datum()
+        group = datum.group
         qs = q_sets(datum)
         assert labels(qs.removed) == ["x-1", "x+1"] and qs.kept == ()
         sneaky = _build_companion(group, datum, (XM, XP))
@@ -211,6 +226,64 @@ class TestDeviationWitnesses:
         census = companions(datum)
         assert swap_label_sets(census) == {frozenset()}
         assert census.swap_sets == enumerate_epsilon(datum)
+
+    def test_kept_swap_that_moves_a_point_raises(self, monkeypatch):
+        # Were x -+ 1 kept, the swap of both would be a kept swap that
+        # validates and moves a point: the search must say so, not skip it.
+        datum = self.removed_pair_datum()
+        honest = q_sets(datum)
+
+        def lenient(d):
+            return QSets(honest.raw, honest.raw, (), (), honest.raw, honest.delta)
+
+        monkeypatch.setattr("cuspred.packets.q_sets", lenient)
+        with pytest.raises(AssertionError, match=r"kept swap \['x-1', 'x\+1'\] moved"):
+            companions(datum)
+
+
+def brute_force_census(group, datum):
+    """(swap set, datum, reps) for every subset of the classes with
+    m1 != m2 whose swap builds a valid datum on the group with the same
+    reducibility points: build everything, compare ired."""
+    raw = [cls for cls, (m1, m2) in datum.pairs.items() if m1 != m2]
+    target = ired(datum)
+    out = []
+    for r in range(len(raw) + 1):
+        for subset in itertools.combinations(raw, r):
+            companion = _build_companion(group, datum, subset)
+            if companion is not None and ired(companion) == target:
+                out.append((subset, companion, count_representations(companion).total))
+    return out
+
+
+def oracle_data():
+    for group in iter_group_specs((3, 5), 7):
+        for sig, _ in enumerate_signatures(group, max_degree=4):
+            yield signature_representative(group, sig)
+    for entry in gallery():
+        yield entry.datum
+
+
+class TestSearchAgainstBruteForce:
+    """The companion search against building and validating every swap."""
+
+    @staticmethod
+    def triples(companions_):
+        return [(c.swap_set, c.datum, c.reps) for c in companions_]
+
+    def test_companions_and_cross_forms(self):
+        checked = 0
+        for datum in oracle_data():
+            census = companions(datum)
+            assert self.triples(census.companions) == \
+                brute_force_census(datum.group, datum), str(datum)
+            entries = cross_form_companions(datum)
+            assert [entry.group for entry in entries] == list(_other_forms(datum.group))
+            for entry in entries:
+                assert self.triples(entry.companions) == \
+                    brute_force_census(entry.group, datum), (str(datum), str(entry.group))
+            checked += 1
+        assert checked > 500
 
 
 class TestCrossForm:
