@@ -434,7 +434,17 @@ class SelfDualClass:
     def field(self) -> FieldSpec:
         return self.poly.field
 
+    # Classes key every multiplicity map: hash the polynomial once, not on
+    # every lookup.  Equal classes have equal polynomials, so this agrees
+    # with the generated ==.
+    def __hash__(self) -> int:
+        return self._hash
+
     # Computed once each; cached_property leaves ==, hash and repr alone.
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.poly)
+
     @cached_property
     def degree(self) -> int:
         return self.poly.degree

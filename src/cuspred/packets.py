@@ -21,6 +21,25 @@ validate, but they always move a reducibility point, so the census
 filter eliminates them; the closed description and the generate and
 validate search agree.
 
+The search scores every subset on integers before it builds anything.
+Against the slot kinds of the group searched, each class of datum.pairs
+has, unswapped and swapped, its two slot exponent costs a_P(m) deg P
+(x - 1 at m = 0 costs the implicit Sp entry), its two minus-type block
+counts, and its real reducibility points (the members with s >= 1, read
+from the finite_parameter tables).  All three are per class: the totals
+and block counts of a swapped datum are sums over its classes, and its
+IRed lists the points class by class in canonical order.  So a subset
+scores as the unswapped sums plus the deltas of its classes, and it
+keeps the points exactly when each swapped class keeps them swapped and
+each other class unswapped.  The totals name the parahoric through a
+table of the group's parahorics by factor dual dimensions.  The score
+only rejects: totals that name no parahoric or a nonmaximal one, or an
+SOeven slot whose block parity contradicts its sign, leave nothing that
+validates, and a swap that moves a point is no companion.  Survivors are
+built and validated in full, and so is a subset of kept classes that
+passes all but the points, so that a kept swap which validates and
+moves a point still raises.
+
 Cross-form companions play the same game against every other form of
 the group: same family, dimension, residue field and ramification
 sign, different Witt index and anisotropic split.
@@ -37,6 +56,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .cuspdata import (
     CuspidalDatum,
@@ -46,10 +66,11 @@ from .cuspdata import (
     exponent_total,
     minus_type_exponent,
     slot_series,
+    _type_matches,
 )
 from .ffpoly import SelfDualClass, class_x_plus_one
 from .groups import GroupSpec, ParahoricSpec, enumerate_parahorics, group_forms
-from .hecke import HalfInt, ired, jordan
+from .hecke import HalfInt, finite_parameter, ired, jordan
 
 __all__ = [
     "QSets",
@@ -143,12 +164,19 @@ def _swapped_supports(datum: CuspidalDatum, swap_set) -> tuple[dict, dict]:
     return s1, s2
 
 
+@lru_cache(maxsize=256)
+def _parahoric_table(group: GroupSpec) -> dict[tuple[int, int], ParahoricSpec]:
+    """Each parahoric of the group under its factor dual dimensions, read
+    off enumerate_parahorics; callers must not mutate it."""
+    table = {}
+    for parahoric in enumerate_parahorics(group):
+        table.setdefault(tuple(f.dual_dim for f in parahoric.factors), parahoric)
+    return table
+
+
 def _solve_parahoric(group: GroupSpec, totals: tuple[int, int]) -> ParahoricSpec | None:
     """The parahoric whose factor dual dimensions equal the totals, if any."""
-    for parahoric in enumerate_parahorics(group):
-        if tuple(f.dual_dim for f in parahoric.factors) == totals:
-            return parahoric
-    return None
+    return _parahoric_table(group).get(totals)
 
 
 def _build_companion(group: GroupSpec, datum: CuspidalDatum, swap_set):
@@ -164,6 +192,62 @@ def _build_companion(group: GroupSpec, datum: CuspidalDatum, swap_set):
                                          FactorSupport.of(s2.items())))
     except ValueError:
         return None
+
+
+def _class_score(kinds: tuple[str, str], cls: SelfDualClass, pair) -> tuple[int, ...]:
+    """Exponent costs and minus-type blocks of the class in the two slots.
+
+    The m = 0 cost of x - 1 in an Sp slot is the implicit entry."""
+    return (*(char_poly_exponent(kind, cls, m) * cls.degree for kind, m in zip(kinds, pair)),
+            *(minus_type_exponent(cls, m) for m in pair))
+
+
+def _real_points(kinds: tuple[str, str], cls: SelfDualClass, pair) -> tuple[int, ...]:
+    """Doubled reducibility exponents s >= 1 of the class, read from the
+    finite_parameter tables of the slot kinds."""
+    f1, f2 = (finite_parameter(kind, cls, m).twice for kind, m in zip(kinds, pair))
+    twice_degree = 2 * cls.degree
+    return tuple(t for t in ((f1 + f2) // twice_degree, abs(f1 - f2) // twice_degree)
+                 if t >= 2)
+
+
+def _prescore(group: GroupSpec, datum: CuspidalDatum, raw):
+    """Yield (swap set, same points) for every subset of the raw classes,
+    in _subsets order, whose swap passes the integer pre-score on the
+    group: the totals name a maximal parahoric and every SOeven slot gets
+    the block parity of its sign.  Same points tells whether the swap
+    keeps the datum's real reducibility points."""
+    kinds, own = group.slot_kinds, datum.group.slot_kinds
+    scores = {cls: _class_score(kinds, cls, pair) for cls, pair in datum.pairs.items()}
+    base = tuple(map(sum, zip(*scores.values())))
+    index = {cls: i for i, cls in enumerate(raw)}
+    deltas = [()] * len(raw)
+    # Bit i stands for raw[i]: its unswapped points differ (so it must be
+    # swapped), or its swapped points differ (so it must not be).
+    must_swap = must_stay = 0
+    moved = False  # a class that never swaps has other points on this group
+    for cls, pair in datum.pairs.items():
+        points = _real_points(own, cls, pair)
+        stays = kinds == own or _real_points(kinds, cls, pair) == points
+        i = index.get(cls)
+        if i is None:
+            moved = moved or not stays
+            continue
+        swapped = pair[::-1]
+        deltas[i] = tuple(b - a for a, b in zip(scores[cls], _class_score(kinds, cls, swapped)))
+        must_swap |= (not stays) << i
+        must_stay |= (_real_points(kinds, cls, swapped) != points) << i
+    table = _parahoric_table(group)
+    for subset in _subsets(range(len(raw))):
+        t1, t2, b1, b2 = map(sum, zip(base, *(deltas[i] for i in subset)))
+        parahoric = table.get((t1, t2))
+        if parahoric is None or not parahoric.maximal or not all(
+                _type_matches(f, b) for f, b in zip(parahoric.factors, (b1, b2))
+                if f.kind == "SOeven"):
+            continue
+        mask = sum(1 << i for i in subset)
+        same = not moved and mask & must_swap == must_swap and not mask & must_stay
+        yield tuple(raw[i] for i in subset), same
 
 
 @dataclass(frozen=True)
@@ -194,14 +278,17 @@ def _subsets(classes):
         yield from itertools.combinations(classes, r)
 
 
-def _swap_search(group: GroupSpec, datum: CuspidalDatum, raw, target):
-    """Yield (swap set, companion, whether its IRed is the target) for
-    every subset of the raw classes whose swap re-solves to a valid
-    datum on the group."""
-    for subset in _subsets(raw):
-        companion = _build_companion(group, datum, subset)
-        if companion is not None:
-            yield subset, companion, ired(companion) == target
+def _swap_search(group: GroupSpec, datum: CuspidalDatum, raw, kept=None):
+    """Yield (swap set, companion, whether its reducibility points are the
+    datum's) for every subset of the raw classes whose swap re-solves to
+    a valid datum on the group and keeps the points.  Subsets of kept
+    that move a point are also built and yielded when they validate, so
+    that the caller can refuse them."""
+    for subset, same in _prescore(group, datum, raw):
+        if same or (kept is not None and kept.issuperset(subset)):
+            companion = _build_companion(group, datum, subset)
+            if companion is not None:
+                yield subset, companion, same
 
 
 def _companion(subset, datum: CuspidalDatum) -> Companion:
@@ -213,15 +300,12 @@ def companions(datum: CuspidalDatum) -> CompanionCensus:
     reducibility points.  Includes the empty swap, so the census always
     contains the datum itself."""
     qs = q_sets(datum)
-    kept = set(qs.kept)
     out = []
-    search = _swap_search(datum.group, datum, qs.raw, ired(datum))
-    for subset, companion, same_ired in search:
-        if all(cls in kept for cls in subset) and not same_ired:
+    for subset, companion, same in _swap_search(datum.group, datum, qs.raw, set(qs.kept)):
+        if not same:
             raise AssertionError(
                 f"kept swap {[c.label for c in subset]} moved a reducibility point")
-        if same_ired:
-            out.append(_companion(subset, companion))
+        out.append(_companion(subset, companion))
     return CompanionCensus(datum, qs, tuple(out))
 
 
@@ -286,14 +370,10 @@ def cross_form_companions(datum: CuspidalDatum) -> tuple[CrossFormEntry, ...]:
     validate there with the same reducibility points.  Forms with no
     match are reported with an empty census."""
     raw = q_sets(datum).raw
-    target = ired(datum)
-    out = []
-    for form in _other_forms(datum.group):
-        search = _swap_search(form, datum, raw, target)
-        out.append(CrossFormEntry(form, tuple(
-            _companion(subset, companion) for subset, companion, same_ired in search
-            if same_ired)))
-    return tuple(out)
+    return tuple(
+        CrossFormEntry(form, tuple(_companion(subset, companion) for subset, companion, _
+                                   in _swap_search(form, datum, raw)))
+        for form in _other_forms(datum.group))
 
 
 def full_orthogonal_count(datum: CuspidalDatum) -> int:
