@@ -25,9 +25,10 @@ malformed JSON, input that is not a JSON object, an unknown key, a number
 that is not a JSON integer (3.7, "2" and true are refused), a polynomial
 listed twice in one support, a support that is not a JSON list, a "poly"
 whose leading coefficient is 0, a field of more than 32 elements (however
-large p or e), a negative --degree or --dualdim, a selfcheck residue size
-or check given twice or an empty check name, or an enumerate that would
-list classes past degree 8 (pass --degree 8 or less).
+large p or e), a JSON integer of more than 4,300 digits, a negative
+--degree or --dualdim, a selfcheck residue size or check given twice or
+an empty check name, or an enumerate that would list classes past
+degree 8 (pass --degree 8 or less).
 An internal invariant failure exits 1 with "internal error:" and the input
 JSON as a reproducer on stderr.
 """
@@ -178,7 +179,10 @@ def _read_json(source: str):
     else:
         with open(source, encoding="utf-8") as handle:
             text = handle.read()
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except ValueError as err:  # malformed JSON, or an integer past Python's digit limit
+        raise SchemaError(str(err)) from err
     if not isinstance(obj, dict):
         raise SchemaError("input is not a JSON object")
     return obj
@@ -226,7 +230,11 @@ def _cmd_validate(args) -> int:
                 verdicts["d"] = "pass (no sign condition)"
         else:
             clause, reason = violation
-            verdicts = dict.fromkeys(_CLAUSES, "not checked")
+            # support_violation tests the clauses in order, and clause b
+            # holds for every FactorSupport, so the earlier ones passed.
+            failed = _CLAUSES.index(clause)
+            verdicts = {c: "pass" if i < failed or c == "b" else "not checked"
+                        for i, c in enumerate(_CLAUSES)}
             verdicts[clause] = reason
         ok = violation is None
         valid = valid and ok
@@ -667,7 +675,7 @@ def main(argv=None) -> int:
         if "input" in args:
             args.obj = _read_json(args.input)
         return args.func(args)
-    except (json.JSONDecodeError, OSError, SchemaError, KeyError) as err:
+    except (OSError, SchemaError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except AssertionError as err:

@@ -272,7 +272,20 @@ class TestInvalidData:
                     codes.append(code)
                     h.update(f"{code}\n{out}\n{err}".encode())
         assert codes == [2] * 8 + [1] * 32
-        assert h.hexdigest()[:16] == "a180f2317e8dc5e4"
+        assert h.hexdigest()[:16] == "d325c27b257427c3"
+
+
+    @pytest.mark.parametrize("name, verdicts", [
+        ("clause c, Sp slot", ["pass", "pass", "exponent total", "not checked"]),
+        ("clause d, SO(8)", ["pass", "pass", "pass", "support type"]),
+    ])
+    def test_clauses_before_the_failing_one_pass(self, capsys, name, verdicts):
+        # Clauses are tested in order, and clause b holds for every support.
+        code, rep = run_json(capsys, "validate", BROKEN_DATA[name])
+        assert code == 1
+        (bad,) = [f["clauses"] for f in rep["factors"] if not f["valid"]]
+        assert [bad[c] for c in "ab"] == verdicts[:2]
+        assert bad["c"].startswith(verdicts[2]) and bad["d"].startswith(verdicts[3])
 
 
 class TestErrorPaths:
@@ -447,6 +460,13 @@ class TestErrorPaths:
                               capture_output=True, text=True, timeout=10)
         assert (done.returncode, done.stdout) == (2, "")
         assert "exceeds 32" in done.stderr
+
+    def test_oversized_json_integer(self, capsys):
+        # Python refuses to read an integer literal past 4,300 digits.
+        group = '{"family": "Sp", "witt_index": 1, "aniso": [0, 0], "field": {"p": %s}}'
+        code, out, err = run(capsys, "enumerate", "--count", group % ("9" * 5000))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit (4300 digits)")
 
     def test_invalid_datum_on_describe(self, capsys):
         obj = datum_to_obj(gallery_entry("sp6").datum)
