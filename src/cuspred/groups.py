@@ -68,10 +68,13 @@ _SO_EVEN_SPLITS = ((0, 0), (1, 1), (2, 0), (0, 2), (2, 2))
 _SO_ODD_SPLITS = ((1, 0), (0, 1), (2, 1), (1, 2))
 
 
+_DUAL_SHIFT = {"Sp": 1, "SOodd": -1}
+
+
 def _dual_dim(kind: str, dim: int) -> int:
     """Dual-side dimension of a space of the given family or factor kind:
     one more for Sp, one less for SOodd, unchanged otherwise."""
-    return dim + {"Sp": 1, "SOodd": -1}.get(kind, 0)
+    return dim + _DUAL_SHIFT.get(kind, 0)
 
 
 @dataclass(frozen=True)
@@ -107,9 +110,10 @@ class FiniteFactor:
         elif self.sign != 0:
             raise ValueError("only even orthogonal factors carry a sign")
 
-    @property
+    @cached_property
     def dual_dim(self) -> int:
-        """Dimension of the dual-side space attached to the factor."""
+        """Dimension of the dual-side space attached to the factor
+        (computed once; cached_property leaves ==, hash and repr alone)."""
         return _dual_dim(self.kind, self.dim)
 
     def __str__(self) -> str:

@@ -54,9 +54,11 @@ predicts the multiplicity with which the packet meets the census.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .cuspdata import (
     CuspidalDatum,
@@ -165,13 +167,13 @@ def _swapped_supports(datum: CuspidalDatum, swap_set) -> tuple[dict, dict]:
 
 
 @lru_cache(maxsize=256)
-def _parahoric_table(group: GroupSpec) -> dict[tuple[int, int], ParahoricSpec]:
+def _parahoric_table(group: GroupSpec) -> Mapping[tuple[int, int], ParahoricSpec]:
     """Each parahoric of the group under its factor dual dimensions, read
-    off enumerate_parahorics; callers must not mutate it."""
+    off enumerate_parahorics."""
     table = {}
     for parahoric in enumerate_parahorics(group):
         table.setdefault(tuple(f.dual_dim for f in parahoric.factors), parahoric)
-    return table
+    return MappingProxyType(table)
 
 
 def _solve_parahoric(group: GroupSpec, totals: tuple[int, int]) -> ParahoricSpec | None:

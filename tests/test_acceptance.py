@@ -5,7 +5,7 @@ also carries a wall-clock budget, asserted with a generous monotonic
 timer so a pathological regression cannot hide behind a green suite.
 
 Criteria 6, 7, 8 and 10 share one exhaustive sweep over all groups with
-dual dimension at most 13 for residue sizes 3 and 5 and class degrees
+dual dimension at most 18 for residue sizes 3 and 5 and class degrees
 at most 4, enumerated by signature so that the checked quantities cover
 every concrete datum.
 """
@@ -40,7 +40,7 @@ from cuspred.selfcheck import run_selfcheck
 
 @pytest.fixture(scope="module")
 def sweep():
-    return run_selfcheck(q0_values=(3, 5), max_dual=13, max_degree=4)
+    return run_selfcheck(q0_values=(3, 5), max_dual=18, max_degree=4)
 
 
 def timed(budget: float):

@@ -87,11 +87,11 @@ class TestReport:
 
 
 class TestPastTheSweepBound:
-    """Seeded random data above the acceptance sweep bound of dual dimension 13."""
+    """Seeded random data above the acceptance sweep bound of dual dimension 18."""
 
     def test_random_data_pass_every_check(self):
         rng = random.Random(2016)
-        groups = [g for g in iter_group_specs((3, 5), 21) if dual_dimension(g) > 13]
+        groups = [g for g in iter_group_specs((3, 5), 26) if dual_dimension(g) > 18]
         assert len(groups) == 160
         # Draw round-robin over the families, so that the Sp census law
         # always runs (only 8 of the 160 groups are Sp).  A group with
