@@ -440,11 +440,11 @@ class SelfDualClass:
     def __hash__(self) -> int:
         return self._hash
 
-    # Computed once each; cached_property leaves ==, hash and repr alone.
     @cached_property
     def _hash(self) -> int:
         return hash(self.poly)
 
+    # Computed once each; cached_property leaves ==, hash and repr alone.
     @cached_property
     def degree(self) -> int:
         return self.poly.degree

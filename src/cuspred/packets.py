@@ -54,7 +54,6 @@ predicts the multiplicity with which the packet meets the census.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -167,7 +166,7 @@ def _swapped_supports(datum: CuspidalDatum, swap_set) -> tuple[dict, dict]:
 
 
 @lru_cache(maxsize=256)
-def _parahoric_table(group: GroupSpec) -> Mapping[tuple[int, int], ParahoricSpec]:
+def _parahoric_table(group: GroupSpec) -> MappingProxyType[tuple[int, int], ParahoricSpec]:
     """Each parahoric of the group under its factor dual dimensions, read
     off enumerate_parahorics."""
     table = {}
@@ -194,6 +193,34 @@ def _build_companion(group: GroupSpec, datum: CuspidalDatum, swap_set):
                                          FactorSupport.of(s2.items())))
     except ValueError:
         return None
+
+
+@dataclass(frozen=True)
+class Companion:
+    swap_set: tuple[SelfDualClass, ...]
+    datum: CuspidalDatum
+    reps: int
+
+
+@dataclass(frozen=True)
+class CompanionCensus:
+    datum: CuspidalDatum
+    qsets: QSets
+    companions: tuple[Companion, ...]
+
+    @property
+    def total(self) -> int:
+        return sum(c.reps for c in self.companions)
+
+    @property
+    def swap_sets(self) -> tuple[tuple[SelfDualClass, ...], ...]:
+        return tuple(c.swap_set for c in self.companions)
+
+
+def _subsets(classes):
+    """Every subset, by size; the classes come in canonical order."""
+    for r in range(len(classes) + 1):
+        yield from itertools.combinations(classes, r)
 
 
 def _class_score(kinds: tuple[str, str], cls: SelfDualClass, pair) -> tuple[int, ...]:
@@ -250,34 +277,6 @@ def _prescore(group: GroupSpec, datum: CuspidalDatum, raw):
         mask = sum(1 << i for i in subset)
         same = not moved and mask & must_swap == must_swap and not mask & must_stay
         yield tuple(raw[i] for i in subset), same
-
-
-@dataclass(frozen=True)
-class Companion:
-    swap_set: tuple[SelfDualClass, ...]
-    datum: CuspidalDatum
-    reps: int
-
-
-@dataclass(frozen=True)
-class CompanionCensus:
-    datum: CuspidalDatum
-    qsets: QSets
-    companions: tuple[Companion, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(c.reps for c in self.companions)
-
-    @property
-    def swap_sets(self) -> tuple[tuple[SelfDualClass, ...], ...]:
-        return tuple(c.swap_set for c in self.companions)
-
-
-def _subsets(classes):
-    """Every subset, by size; the classes come in canonical order."""
-    for r in range(len(classes) + 1):
-        yield from itertools.combinations(classes, r)
 
 
 def _swap_search(group: GroupSpec, datum: CuspidalDatum, raw, kept=None):
