@@ -1,5 +1,6 @@
 """Tests for companion censuses, cross-form matching and packet statistics."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -284,6 +285,32 @@ class TestSearchAgainstBruteForce:
                     brute_force_census(entry.group, datum), (str(datum), str(entry.group))
             checked += 1
         assert checked > 500
+
+
+class TestCensusPins:
+    """Every census of the signatures up to dual dimension 9, pinned by
+    digest: swap sets, companion data and reps, on the datum's own group
+    and on each other form."""
+
+    def test_companion_censuses_are_pinned(self):
+        h = hashlib.sha256()
+        censuses = 0
+
+        def add(datum, form, census):
+            nonlocal censuses
+            for c in census:
+                h.update(f"{datum}|{form}|{labels(c.swap_set)}|{c.datum}|{c.reps}\n".encode())
+            h.update(f"{datum}|{form}|{len(census)}\n".encode())
+            censuses += 1
+
+        for group in iter_group_specs((3, 5), 9):
+            for sig, _ in enumerate_signatures(group, max_degree=4):
+                datum = signature_representative(group, sig)
+                add(datum, group, companions(datum).companions)
+                for entry in cross_form_companions(datum):
+                    add(datum, entry.group, entry.companions)
+        assert censuses == 6886  # 2,806 signatures on their own group, 4,080 on other forms
+        assert h.hexdigest()[:16] == "81adbbdc426b6c6f"
 
 
 class TestCrossForm:
