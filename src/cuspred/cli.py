@@ -21,14 +21,16 @@ where polynomials list their coefficients from the constant term up.
 Every subcommand accepts a file path, inline JSON, or "-" for stdin, and
 prints JSON (canonically ordered, byte-deterministic) or markdown.
 Exit codes: 0 success, 1 failed validation or a failed check, 2 bad input:
-malformed JSON, input that is not a JSON object, an unknown key, a number
-that is not a JSON integer (3.7, "2" and true are refused), a polynomial
-listed twice in one support, a support that is not a JSON list, a "poly"
-whose leading coefficient is 0, a field of more than 32 elements (however
-large p or e), a JSON integer of more than 4,300 digits, a negative
---degree or --dualdim, a selfcheck residue size or check given twice or
-an empty check name, or an enumerate that would list classes past
-degree 8 (pass --degree 8 or less).
+a file that is not UTF-8, malformed JSON, input that is not a JSON
+object, an unknown key, a number that is not a JSON integer (3.7, "2" and
+true are refused), a polynomial listed twice in one support, a support
+that is not a JSON list, a "poly" whose leading coefficient is 0, a field
+of more than 32 elements (however large p or e), a JSON integer of more
+than 4,300 digits, a negative --degree or --dualdim, a selfcheck residue
+size or check given twice, a selfcheck residue size other than an odd
+prime q0 with F(q0^2) of at most 32 elements (so 3 or 5), an empty check
+name, or an enumerate that would list classes past degree 8 (pass
+--degree 8 or less).
 An internal invariant failure exits 1 with "internal error:" and the input
 JSON as a reproducer on stderr.
 """
@@ -172,16 +174,16 @@ def datum_from_obj(obj) -> CuspidalDatum:
 
 
 def _read_json(source: str):
-    if source == "-":
-        text = sys.stdin.read()
-    elif source.lstrip().startswith(("{", "[")):
-        text = source
-    else:
-        with open(source, encoding="utf-8") as handle:
-            text = handle.read()
     try:
+        if source == "-":
+            text = sys.stdin.read()
+        elif source.lstrip().startswith(("{", "[")):
+            text = source
+        else:
+            with open(source, encoding="utf-8") as handle:
+                text = handle.read()
         obj = json.loads(text)
-    except ValueError as err:  # malformed JSON, or an integer past Python's digit limit
+    except ValueError as err:  # not UTF-8, bad JSON, or an integer past the digit limit
         raise SchemaError(str(err)) from err
     if not isinstance(obj, dict):
         raise SchemaError("input is not a JSON object")
@@ -357,7 +359,7 @@ def _cmd_describe(args) -> int:
 def _cmd_packet(args) -> int:
     datum = datum_from_obj(args.obj)
     census = companions(datum)
-    stats = packet_stats(datum, census)
+    stats = packet_stats(census)
     qs = census.qsets
     notes = _datum_notes(datum.parahoric)
     obj = {
@@ -653,7 +655,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("selfcheck", _cmd_selfcheck, "exhaustive consistency sweep",
             needs_input=False)
     p.add_argument("--q", type=int, action="append",
-                   help="residue field size, repeatable (default 3 and 5)")
+                   help="residue field size q0, an odd prime with F(q0^2) of at most "
+                        "32 elements; repeatable (default 3 and 5)")
     p.add_argument("--dualdim", type=_bound, default=13,
                    help="bound on the dual dimension (default 13)")
     p.add_argument("--degree", type=_bound, default=None,

@@ -229,7 +229,7 @@ def evaluate_entry(entry: GalleryEntry) -> dict:
     datum = entry.datum
     by_label = {cls.label: cls for cls in iteration_domain(datum)}
     census = companions(datum)
-    stats = packet_stats(datum, census)
+    stats = packet_stats(census)
     values = {
         "rep_total": count_representations(datum).total,
         "identity": list(identity_sides(datum)),

@@ -50,6 +50,7 @@ __all__ = [
     "ParamShape",
     "finite_parameter",
     "parameter_pair",
+    "exponent_pair",
     "reducibility_pair",
     "iteration_domain",
     "ired",
@@ -117,14 +118,21 @@ def parameter_pair(datum: CuspidalDatum, cls: SelfDualClass) -> tuple[HalfInt, H
     return (finite_parameter(f1.kind, cls, m1), finite_parameter(f2.kind, cls, m2))
 
 
+def exponent_pair(kinds: tuple[str, str], cls: SelfDualClass,
+                  pair: tuple[int, int]) -> tuple[HalfInt, HalfInt]:
+    """(s, s') with s >= s', both half-integers, of the class at
+    multiplicities (m1, m2) in slots of the given kinds."""
+    f1, f2 = (finite_parameter(kind, cls, m).twice for kind, m in zip(kinds, pair))
+    twice_degree = 2 * cls.degree
+    total, diff = f1 + f2, abs(f1 - f2)
+    if total % twice_degree or diff % twice_degree:
+        raise AssertionError(f"reducibility exponent of {cls.label} is not half-integral")
+    return (HalfInt(total // twice_degree), HalfInt(diff // twice_degree))
+
+
 def reducibility_pair(datum: CuspidalDatum, cls: SelfDualClass) -> tuple[HalfInt, HalfInt]:
     """(s, s') with s >= s', both half-integers."""
-    f1, f2 = parameter_pair(datum, cls)
-    d = cls.degree
-    total, diff = f1.twice + f2.twice, abs(f1.twice - f2.twice)
-    if total % (2 * d) or diff % (2 * d):
-        raise AssertionError(f"reducibility exponent of {cls.label} is not half-integral")
-    return (HalfInt(total // (2 * d)), HalfInt(diff // (2 * d)))
+    return exponent_pair(datum.group.slot_kinds, cls, datum.pairs.get(cls, (0, 0)))
 
 
 def iteration_domain(datum: CuspidalDatum) -> tuple[SelfDualClass, ...]:

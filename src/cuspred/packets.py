@@ -26,19 +26,19 @@ Against the slot kinds of the group searched, each class of datum.pairs
 has, unswapped and swapped, its two slot exponent costs a_P(m) deg P
 (x - 1 at m = 0 costs the implicit Sp entry), its two minus-type block
 counts, and its real reducibility points (the members with s >= 1, read
-from the finite_parameter tables).  All three are per class: the totals
+through hecke.exponent_pair).  All three are per class: the totals
 and block counts of a swapped datum are sums over its classes, and its
 IRed lists the points class by class in canonical order.  So a subset
 scores as the unswapped sums plus the deltas of its classes, and it
 keeps the points exactly when each swapped class keeps them swapped and
 each other class unswapped.  The totals name the parahoric through a
-table of the group's parahorics by factor dual dimensions.  The score
-only rejects: totals that name no parahoric or a nonmaximal one, or an
-SOeven slot whose block parity contradicts its sign, leave nothing that
-validates, and a swap that moves a point is no companion.  Survivors are
-built and validated in full, and so is a subset of kept classes that
-passes all but the points, so that a kept swap which validates and
-moves a point still raises.
+table of the group's parahorics by factor dual dimensions, and the score
+hands it on: nothing else solves a swap.  The score rejects a nonmaximal
+or missing parahoric, an SOeven slot whose block parity contradicts its
+sign (clauses a and b hold for every swap), and a swap that moves a
+point.  Each survivor is built once, on its parahoric, and validated in
+full; a survivor that fails validation, or a kept swap that passes all
+but the points, is an internal error naming the swap.
 
 Cross-form companions play the same game against every other form of
 the group: same family, dimension, residue field and ramification
@@ -64,14 +64,13 @@ from .cuspdata import (
     FactorSupport,
     char_poly_exponent,
     count_representations,
-    exponent_total,
     minus_type_exponent,
     slot_series,
     _type_matches,
 )
 from .ffpoly import SelfDualClass, class_x_plus_one
 from .groups import GroupSpec, ParahoricSpec, enumerate_parahorics, group_forms
-from .hecke import HalfInt, finite_parameter, ired, jordan
+from .hecke import HalfInt, exponent_pair, ired, jordan
 
 __all__ = [
     "QSets",
@@ -151,20 +150,6 @@ def q_sets(datum: CuspidalDatum) -> QSets:
                  tuple(constrained), tuple(free), delta)
 
 
-def _swapped_supports(datum: CuspidalDatum, swap_set) -> tuple[dict, dict]:
-    """Multiplicity maps of both slots after swapping the given classes."""
-    swapped = set(swap_set)
-    s1, s2 = {}, {}
-    for cls, (m1, m2) in datum.pairs.items():
-        if cls in swapped:
-            m1, m2 = m2, m1
-        if m1:
-            s1[cls] = m1
-        if m2:
-            s2[cls] = m2
-    return s1, s2
-
-
 @lru_cache(maxsize=256)
 def _parahoric_table(group: GroupSpec) -> MappingProxyType[tuple[int, int], ParahoricSpec]:
     """Each parahoric of the group under its factor dual dimensions, read
@@ -173,26 +158,6 @@ def _parahoric_table(group: GroupSpec) -> MappingProxyType[tuple[int, int], Para
     for parahoric in enumerate_parahorics(group):
         table.setdefault(tuple(f.dual_dim for f in parahoric.factors), parahoric)
     return MappingProxyType(table)
-
-
-def _solve_parahoric(group: GroupSpec, totals: tuple[int, int]) -> ParahoricSpec | None:
-    """The parahoric whose factor dual dimensions equal the totals, if any."""
-    return _parahoric_table(group).get(totals)
-
-
-def _build_companion(group: GroupSpec, datum: CuspidalDatum, swap_set):
-    """The re-solved datum after a swap, or None when nothing valid exists."""
-    s1, s2 = _swapped_supports(datum, swap_set)
-    kinds = group.slot_kinds
-    parahoric = _solve_parahoric(group, (exponent_total(kinds[0], s1.items()),
-                                         exponent_total(kinds[1], s2.items())))
-    if parahoric is None:
-        return None
-    try:  # CuspidalDatum also rejects a parahoric that is not maximal
-        return CuspidalDatum(parahoric, (FactorSupport.of(s1.items()),
-                                         FactorSupport.of(s2.items())))
-    except ValueError:
-        return None
 
 
 @dataclass(frozen=True)
@@ -232,20 +197,18 @@ def _class_score(kinds: tuple[str, str], cls: SelfDualClass, pair) -> tuple[int,
 
 
 def _real_points(kinds: tuple[str, str], cls: SelfDualClass, pair) -> tuple[int, ...]:
-    """Doubled reducibility exponents s >= 1 of the class, read from the
-    finite_parameter tables of the slot kinds."""
-    f1, f2 = (finite_parameter(kind, cls, m).twice for kind, m in zip(kinds, pair))
-    twice_degree = 2 * cls.degree
-    return tuple(t for t in ((f1 + f2) // twice_degree, abs(f1 - f2) // twice_degree)
-                 if t >= 2)
+    """Doubled reducibility exponents s >= 1 of the class in slots of the
+    given kinds."""
+    return tuple(s.twice for s in exponent_pair(kinds, cls, pair) if s.twice >= 2)
 
 
 def _prescore(group: GroupSpec, datum: CuspidalDatum, raw):
-    """Yield (swap set, same points) for every subset of the raw classes,
-    in _subsets order, whose swap passes the integer pre-score on the
-    group: the totals name a maximal parahoric and every SOeven slot gets
-    the block parity of its sign.  Same points tells whether the swap
-    keeps the datum's real reducibility points."""
+    """Yield (swap set, parahoric, same points) for every subset of the
+    raw classes, in _subsets order, whose swap passes the integer
+    pre-score on the group: the totals name a maximal parahoric, which is
+    yielded, and every SOeven slot gets the block parity of its sign.
+    Same points tells whether the swap keeps the datum's real
+    reducibility points."""
     kinds, own = group.slot_kinds, datum.group.slot_kinds
     scores = {cls: _class_score(kinds, cls, pair) for cls, pair in datum.pairs.items()}
     base = tuple(map(sum, zip(*scores.values())))
@@ -276,24 +239,27 @@ def _prescore(group: GroupSpec, datum: CuspidalDatum, raw):
             continue
         mask = sum(1 << i for i in subset)
         same = not moved and mask & must_swap == must_swap and not mask & must_stay
-        yield tuple(raw[i] for i in subset), same
+        yield tuple(raw[i] for i in subset), parahoric, same
 
 
-def _swap_search(group: GroupSpec, datum: CuspidalDatum, raw, kept=None):
-    """Yield (swap set, companion, whether its reducibility points are the
-    datum's) for every subset of the raw classes whose swap re-solves to
-    a valid datum on the group and keeps the points.  Subsets of kept
-    that move a point are also built and yielded when they validate, so
-    that the caller can refuse them."""
-    for subset, same in _prescore(group, datum, raw):
-        if same or (kept is not None and kept.issuperset(subset)):
-            companion = _build_companion(group, datum, subset)
-            if companion is not None:
-                yield subset, companion, same
-
-
-def _companion(subset, datum: CuspidalDatum) -> Companion:
-    return Companion(subset, datum, count_representations(datum).total)
+def _survivor(parahoric: ParahoricSpec, datum: CuspidalDatum, subset) -> Companion:
+    """The companion a swap that passed the pre-score builds on the
+    parahoric the score named, validated in full."""
+    swapped = set(subset)
+    s1, s2 = [], []  # datum.pairs is in support order
+    for cls, (m1, m2) in datum.pairs.items():
+        if cls in swapped:
+            m1, m2 = m2, m1
+        if m1:
+            s1.append((cls, m1))
+        if m2:
+            s2.append((cls, m2))
+    try:
+        built = CuspidalDatum(parahoric, (FactorSupport(tuple(s1)), FactorSupport(tuple(s2))))
+    except ValueError as err:
+        raise AssertionError(f"swap {[c.label for c in subset]} passed the pre-score "
+                             f"on {parahoric} but fails validation: {err}") from err
+    return Companion(subset, built, count_representations(built).total)
 
 
 def companions(datum: CuspidalDatum) -> CompanionCensus:
@@ -301,12 +267,14 @@ def companions(datum: CuspidalDatum) -> CompanionCensus:
     reducibility points.  Includes the empty swap, so the census always
     contains the datum itself."""
     qs = q_sets(datum)
+    kept = set(qs.kept)
     out = []
-    for subset, companion, same in _swap_search(datum.group, datum, qs.raw, set(qs.kept)):
-        if not same:
+    for subset, parahoric, same in _prescore(datum.group, datum, qs.raw):
+        if same:
+            out.append(_survivor(parahoric, datum, subset))
+        elif kept.issuperset(subset):
             raise AssertionError(
                 f"kept swap {[c.label for c in subset]} moved a reducibility point")
-        out.append(_companion(subset, companion))
     return CompanionCensus(datum, qs, tuple(out))
 
 
@@ -372,8 +340,9 @@ def cross_form_companions(datum: CuspidalDatum) -> tuple[CrossFormEntry, ...]:
     match are reported with an empty census."""
     raw = q_sets(datum).raw
     return tuple(
-        CrossFormEntry(form, tuple(_companion(subset, companion) for subset, companion, _
-                                   in _swap_search(form, datum, raw)))
+        CrossFormEntry(form, tuple(_survivor(parahoric, datum, subset)
+                                   for subset, parahoric, same in _prescore(form, datum, raw)
+                                   if same))
         for form in _other_forms(datum.group))
 
 
@@ -434,9 +403,9 @@ class PacketStats:
     o_multiple: Fraction | None = None
 
 
-def packet_stats(datum: CuspidalDatum,
-                 census: CompanionCensus | None = None) -> PacketStats:
-    census = census if census is not None else companions(datum)
+def packet_stats(census: CompanionCensus) -> PacketStats:
+    """Packet statistics of census.datum, read against its census."""
+    datum = census.datum
     size = len(jordan(datum))
     # e counts the integral members of IRed; e0 is 1 when one of them is odd.
     integral = [s.as_int() for _, s in ired(datum) if s.is_integral]

@@ -12,6 +12,10 @@ checks on one representative per signature:
                 validate companion search
     census-law  symplectic censuses have size 2^(q + delta)
 
+Each check takes the datum and its census, a memoised thunk: epsilon
+and census-law share one companion search, and a search that raises
+fails both.
+
 Classes of equal degree enter every checked quantity interchangeably,
 so one representative per signature covers the whole census; the report
 still records how many concrete data the signatures stand for.
@@ -21,12 +25,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache, partial
 
 from .cuspdata import (
     enumerate_signatures,
     signature_representative,
 )
-from .ffpoly import FieldSpec
+from .ffpoly import _MAX_Q, FieldSpec
 from .groups import FAMILIES, dual_dimension, group_forms
 from .hecke import reducibility_pair, verify_identity
 from .packets import companions, enumerate_epsilon, packet_stats, recover_m_pair
@@ -80,13 +85,13 @@ def iter_group_specs(q0_values=(3, 5), max_dual: int = 13):
                         yield group
 
 
-def _check_identity(datum) -> str | None:
+def _check_identity(datum, census) -> str | None:
     if not verify_identity(datum):
         return "degree identity failed"
     return None
 
 
-def _check_recovery(datum) -> str | None:
+def _check_recovery(datum, census) -> str | None:
     for cls, pair in datum.pairs.items():
         s, s2 = reducibility_pair(datum, cls)
         if recover_m_pair(cls, s, s2) != (max(pair), min(pair)):
@@ -94,20 +99,20 @@ def _check_recovery(datum) -> str | None:
     return None
 
 
-def _check_epsilon(datum) -> str | None:
-    census = companions(datum)
+def _check_epsilon(datum, census) -> str | None:
+    swap_sets = census().swap_sets
     closed = enumerate_epsilon(datum)
-    if census.swap_sets != closed:
-        got = [[c.label for c in s] for s in census.swap_sets]
+    if swap_sets != closed:
+        got = [[c.label for c in s] for s in swap_sets]
         predicted = [[c.label for c in s] for s in closed]
         return f"census swaps {got} but closed form {predicted}"
     return None
 
 
-def _check_census_law(datum) -> str | None:
+def _check_census_law(datum, census) -> str | None:
     if datum.group.family != "Sp":
         return None
-    stats = packet_stats(datum)
+    stats = packet_stats(census())
     if stats.census_total != 2 ** (stats.q + stats.delta):
         return (f"census total {stats.census_total} differs from "
                 f"2^({stats.q}+{stats.delta})")
@@ -135,6 +140,12 @@ def run_selfcheck(q0_values=(3, 5), max_dual: int = 13, max_degree: int = 4,
     """Sweep the groups and stop after the first datum that fails a check."""
     q0_values, checks = tuple(q0_values), tuple(checks)
     _check_selection("residue size", q0_values)
+    for q0 in q0_values:  # the sweep runs over F(q0) and F(q0^2)
+        try:
+            FieldSpec(q0, 2, "quadratic")
+        except ValueError as err:
+            raise ValueError(f"residue size {q0} is not supported: the sweep needs an odd prime"
+                             f" q0 with F(q0^2) of at most {_MAX_Q} elements ({err})") from err
     _check_selection("check", checks)
     for name in checks:
         if name not in _CHECKS:
@@ -148,9 +159,10 @@ def run_selfcheck(q0_values=(3, 5), max_dual: int = 13, max_degree: int = 4,
             signatures += 1
             data_weight += weight
             datum = signature_representative(group, sig)
+            census = cache(partial(companions, datum))
             for name in checks:
                 try:
-                    detail = _CHECKS[name](datum)
+                    detail = _CHECKS[name](datum, census)
                 except (AssertionError, ValueError) as err:
                     detail = f"raised {err}"
                 if detail is not None:

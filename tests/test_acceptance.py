@@ -70,7 +70,7 @@ def test_criterion_1_sp6():
     assert pair_str(reducibility_pair(datum, domain_class(datum, "x+1"))) == ["1", "1"]
     assert identity_sides(datum) == (7, 7)
     census = companions(datum)
-    stats = packet_stats(datum, census)
+    stats = packet_stats(census)
     assert stats.jordan_size == 5
     assert stats.e == 4
     assert stats.e0 == 1
@@ -87,7 +87,7 @@ def test_criterion_2_sp4():
     assert [(cls.label, str(s)) for cls, s in ired(datum)] == [
         ("x-1", "1"), ("x+1", "2")]
     assert len(parameter_shapes(datum)) == 2
-    stats = packet_stats(datum)
+    stats = packet_stats(companions(datum))
     assert stats.census_total == 4
     assert stats.expected_count == 2
     assert stats.multiple == Fraction(2)
@@ -99,7 +99,7 @@ def test_criterion_3_so8(capsys):
     datum = gallery_entry("so8").datum
     assert [(cls.label, str(s)) for cls, s in ired(datum)] == [
         ("x-1", "2"), ("x-1", "2")]
-    stats = packet_stats(datum)
+    stats = packet_stats(companions(datum))
     assert stats.census_total == 2
     assert stats.multiple == Fraction(1, 2)
     code = main(["packet", json.dumps(datum_to_obj(datum)), "--format", "json"])
@@ -116,7 +116,7 @@ def test_criterion_4_so20():
     assert pair_str(reducibility_pair(datum, domain_class(datum, "x+1"))) == ["3", "1"]
     assert identity_sides(datum) == (20, 20)
     census = companions(datum)
-    stats = packet_stats(datum, census)
+    stats = packet_stats(census)
     assert stats.expected_count == 8
     assert stats.census_total == 16
     assert [c.reps for c in census.companions] == [8, 8]

@@ -11,6 +11,7 @@ import pytest
 
 import cuspred
 from cuspred.cli import datum_from_obj, datum_to_obj, group_from_obj, group_to_obj, main
+from cuspred.cuspdata import CuspidalDatum
 from cuspred.fixtures import gallery, gallery_entry
 
 
@@ -187,6 +188,16 @@ class TestSelfcheck:
         code, out, err = run(capsys, "selfcheck", "--dualdim", "2", "--checks", "")
         assert (code, out) == (2, "")
         assert "unknown check ''" in err
+
+    @pytest.mark.parametrize("q0, reason", [
+        ("7", "field size 49 exceeds 32"),
+        ("9", "p must be an odd prime"),
+    ])
+    def test_unsupported_residue_size_is_usage_error(self, capsys, q0, reason):
+        code, out, err = run(capsys, "selfcheck", "--q", "3", "--q", q0, "--dualdim", "2")
+        assert (code, out) == (2, "")
+        assert err == (f"error: residue size {q0} is not supported: the sweep needs an odd "
+                       f"prime q0 with F(q0^2) of at most 32 elements ({reason})\n")
 
 
 class TestExamples:
@@ -460,6 +471,38 @@ class TestErrorPaths:
                               capture_output=True, text=True, timeout=10)
         assert (done.returncode, done.stdout) == (2, "")
         assert "exceeds 32" in done.stderr
+
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "datum.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, "describe", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("command, name, swap, parahoric", [
+        ("packet", "sp6", "['x-1']", "Sp(6)/F3:(0,3)"),
+        ("crossform", "so20", "['x-1']", "SO(20)/F3:(2,8)"),
+    ])
+    def test_survivor_refused_by_validation_is_internal_error(
+            self, capsys, monkeypatch, command, name, swap, parahoric):
+        # A swap the pre-score passes must validate; were it refused, the
+        # search reports the swap instead of skipping it.
+        datum = gallery_entry(name).datum
+
+        def refusing(parahoric, supports):
+            if supports != datum.supports:
+                raise ValueError("clause c: planted")
+            return CuspidalDatum(parahoric, supports)
+
+        monkeypatch.setattr("cuspred.packets.CuspidalDatum", refusing)
+        text = datum_text(name)
+        code, out, err = run(capsys, command, text)
+        assert code == 1 and out == ""
+        first, second = err.splitlines()
+        assert first == f"internal error: swap {swap} passed the pre-score on {parahoric} " \
+                        "but fails validation: clause c: planted"
+        assert second.startswith("reproducer: ")
+        assert json.loads(second[len("reproducer: "):]) == json.loads(text)
 
     def test_oversized_json_integer(self, capsys):
         # Python refuses to read an integer literal past 4,300 digits.

@@ -21,7 +21,7 @@ from cuspred.ffpoly import (
     enumerate_self_dual_classes,
 )
 from cuspred.fixtures import gallery, gallery_entry
-from cuspred.groups import GroupSpec, ParahoricSpec
+from cuspred.groups import GroupSpec, ParahoricSpec, enumerate_parahorics
 from cuspred.hecke import ired, reducibility_pair
 from cuspred.packets import (
     QSets,
@@ -32,7 +32,6 @@ from cuspred.packets import (
     packet_stats,
     q_sets,
     recover_m_pair,
-    _build_companion,
     _other_forms,
 )
 from cuspred.selfcheck import iter_group_specs
@@ -221,7 +220,7 @@ class TestDeviationWitnesses:
         group = datum.group
         qs = q_sets(datum)
         assert labels(qs.removed) == ["x-1", "x+1"] and qs.kept == ()
-        sneaky = _build_companion(group, datum, (XM, XP))
+        sneaky = build_by_trial(group, datum, (XM, XP))
         assert sneaky is not None  # validates...
         assert ired(sneaky) != ired(datum)  # ...but moves a point
         census = companions(datum)
@@ -241,6 +240,39 @@ class TestDeviationWitnesses:
         with pytest.raises(AssertionError, match=r"kept swap \['x-1', 'x\+1'\] moved"):
             companions(datum)
 
+    def test_survivor_that_fails_validation_raises(self, monkeypatch):
+        # The pre-score names the parahoric of every survivor, which is then
+        # validated in full: a refusal is an internal error naming the swap.
+        datum = gallery_entry("sp6").datum
+
+        def refusing(parahoric, supports):
+            if supports != datum.supports:
+                raise ValueError("clause d: planted")
+            return CuspidalDatum(parahoric, supports)
+
+        monkeypatch.setattr("cuspred.packets.CuspidalDatum", refusing)
+        with pytest.raises(AssertionError, match=r"^swap \['x-1'\] passed the pre-score on "
+                           r"Sp\(6\)/F3:\(0,3\) but fails validation: clause d: planted$"):
+            companions(datum)
+
+
+def build_by_trial(group, datum, swap_set):
+    """The valid datum that swapping m1 <-> m2 of the given classes builds
+    on the group, found by offering the swapped supports to every
+    parahoric of the group; None when none takes them.  Shares nothing
+    with the search's pre-score or its parahoric table."""
+    pairs = {cls: pair[::-1] if cls in swap_set else pair for cls, pair in datum.pairs.items()}
+    supports = tuple(FactorSupport.of([(cls, p[i]) for cls, p in pairs.items() if p[i]])
+                     for i in (0, 1))
+    built = []
+    for parahoric in enumerate_parahorics(group):
+        try:
+            built.append(CuspidalDatum(parahoric, supports))
+        except ValueError:
+            pass
+    assert len(built) <= 1, [str(b) for b in built]
+    return built[0] if built else None
+
 
 def brute_force_census(group, datum):
     """(swap set, datum, reps) for every subset of the classes with
@@ -251,7 +283,7 @@ def brute_force_census(group, datum):
     out = []
     for r in range(len(raw) + 1):
         for subset in itertools.combinations(raw, r):
-            companion = _build_companion(group, datum, subset)
+            companion = build_by_trial(group, datum, subset)
             if companion is not None and ired(companion) == target:
                 out.append((subset, companion, count_representations(companion).total))
     return out
@@ -386,7 +418,7 @@ class TestFullOrthogonal:
 class TestPacketStats:
     def test_gallery(self):
         for entry in gallery():
-            stats = packet_stats(entry.datum)
+            stats = packet_stats(companions(entry.datum))
             exp = entry.expected
             assert stats.jordan_size == exp["jordan_size"], entry.name
             assert stats.packet_size == exp["packet_size"], entry.name
@@ -406,7 +438,7 @@ class TestPacketStats:
     def test_multiple_values_are_small_powers(self):
         allowed = {Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)}
         for entry in gallery():
-            assert packet_stats(entry.datum).multiple in allowed
+            assert packet_stats(companions(entry.datum)).multiple in allowed
 
     def test_symplectic_census_law(self):
         # Census total 2^(q + delta), e = q + delta + 1 unless both
@@ -415,7 +447,7 @@ class TestPacketStats:
                       GroupSpec("Sp", 6, 3, (0, 0), F3),
                       GroupSpec("Sp", 8, 4, (0, 0), F3)):
             for datum in enumerate_data(group, max_degree=4):
-                stats = packet_stats(datum)
+                stats = packet_stats(companions(datum))
                 assert stats.census_total == 2 ** (stats.q + stats.delta), str(datum)
                 expected_e = stats.q + stats.delta + (1 if stats.delta <= 1 else 0)
                 assert stats.e == expected_e, str(datum)

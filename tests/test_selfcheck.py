@@ -4,12 +4,14 @@ import hashlib
 import itertools
 import json
 import random
+from functools import cache, partial
 
 import pytest
 
 from cuspred.cli import datum_from_obj, datum_to_obj
 from cuspred.cuspdata import enumerate_signatures, signature_representative
 from cuspred.groups import FAMILIES, dual_dimension
+from cuspred.packets import companions
 from cuspred.selfcheck import _CHECKS, iter_group_specs, run_selfcheck
 
 
@@ -72,8 +74,18 @@ class TestReport:
         with pytest.raises(ValueError, match=message):
             run_selfcheck(max_dual=2, **kwargs)
 
+    @pytest.mark.parametrize("q0", [7, 9, 2, 1, 0, -3, 10 ** 18 + 3])
+    def test_unsupported_residue_size_rejected_up_front(self, monkeypatch, q0):
+        def no_sweep(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr("cuspred.selfcheck.iter_group_specs", no_sweep)
+        with pytest.raises(ValueError, match=rf"^residue size {q0} is not supported: the "
+                           r"sweep needs an odd prime q0 with F\(q0\^2\) of at most 32 "):
+            run_selfcheck(q0_values=(3, q0), max_dual=2)
+
     def test_stops_at_first_failing_datum(self, monkeypatch):
-        monkeypatch.setitem(_CHECKS, "identity", lambda datum: "planted")
+        monkeypatch.setitem(_CHECKS, "identity", lambda datum, census: "planted")
         report = run_selfcheck(q0_values=(3,), max_dual=6, checks=("identity", "recovery"))
         assert report.signatures == 1 and not report.ok
         assert report.failure_counts == {"identity": 1, "recovery": 0}
@@ -109,5 +121,6 @@ class TestPastTheSweepBound:
         assert {datum.group.family for datum in data} == set(FAMILIES)
         for datum in data:
             assert datum_from_obj(json.loads(json.dumps(datum_to_obj(datum)))) == datum
+            census = cache(partial(companions, datum))
             for name, check in _CHECKS.items():
-                assert check(datum) is None, (name, str(datum))
+                assert check(datum, census) is None, (name, str(datum))
