@@ -33,10 +33,10 @@ scores as the unswapped sums plus the deltas of its classes, and it
 keeps the points exactly when each swapped class keeps them swapped and
 each other class unswapped.  The totals name the parahoric through a
 table of the group's parahorics by factor dual dimensions, and the score
-hands it on: nothing else solves a swap.  The score rejects a nonmaximal
-or missing parahoric, an SOeven slot whose block parity contradicts its
-sign (clauses a and b hold for every swap), and a swap that moves a
-point.  Each survivor is built once, on its parahoric, and validated in
+hands it on: nothing else solves a swap.  The score rejects a missing or
+nonmaximal parahoric, an SOeven slot whose block parity contradicts its
+sign, and a swap that moves a point; clauses a and b hold for every
+swap.  Each survivor is built once, on its parahoric, and validated in
 full; a survivor that fails validation, or a kept swap that passes all
 but the points, is an internal error naming the swap.
 
