@@ -13,6 +13,7 @@ from cuspred.cuspdata import (
     enumerate_data,
     enumerate_signatures,
     signature_representative,
+    slot_series,
 )
 from cuspred.ffpoly import (
     FieldSpec,
@@ -21,7 +22,7 @@ from cuspred.ffpoly import (
     enumerate_self_dual_classes,
 )
 from cuspred.fixtures import gallery, gallery_entry
-from cuspred.groups import GroupSpec, ParahoricSpec, enumerate_parahorics
+from cuspred.groups import GroupSpec, ParahoricSpec, component_group_order, enumerate_parahorics
 from cuspred.hecke import ired, reducibility_pair
 from cuspred.packets import (
     QSets,
@@ -413,6 +414,91 @@ class TestFullOrthogonal:
     def test_only_even_orthogonal(self):
         with pytest.raises(ValueError):
             full_orthogonal_count(gallery_entry("sp6").datum)
+
+
+def stabiliser_total(series, generators) -> int:
+    """Sum of the stabiliser orders over the orbits of the slot label tuples.
+
+    series holds slot_series's (n, action) for each slot, the labels of a
+    slot being 0..n-1.  Each generator is a tuple of slot indices that one
+    sign flips together; a flip exchanges the two labels of a swapped slot
+    and fixes the labels of any other.  The signs span a group of order
+    2^len(generators), and an orbit's stabiliser has order group / orbit.
+    """
+    group = list(itertools.product((False, True), repeat=len(generators)))
+
+    def act(flips, labels):
+        labels = list(labels)
+        for flip, slots in zip(flips, generators):
+            for i in slots:
+                if flip and series[i][1] == "swapped":
+                    labels[i] = 1 - labels[i]
+        return tuple(labels)
+
+    total = 0
+    seen = set()
+    for labels in itertools.product(*(range(n) for n, _ in series)):
+        if labels in seen:
+            continue
+        orbit = {act(flips, labels) for flips in group}
+        seen |= orbit
+        total += len(group) // len(orbit)
+    return total
+
+
+class TestCountsAgainstOrbitWalk:
+    """count_representations and full_orthogonal_count against walking the
+    orbits of their sign groups on the slot series labels: the component
+    group flips both slots with one sign, the full orthogonal group has one
+    sign per slot of positive dimension."""
+
+    @staticmethod
+    def check(datum, cases) -> None:
+        factors = datum.parahoric.factors
+        series = tuple(slot_series(f, s, datum.field) for f, s in zip(factors, datum.supports))
+        order = component_group_order(datum.parahoric)
+        component = [(0, 1)] if order == 2 else []
+        assert count_representations(datum).total == stabiliser_total(series, component), \
+            str(datum)
+        cases.add((order, series))
+        if datum.group.family == "SOeven":
+            signs = [(i,) for i, f in enumerate(factors) if f.dim > 0]
+            assert full_orthogonal_count(datum) == stabiliser_total(series, signs), str(datum)
+            cases.add(("O", tuple(f.dim > 0 for f in factors), series))
+
+    # The sweeps reach every case of both rules: a trivial or order-2
+    # component group over fixed, one or two swapped slots; a swapped
+    # slot and a slot of dimension 0 under the full orthogonal group.
+    COVERED = {
+        (1, ((2, "fixed"), (2, "fixed"))),
+        (1, ((2, "swapped"), (1, "fixed"))),
+        (2, ((2, "fixed"), (2, "fixed"))),
+        (2, ((2, "swapped"), (1, "fixed"))),
+        (2, ((2, "swapped"), (2, "swapped"))),
+        ("O", (True, True), ((2, "swapped"), (2, "fixed"))),
+        ("O", (True, False), ((2, "swapped"), (1, "fixed"))),
+        ("O", (False, True), ((1, "fixed"), (2, "fixed"))),
+    }
+
+    def test_concrete_data(self):
+        data = 0
+        cases = set()
+        for group in iter_group_specs((3, 5), 6):
+            for datum in enumerate_data(group, max_degree=4):
+                self.check(datum, cases)
+                data += 1
+        assert data == 37234
+        assert self.COVERED <= cases
+
+    def test_signature_representatives(self):
+        signatures = 0
+        cases = set()
+        for group in iter_group_specs((3, 5), 13):
+            for sig, _ in enumerate_signatures(group, max_degree=4):
+                self.check(signature_representative(group, sig), cases)
+                signatures += 1
+        assert signatures == 12266
+        assert self.COVERED <= cases
 
 
 class TestPacketStats:
