@@ -34,10 +34,16 @@ Every computed quantity reads a datum through one map, CuspidalDatum.pairs:
 each support class, together with x - 1 and x + 1, goes to its pair of
 multiplicities (m1, m2), one per slot, with 0 where the class is absent.
 
-Representation counts: a factor contributes one inertial series, or two
-when the semisimple class supports a split pair, and the component group
-of the parahoric (order at most 2) acts on the labels.  The count rules
-are in count_representations.
+Representation counts: a factor contributes n = 1 inertial series, or 2
+when the semisimple class supports a split pair (slot_series; every
+swapped slot has n = 2).  A group of signs acts on the series labels, a
+sign exchanging the two labels of a swapped slot, and a count sums the
+stabiliser order over the orbits.  With one sign per slot the count is a
+product: a slot gives n when no sign reaches it, 1 when swapped and 2n
+otherwise (packets.full_orthogonal_count, a sign per slot of positive
+dimension).  The component group of the parahoric has order 1, giving
+n1 n2, or 2 with one sign flipping both slots, giving n1 n2 / 2 when a
+slot is swapped and 2 n1 n2 when none is (count_representations).
 """
 
 from __future__ import annotations
@@ -275,6 +281,8 @@ def slot_series(factor: FiniteFactor, support: FactorSupport, field: FieldSpec) 
 
 
 def count_representations(datum: CuspidalDatum) -> RepCount:
+    """Representations above the datum: the orbit rule of the module
+    docstring under the component group."""
     field = datum.field
     (f1, f2) = datum.parahoric.factors
     n1, act1 = slot_series(f1, datum.supports[0], field)
@@ -282,12 +290,10 @@ def count_representations(datum: CuspidalDatum) -> RepCount:
     order = component_group_order(datum.parahoric)
     if order == 1:
         total = n1 * n2
-    elif act1 == "fixed" and act2 == "fixed":
-        total = 2 * n1 * n2
-    elif act1 == "swapped" and act2 == "swapped":
-        total = 2
+    elif "swapped" in (act1, act2):
+        total = n1 * n2 // 2
     else:
-        total = n1 if act2 == "swapped" else n2
+        total = 2 * n1 * n2
     return RepCount(n1, n2, order, (act1, act2), total)
 
 

@@ -48,7 +48,10 @@ Packet statistics: a datum with Jordan size l sits in a packet of size
 2^(l-1).  Counting members e with integral exponent at least 1, with
 e0 = 1 when some exponent is an odd integer, the packet accounts for
 2^(e-e0) cuspidal representations; the census total divided by that
-predicts the multiplicity with which the packet meets the census.
+predicts the multiplicity with which the packet meets the census.  On
+even orthogonal groups the statistics also count the representations of
+the full orthogonal group, full_orthogonal_count, by the orbit rule of
+the cuspdata docstring.
 """
 
 from __future__ import annotations
@@ -347,41 +350,15 @@ def cross_form_companions(datum: CuspidalDatum) -> tuple[CrossFormEntry, ...]:
 
 
 def full_orthogonal_count(datum: CuspidalDatum) -> int:
-    """Representations of the full orthogonal group above the datum.
-
-    Sign tuples act on the slot series labels, one sign per slot of
-    positive dimension, the sign flipping the two labels exactly when
-    the slot series pair is swapped; each orbit contributes the order
-    of its stabiliser.
-    """
+    """Representations of the full orthogonal group above the datum, by
+    the orbit rule of the cuspdata docstring: one sign on each slot of
+    positive dimension."""
     if datum.group.family != "SOeven":
         raise ValueError("full orthogonal counts only apply to even orthogonal groups")
-    field = datum.field
-    slots = []
-    acting = []
+    total = 1
     for factor, support in zip(datum.parahoric.factors, datum.supports):
-        n, action = slot_series(factor, support, field)
-        slots.append(tuple(range(n)))
-        if factor.dim > 0:
-            acting.append((len(slots) - 1, action))
-    gamma = list(itertools.product(*[(1, -1)] * len(acting)))
-    tuples = list(itertools.product(*slots))
-
-    def act(signs, labels):
-        labels = list(labels)
-        for (index, action), sign in zip(acting, signs):
-            if sign < 0 and action == "swapped":
-                labels[index] = 1 - labels[index]
-        return tuple(labels)
-
-    total = 0
-    seen = set()
-    for t in tuples:
-        if t in seen:
-            continue
-        orbit = {act(signs, t) for signs in gamma}
-        seen |= orbit
-        total += len(gamma) // len(orbit)
+        n, action = slot_series(factor, support, datum.field)
+        total *= n if factor.dim == 0 else 1 if action == "swapped" else 2 * n
     return total
 
 
