@@ -31,8 +31,9 @@ size or check given twice, a selfcheck residue size other than an odd
 prime q0 with F(q0^2) of at most 32 elements (so 3 or 5), an empty check
 name, or an enumerate that would list classes past degree 8 (pass
 --degree 8 or less).
-An internal invariant failure exits 1 with "internal error:" and the input
-JSON as a reproducer on stderr.
+An unknown examples --name exits 2 too.  An internal invariant failure (a
+failed assertion or a KeyError raised inside the library) exits 1 with
+"internal error:" and the input JSON as a reproducer on stderr.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .cuspdata import (
     CuspidalDatum,
@@ -569,7 +571,10 @@ def _cmd_selfcheck(args) -> int:
 # ---------------------------------------------------------------- examples
 
 def _cmd_examples(args) -> int:
-    entries = [gallery_entry(args.name)] if args.name else list(gallery())
+    try:
+        entries = [gallery_entry(args.name)] if args.name else list(gallery())
+    except KeyError as err:
+        raise SchemaError(err.args[0]) from err
     out = []
     all_match = True
     for entry in entries:
@@ -624,7 +629,9 @@ def _bound(text: str) -> int:
     return int(text)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cuspred",
         description="exact reducibility and packet calculus for depth zero "
@@ -678,11 +685,12 @@ def main(argv=None) -> int:
         if "input" in args:
             args.obj = _read_json(args.input)
         return args.func(args)
-    except (OSError, SchemaError, KeyError) as err:
+    except (OSError, SchemaError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except AssertionError as err:
-        print(f"internal error: {err}", file=sys.stderr)
+    except (AssertionError, KeyError) as err:  # a broken invariant, not bad input
+        print(f"internal error: {err if isinstance(err, AssertionError) else repr(err)}",
+              file=sys.stderr)
         if "obj" in args:
             print(f"reproducer: {json.dumps(args.obj, sort_keys=True)}", file=sys.stderr)
         return 1

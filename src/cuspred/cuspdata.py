@@ -49,6 +49,7 @@ slot is swapped and 2 n1 n2 when none is (count_representations).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -320,33 +321,45 @@ def _fits(exponent, degree: int, budget: int):
 
 def enumerate_supports(factor: FiniteFactor, field: FieldSpec,
                        max_degree: int | None = None) -> tuple[FactorSupport, ...]:
-    """All valid supports of one factor, nonlinear degrees capped if asked."""
+    """All valid supports of one factor, nonlinear degrees capped if asked.
+
+    Supports come in lexicographic order of their multiplicities over the
+    class pool: x - 1, x + 1, then classes by degree.
+    """
     kind = factor.kind
     pool = [c for d in _degree_pool(field, factor.dual_dim, max_degree)
             for c in enumerate_self_dual_classes(field, d)]
     if kind != "U":
         pool = [class_x_minus_one(field), class_x_plus_one(field), *pool]
+    degrees = [cls.degree for cls in pool]  # nondecreasing
+    # Every class pays its m = 0 cost (the implicit x - 1 of an Sp slot)
+    # up front, and the recursion enters only the classes given m >= 1,
+    # so it nests at most one level per unit of the budget.
+    base = [char_poly_exponent(kind, cls, 0) * cls.degree for cls in pool]
     out: list[FactorSupport] = []
     acc: list[tuple[SelfDualClass, int]] = []
 
-    def fill(index: int, remaining: int) -> None:
-        if index == len(pool):
-            if remaining == 0:
-                support = FactorSupport.of([(c, m) for c, m in acc if m > 0])
-                if support_violation(factor, support, field) is None:
-                    out.append(support)
+    def fill(start: int, remaining: int) -> None:
+        if remaining == 0:
+            support = FactorSupport.of(acc)
+            if support_violation(factor, support, field) is None:
+                out.append(support)
             return
-        cls = pool[index]
-        # The fitting rule of _fits, inlined: a generator per call made
+        # In lexicographic order the empty tail (above) comes first, then
+        # the next entry at the latest class first, m ascending.  The
+        # fitting rule of _fits is inlined: a generator per call made
         # census runs measurably slower.
-        m = 0
-        while (cost := char_poly_exponent(kind, cls, m) * cls.degree) <= remaining:
-            acc.append((cls, m))
-            fill(index + 1, remaining - cost)
-            acc.pop()
-            m += 1
+        for index in range(bisect_right(degrees, remaining, start) - 1, start - 1, -1):
+            cls = pool[index]
+            m = 1
+            while (cost := char_poly_exponent(kind, cls, m) * cls.degree
+                   - base[index]) <= remaining:
+                acc.append((cls, m))
+                fill(index + 1, remaining - cost)
+                acc.pop()
+                m += 1
 
-    fill(0, factor.dual_dim)
+    fill(0, factor.dual_dim - sum(base))
     return tuple(out)
 
 

@@ -281,11 +281,12 @@ def companions(datum: CuspidalDatum) -> CompanionCensus:
     return CompanionCensus(datum, qs, tuple(out))
 
 
-def enumerate_epsilon(datum: CuspidalDatum) -> tuple[tuple[SelfDualClass, ...], ...]:
+def enumerate_epsilon(datum: CuspidalDatum,
+                      qs: QSets) -> tuple[tuple[SelfDualClass, ...], ...]:
     """Surviving swap sets computed without validating any support:
     subsets of the kept classes with evenly many constrained ones,
-    subject only to the parahoric re-solving being possible."""
-    qs = q_sets(datum)
+    subject only to the parahoric re-solving being possible.  qs is
+    q_sets(datum), which a census already holds."""
     # Clause c makes the unswapped totals the factors' dual dimensions.
     f1, f2 = datum.parahoric.factors
     constrained = set(qs.constrained)

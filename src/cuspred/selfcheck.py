@@ -101,7 +101,7 @@ def _check_recovery(datum, census) -> str | None:
 
 def _check_epsilon(datum, census) -> str | None:
     swap_sets = census().swap_sets
-    closed = enumerate_epsilon(datum)
+    closed = enumerate_epsilon(datum, census().qsets)
     if swap_sets != closed:
         got = [[c.label for c in s] for s in swap_sets]
         predicted = [[c.label for c in s] for s in closed]

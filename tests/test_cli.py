@@ -321,7 +321,7 @@ class TestErrorPaths:
 
     def test_unknown_gallery_name(self, capsys):
         code, out, err = run(capsys, "examples", "--name", "nope")
-        assert code == 2
+        assert (code, out, err) == (2, "", "error: no gallery entry named 'nope'\n")
 
     @pytest.mark.parametrize("path, key", [
         ((), "extra"),
@@ -451,6 +451,21 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         first, second = err.splitlines()
         assert first == "internal error: kept swap ['x-1'] moved a reducibility point"
+        assert second.startswith("reproducer: ")
+        assert json.loads(second[len("reproducer: "):]) == json.loads(text)
+
+    def test_library_key_error_is_internal_error(self, capsys, monkeypatch):
+        # Only bad input exits 2: a KeyError from inside the library is a
+        # broken invariant, reported with a reproducer.
+        def broken(datum):
+            raise KeyError("x+1")
+
+        monkeypatch.setattr("cuspred.cli.companions", broken)
+        text = datum_text("sp6")
+        code, out, err = run(capsys, "packet", text)
+        assert code == 1 and out == ""
+        first, second = err.splitlines()
+        assert first == "internal error: KeyError('x+1')"
         assert second.startswith("reproducer: ")
         assert json.loads(second[len("reproducer: "):]) == json.loads(text)
 

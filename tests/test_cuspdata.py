@@ -1,6 +1,8 @@
 """Tests for cuspidal supports: validation, counts, enumeration."""
 
 import hashlib
+import inspect
+import sys
 from functools import cache, partial
 
 import pytest
@@ -310,6 +312,21 @@ class TestEnumeration:
             got = enumerate_supports(f, field)
             assert len(got) == 1 and got[0].entries == ()
 
+    def test_large_pool_stays_shallow(self):
+        # The recursion nests once per class given m >= 1, not once per
+        # class of the pool: F13 has 412 classes of degree 2 to 6, and F31
+        # about 5,000 of degree 6 alone.
+        F13 = FieldSpec(13)
+        pool = 2 + sum(len(enumerate_self_dual_classes(F13, d)) for d in (2, 4, 6))
+        assert pool == 414
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+        try:
+            got = enumerate_supports(FiniteFactor("Sp", 6), F13, max_degree=6)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(got) == 706
+
     def test_sp4_census(self):
         group = GroupSpec("Sp", 4, 2, (0, 0), F3)
         data = enumerate_data(group)
@@ -409,7 +426,7 @@ def _signature_invariants(datum, trivial):
         "identity": identity_sides(datum),
         "ired": sorted((tag(c), s.twice) for c, s in ired(datum)),
         "companions": swaps(census.swap_sets),
-        "closed form": swaps(enumerate_epsilon(datum)),
+        "closed form": swaps(enumerate_epsilon(datum, census.qsets)),
         "reps": count_representations(datum).total,
         "census": stats.census_total,
         "q": stats.q,

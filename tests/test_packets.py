@@ -136,7 +136,7 @@ class TestClosedForm:
     def test_matches_gallery(self):
         for entry in gallery():
             census = companions(entry.datum)
-            closed = enumerate_epsilon(entry.datum)
+            closed = enumerate_epsilon(entry.datum, census.qsets)
             assert census.swap_sets == closed, entry.name
 
     SWEEP = [
@@ -158,7 +158,7 @@ class TestClosedForm:
         for group in self.SWEEP:
             for datum in enumerate_data(group, max_degree=4):
                 census = companions(datum)
-                closed = enumerate_epsilon(datum)
+                closed = enumerate_epsilon(datum, census.qsets)
                 assert census.swap_sets == closed, str(datum)
 
 
@@ -176,7 +176,7 @@ class TestDeviationWitnesses:
         assert qs.constrained == ()
         census = companions(datum)
         assert len(census.companions) == 8
-        assert census.swap_sets == enumerate_epsilon(datum)
+        assert census.swap_sets == enumerate_epsilon(datum, census.qsets)
 
     def test_even_ramified_unitary(self):
         # Slots (even orthogonal, symplectic): x - 1 removed, x + 1 kept
@@ -190,7 +190,7 @@ class TestDeviationWitnesses:
         assert labels(qs.constrained) == ["x+1", Q4A.label]
         census = companions(datum)
         assert swap_label_sets(census) == {frozenset(), frozenset({"x+1", Q4A.label})}
-        assert census.swap_sets == enumerate_epsilon(datum)
+        assert census.swap_sets == enumerate_epsilon(datum, census.qsets)
 
     def test_odd_ramified_unitary(self):
         # Slots (odd orthogonal, symplectic): x - 1 kept and free, x + 1
@@ -204,7 +204,7 @@ class TestDeviationWitnesses:
         assert labels(qs.free) == ["x-1", P2.label]
         census = companions(datum)
         assert len(census.companions) == 4
-        assert census.swap_sets == enumerate_epsilon(datum)
+        assert census.swap_sets == enumerate_epsilon(datum, census.qsets)
 
     @staticmethod
     def removed_pair_datum():
@@ -226,7 +226,7 @@ class TestDeviationWitnesses:
         assert ired(sneaky) != ired(datum)  # ...but moves a point
         census = companions(datum)
         assert swap_label_sets(census) == {frozenset()}
-        assert census.swap_sets == enumerate_epsilon(datum)
+        assert census.swap_sets == enumerate_epsilon(datum, census.qsets)
 
     def test_kept_swap_that_moves_a_point_raises(self, monkeypatch):
         # Were x -+ 1 kept, the swap of both would be a kept swap that
