@@ -571,10 +571,13 @@ def _cmd_selfcheck(args) -> int:
 # ---------------------------------------------------------------- examples
 
 def _cmd_examples(args) -> int:
-    try:
-        entries = [gallery_entry(args.name)] if args.name else list(gallery())
-    except KeyError as err:
-        raise SchemaError(err.args[0]) from err
+    if args.name:
+        try:
+            entries = [gallery_entry(args.name)]
+        except KeyError as err:
+            raise SchemaError(err.args[0]) from err
+    else:
+        entries = list(gallery())
     out = []
     all_match = True
     for entry in entries:
