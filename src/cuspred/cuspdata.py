@@ -49,7 +49,6 @@ slot is swapped and 2 n1 n2 when none is (count_representations).
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -331,7 +330,6 @@ def enumerate_supports(factor: FiniteFactor, field: FieldSpec,
             for c in enumerate_self_dual_classes(field, d)]
     if kind != "U":
         pool = [class_x_minus_one(field), class_x_plus_one(field), *pool]
-    degrees = [cls.degree for cls in pool]  # nondecreasing
     # Every class pays its m = 0 cost (the implicit x - 1 of an Sp slot)
     # up front, and the recursion enters only the classes given m >= 1,
     # so it nests at most one level per unit of the budget.
@@ -349,7 +347,7 @@ def enumerate_supports(factor: FiniteFactor, field: FieldSpec,
         # the next entry at the latest class first, m ascending.  The
         # fitting rule of _fits is inlined: a generator per call made
         # census runs measurably slower.
-        for index in range(bisect_right(degrees, remaining, start) - 1, start - 1, -1):
+        for index in range(len(pool) - 1, start - 1, -1):
             cls = pool[index]
             m = 1
             while (cost := char_poly_exponent(kind, cls, m) * cls.degree
