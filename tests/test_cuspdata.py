@@ -2,6 +2,8 @@
 
 import hashlib
 import inspect
+import itertools
+import math
 import sys
 from functools import cache, partial
 
@@ -33,7 +35,7 @@ from cuspred.ffpoly import (
     enumerate_self_dual_classes,
     field_table,
 )
-from cuspred.groups import FiniteFactor, GroupSpec, ParahoricSpec
+from cuspred.groups import FiniteFactor, GroupSpec, ParahoricSpec, enumerate_parahorics
 from cuspred.hecke import identity_sides, ired, parameter_shapes
 from cuspred.packets import companions, enumerate_epsilon, packet_stats
 from cuspred.selfcheck import _CHECKS, iter_group_specs
@@ -327,6 +329,41 @@ class TestEnumeration:
             sys.setrecursionlimit(limit)
         assert len(got) == 706
 
+    def test_supports_match_brute_force(self):
+        # Oracle: every tuple of multiplicities over the class pool (x -+ 1
+        # under the trivial involution, then the classes by degree), each m
+        # running up to the largest whose cost alone fits the dual
+        # dimension, kept when the support validates.  itertools.product
+        # runs through the tuples in lexicographic order, the order
+        # enumerate_supports promises.  Factors whose product exceeds 10^5
+        # tuples are left out: U(3), U(4) and U(5) over F25 have about
+        # 8 * 10^14 each.
+        factors = dict.fromkeys((f, g.field) for g in iter_group_specs((3, 5), 6)
+                                for p in enumerate_parahorics(g) for f in p.factors)
+        checked = supports = 0
+        for factor, field in factors:
+            trivial = field.ext == "trivial"
+            pool = [class_x_minus_one(field), class_x_plus_one(field)] if trivial else []
+            pool += [c for d in range(2 if trivial else 1, 5, 2)
+                     for c in enumerate_self_dual_classes(field, d)]
+            ranges = []
+            for c in pool:
+                m = 0
+                while char_poly_exponent(factor.kind, c, m + 1) * c.degree <= factor.dual_dim:
+                    m += 1
+                ranges.append(range(m + 1))
+            if math.prod(map(len, ranges)) > 10 ** 5:
+                continue
+            expected = []
+            for ms in itertools.product(*ranges):
+                s = FactorSupport.of([(c, m) for c, m in zip(pool, ms) if m])
+                if support_violation(factor, s, field) is None:
+                    expected.append(s)
+            assert list(enumerate_supports(factor, field, max_degree=4)) == expected, str(factor)
+            checked += 1
+            supports += len(expected)
+        assert (checked, supports) == (40, 417)
+
     def test_sp4_census(self):
         group = GroupSpec("Sp", 4, 2, (0, 0), F3)
         data = enumerate_data(group)
@@ -356,7 +393,8 @@ class TestSignatures:
     ]
 
     def test_weights_match_concrete_census(self):
-        for group in self.GROUPS:
+        # The listed groups, then every group of the dual-dimension-6 sweep.
+        for group in [*self.GROUPS, *iter_group_specs((3, 5), 6)]:
             data = enumerate_data(group, max_degree=4)
             by_sig = {}
             for d in data:
