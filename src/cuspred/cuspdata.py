@@ -25,10 +25,15 @@ over nonlinear P must match the factor sign, minus-type blocks carrying
 one sign each.  support_violation returns the first failing clause as a
 value; validate_support raises it.
 
-Enumeration follows one fitting rule for every class, x - 1 and x + 1
-included: take each m whose cost a_P(m) deg P still fits the remaining
-exponent budget.  Only the exponent table tells x -+ 1 apart, so under
-the trivial involution they are the first two entries of the class pool.
+Both enumerations spend exponent budgets by one rule, _spend.  A slot's
+budget is its dual dimension less the m = 0 costs (the implicit x - 1 of
+an Sp slot), and an entry takes each multiplicity whose cost above the
+m = 0 cost still fits, one per slot.  A support spends one slot with an
+entry per class: x - 1 and x + 1 under the trivial involution, then the
+classes by degree.  A signature spends both slots, with an entry for
+each of x -+ 1 and one per pooled degree, holding a copy per class of
+that degree.  Either way the results come in lexicographic order of the
+multiplicities.
 
 Every computed quantity reads a datum through one map, CuspidalDatum.pairs:
 each support class, together with x - 1 and x + 1, goes to its pair of
@@ -53,6 +58,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 from math import factorial, perm
+from operator import sub
 
 from .ffpoly import (
     FieldSpec,
@@ -304,18 +310,60 @@ def _degree_pool(field: FieldSpec, budget: int, max_degree: int | None) -> list[
     return [d for d in range(1, cap + 1, 2) if count_self_dual_classes(field, d) > 0]
 
 
-def _fits(exponent, degree: int, budget: int):
-    """Yield (m, cost) for m = 0, 1, ... while cost = exponent(m) * degree
-    fits the budget: the one fitting rule of every multiplicity loop.
+def _options(exponents, degree: int, budgets) -> list[tuple]:
+    """(multiplicities, costs) of every choice on a class, a tuple of each
+    over the slots: the one fitting rule.  A slot takes each m, ascending,
+    whose cost (a_P(m) - a_P(0)) deg P fits its budget; the choices are
+    the product over the slots, less the all-zero tuple."""
+    per_slot = []
+    for exponent, budget in zip(exponents, budgets):
+        base = exponent(0) * degree
+        slot, m = [], 0
+        while (cost := exponent(m) * degree - base) <= budget:
+            slot.append((m, cost))
+            m += 1
+        per_slot.append(slot)
+    return [tuple(zip(*choice)) for choice in itertools.product(*per_slot)
+            if any(m for m, _ in choice)]
 
-    Every exponent table grows with m, so the first cost over the budget
-    ends the run.  In an Sp slot, x - 1 costs 1 already at m = 0: the
-    implicit entry.
+
+def _spend(entries, budgets) -> list[tuple]:
+    """Every way of spending the budgets (left after the m = 0 costs)
+    exactly, as its (entry index, multiplicities) choices, in
+    lexicographic order of the multiplicities.
+
+    An entry is (copies, _options); its copies are interchangeable, so
+    choices repeated on it are nonincreasing.  "Nothing more" comes first,
+    then the next choice at the latest entry.  The recursion nests once
+    per choice, and the first overflow in the first slot, whose cost only
+    grows along the options, ends an entry's run.  The ways go into a
+    list: a generator at every level made enumerate_supports twice as
+    slow.
     """
-    m = 0
-    while (cost := exponent(m) * degree) <= budget:
-        yield m, cost
-        m += 1
+    out: list[tuple] = []
+    acc: list[tuple[int, tuple[int, ...]]] = []
+
+    def spend(start: int, bound: int | None, left: int, remaining: tuple[int, ...]) -> None:
+        if not any(remaining):
+            out.append(tuple(acc))
+            return
+        for index in range(len(entries) - 1, start - 1, -1):
+            copies, options = entries[index]
+            if index == start:  # the entry of the last choice: what is left of it
+                copies, options = left, options[:bound]
+            if not copies:
+                continue
+            for k, (ms, costs) in enumerate(options):
+                if costs[0] > remaining[0]:
+                    break
+                rest = tuple(map(sub, remaining, costs))
+                if min(rest) >= 0:
+                    acc.append((index, ms))
+                    spend(index, k + 1, copies - 1, rest)
+                    acc.pop()
+
+    spend(0, None, entries[0][0] if entries else 0, tuple(budgets))
+    return out
 
 
 def enumerate_supports(factor: FiniteFactor, field: FieldSpec,
@@ -330,35 +378,12 @@ def enumerate_supports(factor: FiniteFactor, field: FieldSpec,
             for c in enumerate_self_dual_classes(field, d)]
     if kind != "U":
         pool = [class_x_minus_one(field), class_x_plus_one(field), *pool]
-    # Every class pays its m = 0 cost (the implicit x - 1 of an Sp slot)
-    # up front, and the recursion enters only the classes given m >= 1,
-    # so it nests at most one level per unit of the budget.
-    base = [char_poly_exponent(kind, cls, 0) * cls.degree for cls in pool]
-    out: list[FactorSupport] = []
-    acc: list[tuple[SelfDualClass, int]] = []
-
-    def fill(start: int, remaining: int) -> None:
-        if remaining == 0:
-            support = FactorSupport.of(acc)
-            if support_violation(factor, support, field) is None:
-                out.append(support)
-            return
-        # In lexicographic order the empty tail (above) comes first, then
-        # the next entry at the latest class first, m ascending.  The
-        # fitting rule of _fits is inlined: a generator per call made
-        # census runs measurably slower.
-        for index in range(len(pool) - 1, start - 1, -1):
-            cls = pool[index]
-            m = 1
-            while (cost := char_poly_exponent(kind, cls, m) * cls.degree
-                   - base[index]) <= remaining:
-                acc.append((cls, m))
-                fill(index + 1, remaining - cost)
-                acc.pop()
-                m += 1
-
-    fill(0, factor.dual_dim - sum(base))
-    return tuple(out)
+    budget = factor.dual_dim - sum(char_poly_exponent(kind, cls, 0) * cls.degree for cls in pool)
+    entries = [(1, _options((partial(char_poly_exponent, kind, cls),), cls.degree, (budget,)))
+               for cls in pool]
+    supports = (FactorSupport.of([(pool[index], m) for index, (m,) in way])
+                for way in _spend(entries, (budget,)))
+    return tuple(s for s in supports if support_violation(factor, s, field) is None)
 
 
 def enumerate_data(group: GroupSpec, max_degree: int | None = None) -> tuple[CuspidalDatum, ...]:
@@ -446,68 +471,33 @@ def signature_representative(group: GroupSpec, sig: DatumSignature) -> CuspidalD
     return CuspidalDatum(ParahoricSpec(group, sig.n1, sig.n2), tuple(supports))
 
 
-def _pooled_signatures(field: FieldSpec, budgets: tuple[int, int],
-                       max_degree: int | None):
-    """Yield sorted triple tuples filling both exponent budgets exactly.
-
-    Pooled classes all follow the nonlinear exponent m (m + 1) / 2, so
-    only the pair (m1, m2) matters; pairs at one degree are emitted in
-    nonincreasing order to list each multiset once.
-    """
-    degrees = _degree_pool(field, max(budgets), max_degree)
-    counts = {d: count_self_dual_classes(field, d) for d in degrees}
-
-    def rec(deg_index: int, b1: int, b2: int, acc: list):
-        if b1 == 0 and b2 == 0:
-            yield tuple(acc)
-            return
-        if deg_index >= len(degrees):
-            return
-        d = degrees[deg_index]
-
-        def choose(last_pair, left, r1, r2):
-            yield from rec(deg_index + 1, r1, r2, acc)
-            if left == 0:
-                return
-            for (m1, c1), (m2, c2) in itertools.product(_fits(_triangular, d, r1),
-                                                        _fits(_triangular, d, r2)):
-                pair = (m1, m2)
-                if pair != (0, 0) and pair <= last_pair:
-                    acc.append((d, m1, m2))
-                    yield from choose(pair, left - 1, r1 - c1, r2 - c2)
-                    acc.pop()
-
-        top = (max(budgets) + 1, max(budgets) + 1)
-        yield from choose(top, counts[d], b1, b2)
-
-    yield from rec(0, budgets[0], budgets[1], [])
-
-
 def enumerate_signatures(group: GroupSpec, max_degree: int | None = None):
     """Yield (signature, weight) over all maximal parahorics of the group."""
     field = group.field
+    linear = [class_x_minus_one(field), class_x_plus_one(field)] if field.ext == "trivial" else []
     for parahoric in enumerate_parahorics(group):
         if not parahoric.maximal:
             continue
-        f1, f2 = parahoric.factors
-        b1, b2 = budgets = (f1.dual_dim, f2.dual_dim)
-        if field.ext == "quadratic":
-            linear_choices = [((0, 0), (0, 0), budgets)]
-        else:
-            def fits(cls, r1, r2):  # ((m1, cost1), (m2, cost2)) in both slots
-                return itertools.product(_fits(partial(char_poly_exponent, f1.kind, cls), 1, r1),
-                                         _fits(partial(char_poly_exponent, f2.kind, cls), 1, r2))
-
-            xm, xp = class_x_minus_one(field), class_x_plus_one(field)
-            linear_choices = [((mp1, mp2), (mm1, mm2), (b1 - cp1 - cm1, b2 - cp2 - cm2))
-                              for (mp1, cp1), (mp2, cp2) in fits(xm, b1, b2)
-                              for (mm1, cm1), (mm2, cm2) in fits(xp, b1 - cp1, b2 - cp2)]
-        for m_plus, m_minus, rem in linear_choices:
-            for pooled in _pooled_signatures(field, rem, max_degree):
-                sig = DatumSignature(parahoric.n1, parahoric.n2, m_plus, m_minus,
-                                     tuple(sorted(pooled)))
-                if not _signature_sign_ok(parahoric, sig):
-                    continue
+        factors = parahoric.factors
+        budgets = tuple(f.dual_dim - sum(char_poly_exponent(f.kind, cls, 0) for cls in linear)
+                        for f in factors)
+        degrees = _degree_pool(field, max(budgets), max_degree)
+        entries = [(1, _options([partial(char_poly_exponent, f.kind, cls) for f in factors],
+                                1, budgets))
+                   for cls in linear]
+        entries += [(count_self_dual_classes(field, d),
+                     _options((_triangular, _triangular), d, budgets))
+                    for d in degrees]
+        for way in _spend(entries, budgets):
+            linear_ms = [(0, 0), (0, 0)]
+            pooled = []
+            for index, ms in way:
+                if index < len(linear):
+                    linear_ms[index] = ms
+                else:
+                    pooled.append((degrees[index - len(linear)], *ms))
+            sig = DatumSignature(parahoric.n1, parahoric.n2, *linear_ms, tuple(sorted(pooled)))
+            if _signature_sign_ok(parahoric, sig):
                 yield sig, signature_weight(group, sig)
 
 
