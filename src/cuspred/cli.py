@@ -29,8 +29,9 @@ of more than 32 elements (however large p or e), a JSON integer of more
 than 4,300 digits, a negative --degree or --dualdim, a selfcheck residue
 size or check given twice, a selfcheck residue size other than an odd
 prime q0 with F(q0^2) of at most 32 elements (so 3 or 5), an empty check
-name, or an enumerate that would list classes past degree 8 (pass
---degree 8 or less).
+name, or an enumerate or a selfcheck that would list classes past
+degree 8 (pass --degree 8 or less; selfcheck refuses before it sweeps,
+when both --degree and --dualdim exceed 8).
 An unknown examples --name exits 2 too.  An internal invariant failure (a
 failed assertion or a KeyError raised inside the library) exits 1 with
 "internal error:" and the input JSON as a reproducer on stderr.
@@ -524,6 +525,8 @@ def _cmd_selfcheck(args) -> int:
             max_dual=args.dualdim,
             max_degree=args.degree if args.degree is not None else 4,
             checks=checks)
+    except DegreeLimitError as err:
+        raise SchemaError(f"{err}: pass --degree {MAX_ENUM_DEGREE} or less") from err
     except ValueError as err:
         raise SchemaError(str(err)) from err
     obj = {

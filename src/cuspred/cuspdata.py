@@ -303,11 +303,12 @@ def count_representations(datum: CuspidalDatum) -> RepCount:
     return RepCount(n1, n2, order, (act1, act2), total)
 
 
-def _degree_pool(field: FieldSpec, budget: int, max_degree: int | None) -> list[int]:
+def _degree_pool(field: FieldSpec, budget: int, max_degree: int | None) -> range:
+    """Degrees of the pooled classes: even under the trivial involution,
+    odd under the quadratic one.  A degree without classes drops out by
+    itself: it lists none, and a signature entry gets no copies."""
     cap = budget if max_degree is None else min(budget, max_degree)
-    if field.ext == "trivial":
-        return [d for d in range(2, cap + 1, 2) if count_self_dual_classes(field, d) > 0]
-    return [d for d in range(1, cap + 1, 2) if count_self_dual_classes(field, d) > 0]
+    return range(2 if field.ext == "trivial" else 1, cap + 1, 2)
 
 
 def _options(exponents, degree: int, budgets) -> list[tuple]:

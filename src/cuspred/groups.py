@@ -44,7 +44,7 @@ the sign condition of the slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .ffpoly import FieldSpec
 
@@ -57,6 +57,7 @@ __all__ = [
     "dual_dimension",
     "group_forms",
     "enumerate_parahorics",
+    "parahoric_of",
     "component_group_order",
 ]
 
@@ -260,6 +261,21 @@ def enumerate_parahorics(group: GroupSpec) -> tuple[ParahoricSpec, ...]:
     """The N + 1 chain vertices, listed with n1 descending."""
     N = group.witt
     return tuple(ParahoricSpec(group, n1, N - n1) for n1 in range(N, -1, -1))
+
+
+@lru_cache(maxsize=4096)
+def parahoric_of(group: GroupSpec, dual_dims: tuple[int, int]) -> ParahoricSpec | None:
+    """The parahoric whose factors have the given dual dimensions, None
+    when none has, maximal or not.  Solved from the dual-dimension rule,
+    so it costs the same at any Witt index; cached, as the companion
+    search asks again for the same totals."""
+    ns = []
+    for kind, a, dual in zip(group.slot_kinds, group.aniso, dual_dims):
+        twice = dual - _DUAL_SHIFT.get(kind, 0) - a  # 2 n, the factor being 2 n + a
+        if twice < 0 or twice % 2:
+            return None
+        ns.append(twice // 2)
+    return ParahoricSpec(group, *ns) if sum(ns) == group.witt else None
 
 
 def component_group_order(parahoric: ParahoricSpec) -> int:

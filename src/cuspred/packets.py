@@ -31,9 +31,9 @@ and block counts of a swapped datum are sums over its classes, and its
 IRed lists the points class by class in canonical order.  So a subset
 scores as the unswapped sums plus the deltas of its classes, and it
 keeps the points exactly when each swapped class keeps them swapped and
-each other class unswapped.  The totals name the parahoric through a
-table of the group's parahorics by factor dual dimensions, and the score
-hands it on: nothing else solves a swap.  The score rejects a missing or
+each other class unswapped.  The totals name the parahoric through
+groups.parahoric_of, an arithmetic solve of the dual-dimension rule
+that costs the same at any Witt index, and the score hands it on.  The score rejects a missing or
 nonmaximal parahoric, an SOeven slot whose block parity contradicts its
 sign, and a swap that moves a point; clauses a and b hold for every
 swap.  Each survivor is built once, on its parahoric, and validated in
@@ -59,8 +59,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from types import MappingProxyType
 
 from .cuspdata import (
     CuspidalDatum,
@@ -72,7 +70,7 @@ from .cuspdata import (
     _type_matches,
 )
 from .ffpoly import SelfDualClass, class_x_plus_one
-from .groups import GroupSpec, ParahoricSpec, enumerate_parahorics, group_forms
+from .groups import GroupSpec, ParahoricSpec, group_forms, parahoric_of
 from .hecke import HalfInt, exponent_pair, ired, jordan
 
 __all__ = [
@@ -153,16 +151,6 @@ def q_sets(datum: CuspidalDatum) -> QSets:
                  tuple(constrained), tuple(free), delta)
 
 
-@lru_cache(maxsize=256)
-def _parahoric_table(group: GroupSpec) -> MappingProxyType[tuple[int, int], ParahoricSpec]:
-    """Each parahoric of the group under its factor dual dimensions, read
-    off enumerate_parahorics."""
-    table = {}
-    for parahoric in enumerate_parahorics(group):
-        table.setdefault(tuple(f.dual_dim for f in parahoric.factors), parahoric)
-    return MappingProxyType(table)
-
-
 @dataclass(frozen=True)
 class Companion:
     swap_set: tuple[SelfDualClass, ...]
@@ -232,10 +220,9 @@ def _prescore(group: GroupSpec, datum: CuspidalDatum, raw):
         deltas[i] = tuple(b - a for a, b in zip(scores[cls], _class_score(kinds, cls, swapped)))
         must_swap |= (not stays) << i
         must_stay |= (_real_points(kinds, cls, swapped) != points) << i
-    table = _parahoric_table(group)
     for subset in _subsets(range(len(raw))):
         t1, t2, b1, b2 = map(sum, zip(base, *(deltas[i] for i in subset)))
-        parahoric = table.get((t1, t2))
+        parahoric = parahoric_of(group, (t1, t2))
         if parahoric is None or not parahoric.maximal or not all(
                 _type_matches(f, b) for f, b in zip(parahoric.factors, (b1, b2))
                 if f.kind == "SOeven"):
@@ -299,27 +286,9 @@ def enumerate_epsilon(datum: CuspidalDatum,
             m1, m2 = datum.pairs[cls]
             shift += (char_poly_exponent(f1.kind, cls, m2)
                       - char_poly_exponent(f1.kind, cls, m1)) * cls.degree
-        if _solve_slots(datum.group, (f1.dual_dim + shift, f2.dual_dim - shift)):
+        if parahoric_of(datum.group, (f1.dual_dim + shift, f2.dual_dim - shift)) is not None:
             out.append(subset)
     return tuple(out)
-
-
-def _solve_slots(group: GroupSpec, totals: tuple[int, int]) -> bool:
-    """Arithmetic feasibility of slot totals: nonnegative integral n1, n2
-    summing to the Witt index.  Independent of the parahoric scan."""
-    kinds = group.slot_kinds
-    ns = []
-    for kind, a, total in zip(kinds, group.aniso, totals):
-        if kind == "Sp":
-            n, back = (total - 1) // 2, lambda n: 2 * n + 1
-        elif kind == "SOodd":
-            n, back = (total + 1 - a) // 2, lambda n, a=a: 2 * n + a - 1
-        else:  # SOeven, U
-            n, back = (total - a) // 2, lambda n, a=a: 2 * n + a
-        if n < 0 or back(n) != total:
-            return False
-        ns.append(n)
-    return ns[0] + ns[1] == group.witt
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .cuspdata import (
     enumerate_signatures,
     signature_representative,
 )
-from .ffpoly import _MAX_Q, FieldSpec
+from .ffpoly import _MAX_Q, MAX_ENUM_DEGREE, DegreeLimitError, FieldSpec
 from .groups import FAMILIES, dual_dimension, group_forms
 from .hecke import reducibility_pair, verify_identity
 from .packets import companions, enumerate_epsilon, packet_stats, recover_m_pair
@@ -150,6 +150,8 @@ def run_selfcheck(q0_values=(3, 5), max_dual: int = 13, max_degree: int = 4,
     for name in checks:
         if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}")
+    if min(max_degree, max_dual) > MAX_ENUM_DEGREE:  # a representative would list such classes
+        raise DegreeLimitError(f"enumeration is limited to degree {MAX_ENUM_DEGREE}")
     started = time.monotonic()
     groups = signatures = data_weight = 0
     failures: list[CheckFailure] = []

@@ -12,6 +12,7 @@ import pytest
 import cuspred
 from cuspred.cli import datum_from_obj, datum_to_obj, group_from_obj, group_to_obj, main
 from cuspred.cuspdata import CuspidalDatum
+from cuspred.ffpoly import count_self_dual_classes
 from cuspred.fixtures import gallery, gallery_entry
 
 
@@ -364,6 +365,30 @@ class TestErrorPaths:
             code, out, err = run(capsys, "enumerate", "--count", sp18, *extra)
             assert code == 2
             assert "--degree 8 or less" in err
+
+    def test_enumerate_refuses_large_witt_index_at_once(self, capsys, monkeypatch):
+        # Sp(200000) without --degree: the degree-10 class listing refuses
+        # before any class count past degree 10 is taken.
+        def bounded(field, degree):
+            if degree > 10:
+                raise AssertionError(f"counted the classes of degree {degree}")
+            return count_self_dual_classes(field, degree)
+
+        monkeypatch.setattr("cuspred.cuspdata.count_self_dual_classes", bounded)
+        group = json.dumps({"family": "Sp", "witt_index": 100000, "aniso": [0, 0],
+                            "field": {"p": 3}})
+        code, out, err = run(capsys, "enumerate", "--count", group)
+        assert (code, out) == (2, "")
+        assert err == "error: enumeration is limited to degree 8: pass --degree 8 or less\n"
+
+    def test_selfcheck_refuses_degree_past_limit_before_sweeping(self, capsys, monkeypatch):
+        def sweep(*args):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr("cuspred.selfcheck.iter_group_specs", sweep)
+        code, out, err = run(capsys, "selfcheck", "--dualdim", "18", "--degree", "10")
+        assert (code, out) == (2, "")
+        assert err == "error: enumeration is limited to degree 8: pass --degree 8 or less\n"
 
     def test_enumerate_degree_above_limit_within_budget(self, capsys):
         group = json.dumps(group_to_obj(gallery_entry("sp4").datum.group))

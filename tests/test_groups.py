@@ -1,6 +1,7 @@
 """Parahoric quotient tables, checked against hand-computed cases."""
 
 import doctest
+import itertools
 
 import pytest
 
@@ -13,7 +14,9 @@ from cuspred.groups import (
     component_group_order,
     dual_dimension,
     enumerate_parahorics,
+    parahoric_of,
 )
+from cuspred.selfcheck import iter_group_specs
 
 F3 = FieldSpec(3)
 F9Q = FieldSpec(3, 2, "quadratic")
@@ -141,6 +144,17 @@ class TestParahorics:
         Gram = GroupSpec("Uram", 8, 4, (0, 0), F3, epsilon=1)
         flags = {(P.n1, P.n2): P.maximal for P in enumerate_parahorics(Gram)}
         assert flags[(1, 3)] is False and flags[(0, 4)] is True
+
+    def test_parahoric_of_matches_the_chain(self):
+        # The arithmetic solve against the chain: every pair of factor dual
+        # dimensions below the group's dual dimension plus 3 names the
+        # vertex with those dual dimensions, or None when there is none.
+        for group in iter_group_specs((3, 5), 18):
+            chain = {tuple(f.dual_dim for f in P.factors): P for P in enumerate_parahorics(group)}
+            top = dual_dimension(group) + 3
+            assert max(itertools.chain.from_iterable(chain)) < top
+            for dims in itertools.product(range(top), repeat=2):
+                assert parahoric_of(group, dims) == chain.get(dims), (str(group), dims)
 
     def test_component_group_order(self):
         Sp6 = GroupSpec("Sp", 6, 3, (0, 0), F3)

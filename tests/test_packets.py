@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,23 @@ class TestCompanions:
                 assert companion.datum.group == entry.datum.group
                 assert ired(companion.datum) == target
                 assert companion.datum.parahoric.maximal
+
+    def test_large_witt_index(self):
+        # Sp(180600)/F3, [(x-1)^300] x [1]: the parahoric of each swap is
+        # solved, not looked up among all 90,301 vertices of the chain.
+        group = GroupSpec("Sp", 180600, 90300, (0, 0), F3)
+        xm = class_x_minus_one(F3)
+        datum = CuspidalDatum(ParahoricSpec(group, 90300, 0),
+                              (FactorSupport.of([(xm, 300)]), FactorSupport.empty()))
+        tracemalloc.start()
+        try:
+            census = companions(datum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert census.swap_sets == ((), (xm,))
+        assert census.companions[1].datum.parahoric == ParahoricSpec(group, 0, 90300)
+        assert peak < 1_000_000
 
     def test_empty_swap_is_identity(self):
         for entry in gallery():
@@ -261,7 +279,7 @@ def build_by_trial(group, datum, swap_set):
     """The valid datum that swapping m1 <-> m2 of the given classes builds
     on the group, found by offering the swapped supports to every
     parahoric of the group; None when none takes them.  Shares nothing
-    with the search's pre-score or its parahoric table."""
+    with the search's pre-score or groups.parahoric_of."""
     pairs = {cls: pair[::-1] if cls in swap_set else pair for cls, pair in datum.pairs.items()}
     supports = tuple(FactorSupport.of([(cls, p[i]) for cls, p in pairs.items() if p[i]])
                      for i in (0, 1))
