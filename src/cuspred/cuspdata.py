@@ -337,9 +337,7 @@ def _spend(entries, budgets) -> list[tuple]:
     choices repeated on it are nonincreasing.  "Nothing more" comes first,
     then the next choice at the latest entry.  The recursion nests once
     per choice, and the first overflow in the first slot, whose cost only
-    grows along the options, ends an entry's run.  The ways go into a
-    list: a generator at every level made enumerate_supports twice as
-    slow.
+    grows along the options, ends an entry's run.
     """
     out: list[tuple] = []
     acc: list[tuple[int, tuple[int, ...]]] = []

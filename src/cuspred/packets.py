@@ -33,12 +33,14 @@ scores as the unswapped sums plus the deltas of its classes, and it
 keeps the points exactly when each swapped class keeps them swapped and
 each other class unswapped.  The totals name the parahoric through
 groups.parahoric_of, an arithmetic solve of the dual-dimension rule
-that costs the same at any Witt index, and the score hands it on.  The score rejects a missing or
-nonmaximal parahoric, an SOeven slot whose block parity contradicts its
-sign, and a swap that moves a point; clauses a and b hold for every
-swap.  Each survivor is built once, on its parahoric, and validated in
-full; a survivor that fails validation, or a kept swap that passes all
-but the points, is an internal error naming the swap.
+that costs the same at any Witt index, and the score hands it on.  The
+score rejects a missing or nonmaximal parahoric, an SOeven slot whose
+block parity contradicts its sign, and a swap that moves a point;
+clauses a and b hold for every swap.  Each survivor is built once, on
+its parahoric, and validated in full; a survivor that fails validation,
+or a kept swap that passes all but the points, is an internal error
+naming the swap.  The closed form, enumerate_epsilon, asks parahoric_of
+only whether a swap re-solves at all.
 
 Cross-form companions play the same game against every other form of
 the group: same family, dimension, residue field and ramification
