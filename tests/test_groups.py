@@ -1,6 +1,7 @@
 """Parahoric quotient tables, checked against hand-computed cases."""
 
 import doctest
+import hashlib
 import itertools
 
 import pytest
@@ -46,6 +47,31 @@ class TestGroupSpec:
             GroupSpec("Uram", 13, 6, (0, 0), F3, epsilon=1)  # parity mismatch
         with pytest.raises(ValueError):
             GroupSpec("Uunram", 14, 6, (2, 0), F9Q)
+
+    def test_grid_is_pinned(self):
+        # Every input of a grid around the valid groups, valid or not, pinned
+        # by digest: the refusal message, or the group's name, slot kinds,
+        # dual dimension and each parahoric's name, maximality, factors and
+        # component group order.
+        h = hashlib.sha256()
+        valid = 0
+        grid = itertools.product(("Sp", "SOodd", "SOeven", "Uunram", "Uram", "GL"),
+                                 (F3, F9Q), range(-1, 24), range(-1, 12),
+                                 range(-1, 4), range(-1, 4), range(-1, 3))
+        for family, field, dim, witt, a1, a2, epsilon in grid:
+            try:
+                G = GroupSpec(family, dim, witt, (a1, a2), field, epsilon)
+            except ValueError as exc:
+                h.update(f"{exc}\n".encode())
+                continue
+            valid += 1
+            parts = [str(G), *G.slot_kinds, str(dual_dimension(G))]
+            for P in enumerate_parahorics(G):
+                parts += [str(P), str(P.maximal), *factor_strs(P),
+                          str(component_group_order(P))]
+            h.update(("|".join(parts) + "\n").encode())
+        assert valid == 224
+        assert h.hexdigest()[:16] == "7384392c15591de2"
 
     def test_dual_dimension(self):
         assert dual_dimension(GroupSpec("Sp", 6, 3, (0, 0), F3)) == 7
