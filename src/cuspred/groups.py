@@ -14,19 +14,29 @@ families are treated:
 
 For 0 <= N1 <= N the maximal compact subgroups sit in a chain indexed by
 (N1, N2 = N - N1), and the reductive quotient of the parahoric splits as
-a product of two finite classical factors, one per end.  The factor kinds
-follow the family:
+a product of two finite classical factors, one per end of the local
+Dynkin diagram; the factor at end i acts on a space of dimension
+2*Ni + ai, where (a1, a2) is the anisotropic split.  One table, _ENDS,
+gives each family's two ends.  An end maps the anisotropic parts it
+admits to the factor kind of its slot:
 
-    Sp      -> Sp(2*N1)        x Sp(2*N2)
-    SO      -> SO(2*N1 + a1)   x SO(2*N2 + a2)
-    Uunram  -> U(2*N1 + a1)    x U(2*N2 + a2)
-    Uram    -> SO(2*N1 + a1)   x Sp(2*N2)        (epsilon = +1)
-               Sp(2*N1)        x SO(2*N2 + a2)   (epsilon = -1)
+    symplectic end  {0: Sp}
+    orthogonal end  {0: SOeven, 1: SOodd, 2: SOeven}
+    unitary end     {0: U, 1: U}
 
-where (a1, a2) is the anisotropic split.  An orthogonal slot is of kind
-SOodd when its anisotropic part is odd and SOeven otherwise.  An even
-orthogonal factor carries a type sign: split (plus) when its anisotropic
-part is 0, and nonsplit (minus) when it is 2.
+    Sp      -> symplectic x symplectic
+    SO      -> orthogonal x orthogonal
+    Uunram  -> unitary    x unitary
+    Uram    -> orthogonal x symplectic    (epsilon = +1)
+               symplectic x orthogonal    (epsilon = -1)
+
+A split is admissible when each end admits its part; besides that, SOodd
+and SOeven fix the parity of D, Sp needs D >= 2, and the split SO(2) is
+excluded.  An even orthogonal factor carries a type sign: split (plus)
+when its anisotropic part is 0, and nonsplit (minus) when it is 2.  The
+component group, the stabilizer modulo the parahoric, has order 2
+exactly when the parahoric has an orthogonal factor and every orthogonal
+factor has positive dimension, and order 1 otherwise.
 
 The factor kind, Sp, SOodd, SOeven or U, is the only name of a slot type
 in the package: it alone fixes the exponent table, the parameter table and
@@ -64,9 +74,27 @@ __all__ = [
 FAMILIES = ("Sp", "SOodd", "SOeven", "Uunram", "Uram")
 FACTOR_KINDS = ("Sp", "SOodd", "SOeven", "U")
 
-# Admissible anisotropic splits (a1, a2) by family and dimension parity.
-_SO_EVEN_SPLITS = ((0, 0), (1, 1), (2, 0), (0, 2), (2, 2))
-_SO_ODD_SPLITS = ((1, 0), (0, 1), (2, 1), (1, 2))
+# The two ends of each family's local Dynkin diagram, keyed by family and
+# epsilon.  An end maps the anisotropic parts it admits to the factor kind
+# of its slot; Uram with epsilon = -1 has its ends reversed.
+_SP_END = {0: "Sp"}
+_SO_END = {0: "SOeven", 1: "SOodd", 2: "SOeven"}
+_U_END = {0: "U", 1: "U"}
+_ENDS = {
+    ("Sp", 0): (_SP_END, _SP_END),
+    ("SOodd", 0): (_SO_END, _SO_END),
+    ("SOeven", 0): (_SO_END, _SO_END),
+    ("Uunram", 0): (_U_END, _U_END),
+    ("Uram", 1): (_SO_END, _SP_END),
+    ("Uram", -1): (_SP_END, _SO_END),
+}
+_SPLIT_ERRORS = {
+    "Sp": "symplectic groups are split of even dimension",
+    "SOodd": "bad odd orthogonal anisotropic split",
+    "SOeven": "bad even orthogonal anisotropic split",
+    "Uunram": "bad unramified unitary anisotropic split",
+    "Uram": "bad ramified unitary anisotropic split",
+}
 
 
 _DUAL_SHIFT = {"Sp": 1, "SOodd": -1}
@@ -152,41 +180,22 @@ class GroupSpec:
         a1, a2 = self.aniso
         if self.dim != 2 * self.witt + a1 + a2:
             raise ValueError("dim must equal 2*witt + sum(aniso)")
-        if self.family == "Sp":
-            if self.aniso != (0, 0) or self.dim < 2:
-                raise ValueError("symplectic groups are split of even dimension")
-        elif self.family == "SOodd":
-            if self.dim % 2 == 0 or self.aniso not in _SO_ODD_SPLITS:
-                raise ValueError("bad odd orthogonal anisotropic split")
-        elif self.family == "SOeven":
-            if self.dim % 2 or self.aniso not in _SO_EVEN_SPLITS:
-                raise ValueError("bad even orthogonal anisotropic split")
-            if self.dim == 2 and self.aniso == (0, 0):
-                raise ValueError("the two-dimensional split orthogonal group is excluded")
-        elif self.family == "Uunram":
-            if self.aniso not in (((0, 0), (1, 1)) if self.dim % 2 == 0 else ((1, 0), (0, 1))):
-                raise ValueError("bad unramified unitary anisotropic split")
-        else:  # Uram
-            a_or = a1 if self.epsilon == 1 else a2
-            a_sp = a2 if self.epsilon == 1 else a1
-            if a_sp != 0 or a_or not in (0, 1, 2) or a_or % 2 != self.dim % 2:
-                raise ValueError("bad ramified unitary anisotropic split")
+        end1, end2 = _ENDS[self.family, self.epsilon]
+        if (a1 not in end1 or a2 not in end2
+                or self.family == "Sp" and self.dim < 2
+                or self.family == "SOodd" and self.dim % 2 == 0
+                or self.family == "SOeven" and self.dim % 2):
+            raise ValueError(_SPLIT_ERRORS[self.family])
+        if self.family == "SOeven" and self.dim == 2 and self.aniso == (0, 0):
+            raise ValueError("the two-dimensional split orthogonal group is excluded")
         if self.dim < 1:
             raise ValueError("dimension must be positive")
 
     @cached_property
     def slot_kinds(self) -> tuple[str, str]:
         """Factor kinds of the two parahoric slots (independent of N1)."""
-        a1, a2 = self.aniso
-        if self.family == "Sp":
-            return ("Sp", "Sp")
-        if self.family in ("SOodd", "SOeven"):
-            return ("SOodd" if a1 % 2 else "SOeven", "SOodd" if a2 % 2 else "SOeven")
-        if self.family == "Uunram":
-            return ("U", "U")
-        if self.epsilon == 1:
-            return ("SOodd" if a1 % 2 else "SOeven", "Sp")
-        return ("Sp", "SOodd" if a2 % 2 else "SOeven")
+        end1, end2 = _ENDS[self.family, self.epsilon]
+        return (end1[self.aniso[0]], end2[self.aniso[1]])
 
     def __str__(self) -> str:
         name = {"Sp": "Sp", "SOodd": "SO", "SOeven": "SO", "Uunram": "U", "Uram": "U"}[self.family]
@@ -279,16 +288,8 @@ def parahoric_of(group: GroupSpec, dual_dims: tuple[int, int]) -> ParahoricSpec 
 
 
 def component_group_order(parahoric: ParahoricSpec) -> int:
-    """Order (1 or 2) of the stabilizer modulo the parahoric.
-
-    The order is 2 exactly when a ramified unitary group has a nonzero
-    orthogonal slot, or an orthogonal group has both slots nonzero.
-    """
-    group = parahoric.group
-    f1, f2 = parahoric.factors
-    if group.family == "Uram":
-        orth = f1 if group.epsilon == 1 else f2
-        return 2 if orth.dim > 0 else 1
-    if group.family in ("SOodd", "SOeven"):
-        return 2 if f1.dim > 0 and f2.dim > 0 else 1
-    return 1
+    """Order (1 or 2) of the stabilizer modulo the parahoric: 2 exactly
+    when the parahoric has an orthogonal factor and every orthogonal
+    factor has positive dimension."""
+    dims = [f.dim for f in parahoric.factors if f.kind in ("SOodd", "SOeven")]
+    return 2 if dims and min(dims) > 0 else 1
