@@ -497,7 +497,7 @@ def enumerate_self_dual_classes(field: FieldSpec, degree: int) -> tuple[SelfDual
     """All self-dual classes of the given degree, in a fixed canonical order.
 
     The construction solves the functional equation for the coefficients
-    and filters by irreducibility, so it touches q^(degree/2) candidates
+    and filters by irreducibility, once per candidate, so it touches q^(degree/2) candidates
     rather than q^degree.
     """
     if degree < 1:
@@ -507,6 +507,7 @@ def enumerate_self_dual_classes(field: FieldSpec, degree: int) -> tuple[SelfDual
     F = field_table(field)
     q = field.q
     found = []
+    candidates = []
     if field.ext == "trivial":
         if degree == 1:
             found = [class_x_minus_one(field), class_x_plus_one(field)]
@@ -516,9 +517,7 @@ def enumerate_self_dual_classes(field: FieldSpec, degree: int) -> tuple[SelfDual
             m = degree // 2
             for free in itertools.product(range(q), repeat=m):
                 coeffs = (1,) + free + tuple(free[m - 1 - i] for i in range(1, m)) + (1,)
-                cand = Poly(field, coeffs)
-                if is_irreducible(cand):
-                    found.append(SelfDualClass(cand))
+                candidates.append(Poly(field, coeffs))
     else:
         if degree % 2 == 1:
             # Coefficients below the middle are determined by those above;
@@ -534,9 +533,14 @@ def enumerate_self_dual_classes(field: FieldSpec, degree: int) -> tuple[SelfDual
                         cs[degree - i] = upper[i - 1]
                     for i in range(1, k + 1):
                         cs[i] = F.mul(F.sigma(cs[degree - i]), scale)
-                    cand = Poly(field, tuple(cs))
-                    if is_irreducible(cand):
-                        found.append(SelfDualClass(cand))
+                    candidates.append(Poly(field, tuple(cs)))
+    for cand in candidates:
+        # Self-dual by construction, so SelfDualClass refuses only the
+        # reducible candidates: its checks are the one filter.
+        try:
+            found.append(SelfDualClass(cand))
+        except ValueError:
+            continue
     return tuple(sorted(found, key=lambda c: c.sort_key))
 
 
