@@ -22,7 +22,9 @@ Every subcommand accepts a file path, inline JSON, or "-" for stdin, and
 prints JSON (canonically ordered, byte-deterministic) or markdown.
 Exit codes: 0 success, 1 failed validation or a failed check, 2 bad input:
 a file that is not UTF-8, malformed JSON, input that is not a JSON
-object, an unknown key, a number that is not a JSON integer (3.7, "2" and
+object, an unknown key, a missing key (named with its object), an "aniso"
+that is not a JSON list of two integers, a "poly" that is not a JSON list
+of integers, "supports" that is not a JSON list, a number that is not a JSON integer (3.7, "2" and
 true are refused), a polynomial listed twice in one support, a support
 that is not a JSON list, a "poly" whose leading coefficient is 0, a field
 of more than 32 elements (however large p or e), a JSON integer of more
@@ -72,12 +74,15 @@ class SchemaError(ValueError):
     """The input is well-formed JSON but not a valid object description."""
 
 
-def _check_keys(obj, allowed: tuple[str, ...], what: str) -> None:
+def _check_keys(obj, required: tuple[str, ...], what: str, optional: tuple[str, ...] = ()) -> None:
     if not isinstance(obj, dict):
         raise SchemaError(f"{what} is not a JSON object")
-    unknown = sorted(set(obj) - set(allowed))
+    unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
         raise SchemaError(f"unknown key {unknown[0]!r} in {what}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise SchemaError(f"missing key {missing[0]!r} in {what}")
 
 
 def _json_int(value, key: str, what: str) -> int:
@@ -87,12 +92,21 @@ def _json_int(value, key: str, what: str) -> int:
     return value
 
 
+def _json_ints(value, key: str, what: str, length: int | None = None) -> list[int]:
+    """The value when it is a JSON list of integers, of the given length if any."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        count = "" if length is None else f"{length} "
+        raise SchemaError(f"{key!r} in {what} must be a JSON list of {count}integers, "
+                          f"got {json.dumps(value)}")
+    return [_json_int(v, key, what) for v in value]
+
+
 def field_to_obj(field: FieldSpec) -> dict:
     return {"p": field.p, "e": field.e, "ext": field.ext}
 
 
 def field_from_obj(obj) -> FieldSpec:
-    _check_keys(obj, ("p", "e", "ext"), "field")
+    _check_keys(obj, ("p",), "field", optional=("e", "ext"))
     try:
         return FieldSpec(_json_int(obj["p"], "p", "field"),
                          _json_int(obj.get("e", 1), "e", "field"),
@@ -112,10 +126,10 @@ def group_to_obj(group: GroupSpec) -> dict:
 
 
 def group_from_obj(obj) -> GroupSpec:
-    _check_keys(obj, ("family", "epsilon", "witt_index", "aniso", "field"), "group")
+    _check_keys(obj, ("family", "witt_index", "aniso", "field"), "group", optional=("epsilon",))
     try:
         witt = _json_int(obj["witt_index"], "witt_index", "group")
-        a1, a2 = (_json_int(a, "aniso", "group") for a in obj["aniso"])
+        a1, a2 = _json_ints(obj["aniso"], "aniso", "group", length=2)
         field = field_from_obj(obj["field"])
         return GroupSpec(str(obj["family"]), 2 * witt + a1 + a2, witt, (a1, a2),
                          field, _json_int(obj.get("epsilon", 0), "epsilon", "group"))
@@ -135,7 +149,7 @@ def _support_from_obj(obj, field: FieldSpec, index: int) -> FactorSupport:
     pairs = []
     for item in obj:
         _check_keys(item, ("poly", "m"), "support entry")
-        coeffs = tuple(_json_int(c, "poly", "support entry") for c in item["poly"])
+        coeffs = tuple(_json_ints(item["poly"], "poly", "support entry"))
         pairs.append((SelfDualClass(Poly(field, coeffs)),
                       _json_int(item["m"], "m", "support entry")))
     return FactorSupport.of(pairs)
@@ -161,6 +175,8 @@ def datum_parts_from_obj(obj) -> tuple[ParahoricSpec, tuple[FactorSupport, Facto
         parahoric = ParahoricSpec(group, _json_int(obj["parahoric"]["n1"], "n1", "parahoric"),
                                   _json_int(obj["parahoric"]["n2"], "n2", "parahoric"))
         supports = obj["supports"]
+        if not isinstance(supports, list):
+            raise SchemaError("supports is not a JSON list")
         if len(supports) != 2:
             raise SchemaError("a datum carries exactly two supports")
         s1, s2 = (_support_from_obj(s, group.field, i) for i, s in enumerate(supports))
@@ -484,7 +500,7 @@ def _cmd_crossform(args) -> int:
 def _cmd_enumerate(args) -> int:
     obj = args.obj
     if "group" in obj:
-        _check_keys(obj, _DATUM_KEYS, "datum")
+        _check_keys(obj, ("group",), "datum", optional=_DATUM_KEYS[1:])
         obj = obj["group"]
     group = group_from_obj(obj)
     try:

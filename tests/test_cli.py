@@ -425,6 +425,44 @@ class TestErrorPaths:
         assert code == 2
         assert f"{name!r}" in err and "must be a JSON integer" in err
 
+    @pytest.mark.parametrize("path, key, what", [
+        (("group",), "witt_index", "group"),
+        ((), "supports", "datum"),
+        (("parahoric",), "n2", "parahoric"),
+        (("supports", 0, 0), "poly", "support entry"),
+        (("group", "field"), "p", "field"),
+    ])
+    def test_missing_key_is_named_with_its_object(self, capsys, path, key, what):
+        obj = datum_to_obj(gallery_entry("sp6").datum)
+        target = obj
+        for step in path:
+            target = target[step]
+        del target[key]
+        code, out, err = run(capsys, "validate", json.dumps(obj))
+        assert (code, out, err) == (2, "", f"error: missing key {key!r} in {what}\n")
+
+    @pytest.mark.parametrize("path, key, value, message", [
+        (("group",), "aniso", "00", "'aniso' in group must be a JSON list of 2 integers, got \"00\""),
+        (("group",), "aniso", {"a": 0}, "'aniso' in group must be a JSON list of 2 integers, "
+                                         "got {\"a\": 0}"),
+        (("group",), "aniso", [0, 0, 0], "'aniso' in group must be a JSON list of 2 integers, "
+                                         "got [0, 0, 0]"),
+        (("group",), "aniso", 5, "'aniso' in group must be a JSON list of 2 integers, got 5"),
+        (("supports", 0, 0), "poly", "21",
+         "'poly' in support entry must be a JSON list of integers, got \"21\""),
+        (("supports", 0, 0), "poly", 3, "'poly' in support entry must be a JSON list of integers, got 3"),
+        ((), "supports", "ab", "supports is not a JSON list"),
+    ], ids=["aniso-string", "aniso-object", "aniso-triple", "aniso-number",
+            "poly-string", "poly-number", "supports-string"])
+    def test_value_that_is_not_a_list_is_refused_as_such(self, capsys, path, key, value, message):
+        obj = datum_to_obj(gallery_entry("sp6").datum)
+        target = obj
+        for step in path:
+            target = target[step]
+        target[key] = value
+        code, out, err = run(capsys, "validate", json.dumps(obj))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("path, key, value, message", [
         # Neither may be read as something else: an empty support, x - 1.
         (("supports",), 1, {}, "supports[1] is not a JSON list"),
