@@ -20,20 +20,20 @@ Data travel as JSON.  A datum is
 where polynomials list their coefficients from the constant term up.
 Every subcommand accepts a file path, inline JSON, or "-" for stdin, and
 prints JSON (canonically ordered, byte-deterministic) or markdown.
-Exit codes: 0 success, 1 failed validation or a failed check, 2 bad input:
-a file that is not UTF-8, malformed JSON, input that is not a JSON
+Exit codes: 0 success, 1 failed validation or a failed check, 2 bad
+input: a file that is not UTF-8, malformed JSON, input that is not a JSON
 object, an unknown key, a missing key (named with its object), an "aniso"
 that is not a JSON list of two integers, a "poly" that is not a JSON list
-of integers, "supports" that is not a JSON list, a number that is not a JSON integer (3.7, "2" and
-true are refused), a polynomial listed twice in one support, a support
-that is not a JSON list, a "poly" whose leading coefficient is 0, a field
-of more than 32 elements (however large p or e), a JSON integer of more
-than 4,300 digits, a negative --degree or --dualdim, a selfcheck residue
-size or check given twice, a selfcheck residue size other than an odd
-prime q0 with F(q0^2) of at most 32 elements (so 3 or 5), an empty check
-name, or an enumerate or a selfcheck that would list classes past
-degree 8 (pass --degree 8 or less; selfcheck refuses before it sweeps,
-when both --degree and --dualdim exceed 8).
+of integers, "supports" that is not a JSON list, a number that is not a
+JSON integer (3.7, "2" and true are refused), a polynomial listed twice
+in one support, a support that is not a JSON list, a "poly" whose leading
+coefficient is 0, a field of more than 32 elements (however large p or
+e), a JSON integer of more than 4,300 digits, a negative --degree or
+--dualdim, a selfcheck residue size or check given twice, a selfcheck
+residue size other than an odd prime q0 with F(q0^2) of at most 32
+elements (so 3 or 5), an empty check name, or an enumerate or a selfcheck
+that would list classes past degree 8 (pass --degree 8 or less; selfcheck
+refuses before it sweeps, when both --degree and --dualdim exceed 8).
 An unknown examples --name exits 2 too.  An internal invariant failure (a
 failed assertion or a KeyError raised inside the library) exits 1 with
 "internal error:" and the input JSON as a reproducer on stderr.

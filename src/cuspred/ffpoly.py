@@ -497,8 +497,8 @@ def enumerate_self_dual_classes(field: FieldSpec, degree: int) -> tuple[SelfDual
     """All self-dual classes of the given degree, in a fixed canonical order.
 
     The construction solves the functional equation for the coefficients
-    and filters by irreducibility, once per candidate, so it touches q^(degree/2) candidates
-    rather than q^degree.
+    and filters by irreducibility, once per candidate, so it touches
+    q^(degree/2) candidates rather than q^degree.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
