@@ -1,6 +1,7 @@
 """Brute-force oracles for the self-dual class census and field arithmetic."""
 
 import doctest
+import hashlib
 import itertools
 
 import pytest
@@ -36,6 +37,15 @@ FROZEN_COUNTS = {
     (F9Q, 1): 4, (F9Q, 2): 0, (F9Q, 3): 8, (F9Q, 4): 0,
     (F25Q, 1): 6, (F25Q, 2): 0, (F25Q, 3): 40, (F25Q, 4): 0,
 }
+
+# Every field of at most 32 elements, both involutions where e is even,
+# with the highest class degree the pin lists over it.
+PINNED_FIELDS = [
+    (FieldSpec(3), 8), (FieldSpec(5), 6), (FieldSpec(7), 4), (F9T, 5), (F9Q, 5),
+    (FieldSpec(11), 4), (FieldSpec(13), 4), (FieldSpec(17), 4), (FieldSpec(19), 4),
+    (FieldSpec(23), 4), (FieldSpec(5, 2, "trivial"), 3), (F25Q, 3), (FieldSpec(3, 3), 4),
+    (FieldSpec(29), 4), (FieldSpec(31), 4),
+]
 
 
 def all_monic(field, degree):
@@ -105,6 +115,29 @@ class TestFieldTable:
                 for c in range(0, q, max(1, q // 7)):
                     assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
                     assert F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
+
+    def test_tables_and_classes_are_pinned(self):
+        # One digest over every supported field: the modulus, the add, mul,
+        # neg, inv and sigma tables, pow(a, n) for 0 <= n <= q, and each
+        # class listing (coefficients, label and order).
+        digest = hashlib.sha256()
+        for spec, maxdeg in PINNED_FIELDS:
+            F = field_table(spec)
+            q = spec.q
+            rows = [
+                repr(spec),
+                F.modulus,
+                [[F.add(a, b) for b in range(q)] for a in range(q)],
+                [[F.mul(a, b) for b in range(q)] for a in range(q)],
+                [F.neg(a) for a in range(q)],
+                [F.inv(a) for a in range(1, q)],
+                [F.sigma(a) for a in range(q)],
+                [[F.pow(a, n) for n in range(q + 1)] for a in range(q)],
+                [[(c.poly.coeffs, c.label) for c in enumerate_self_dual_classes(spec, d)]
+                 for d in range(1, maxdeg + 1)],
+            ]
+            digest.update(repr(rows).encode())
+        assert digest.hexdigest()[:16] == "8f96ed6af6584127"
 
     def test_frobenius_and_sigma(self):
         F = field_table(F9Q)
