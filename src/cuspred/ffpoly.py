@@ -19,9 +19,16 @@ relevant quadratic extension.
 Field elements are encoded as integers 0 <= a < q via base-p digits in
 the power basis of a fixed defining polynomial, so 0 and 1 are the two
 identities and the integers 0 .. p-1 form the prime subfield.  The
-defining polynomial is the lexicographically smallest monic irreducible
-of degree e over GF(p), ordering coefficient tuples from the constant
-term up, such that x generates the unit group.
+defining polynomial is the first monic one of degree e over GF(p),
+ordering coefficient tuples from the constant term up, under which
+multiplying by x has period exactly q - 1.  A full period puts every
+nonzero residue among the powers of x, so the polynomial is irreducible
+and x generates the unit group.  Those powers give the discrete log, and
+products, inverses, powers and sigma are read off it.
+
+Class candidates come from one loop for both involutions: the constant
+term runs over the norm-one elements, the upper half of the coefficients
+is free and the lower half is solved from P~ = P.
 
 >>> F3 = FieldSpec(3)
 >>> [c.label for c in enumerate_self_dual_classes(F3, 1)]
@@ -137,34 +144,14 @@ class FieldSpec:
         return self.q
 
 
-def _defining_polynomial(p: int, e: int) -> tuple[int, ...]:
-    """Lower coefficients (c0 .. c_{e-1}) of the chosen modulus for GF(p^e)."""
-    prime = FieldSpec(p)
-    x, one = Poly.x(prime), Poly.one(prime)
-    q = p ** e
-    for cand in itertools.product(range(p), repeat=e):
-        modulus = Poly(prime, cand + (1,))
-        # Over an irreducible modulus x^(q-1) = 1 holds, so x generates
-        # the unit group when x^((q-1)/r) != 1 for each prime r | q-1.
-        if is_irreducible(modulus) and all(
-                x.pow_mod((q - 1) // r, modulus) != one for r in _factor(q - 1)):
-            return cand
-    raise ValueError(f"no primitive modulus found for GF({p}^{e})")
-
-
 class FieldTable:
-    """Precomputed arithmetic for one FieldSpec.
-
-    Elements are the integers 0 <= a < q; the base-p digits of a are the
-    coordinates in the power basis of the defining polynomial.
-    """
+    """Precomputed arithmetic for one FieldSpec, encoded as the module says."""
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.p = spec.p
         self.q = spec.q
         p, e, q = spec.p, spec.e, spec.q
-        self.modulus = _defining_polynomial(p, e) if e > 1 else None
 
         def digits(a: int) -> list[int]:
             return [(a // p ** i) % p for i in range(e)]
@@ -172,24 +159,30 @@ class FieldTable:
         def undigits(ds: list[int]) -> int:
             return sum(d * p ** i for i, d in enumerate(ds))
 
+        # Walk 1, x, x^2, ... modulo x^e + (lower) up to its first return
+        # to 1; one that has not returned after q - 1 steps stops at length
+        # q, which no period reaches.  Period q - 1 picks the modulus.
+        for lower in itertools.product(range(p), repeat=e):
+            self._exp = [1]
+            while len(self._exp) < q:
+                ds = digits(self._exp[-1])
+                top = ds.pop()
+                nxt = undigits([(d - top * c) % p for d, c in zip([0] + ds, lower)])
+                if nxt == 1:
+                    break
+                self._exp.append(nxt)
+            if len(self._exp) == q - 1:
+                break
+        self.modulus = lower if e > 1 else None
+        self._log = {a: k for k, a in enumerate(self._exp)}
         self._add = [[undigits([(x + y) % p for x, y in zip(digits(a), digits(b))])
                       for b in range(q)] for a in range(q)]
-        if e == 1:
-            self._mul = [[(a * b) % p for b in range(q)] for a in range(q)]
-        else:
-            prime = FieldSpec(p)
-            modulus = Poly(prime, self.modulus + (1,))
-            elements = [Poly.make(prime, digits(a)) for a in range(q)]
-            self._mul = [[undigits((a * b % modulus).coeffs) for b in elements]
-                         for a in elements]
+        self._mul = [[self._exp[(self._log[a] + self._log[b]) % (q - 1)] if a and b else 0
+                      for b in range(q)] for a in range(q)]
         self._neg = [self._add[a].index(0) for a in range(q)]
-        self._inv = [0] * q
-        for a in range(1, q):
-            self._inv[a] = self._mul[a].index(1)
-        if spec.ext == "quadratic":
-            self._sigma = [self.pow(a, spec.q0) for a in range(q)]
-        else:
-            self._sigma = list(range(q))
+        self._inv = [self.pow(a, q - 2) for a in range(q)]
+        # a -> a^q0 is the involution: the identity when q0 = q.
+        self._sigma = [self.pow(a, spec.q0) for a in range(q)]
 
     @property
     def minus_one(self) -> int:
@@ -213,14 +206,9 @@ class FieldTable:
         return self._inv[a]
 
     def pow(self, a: int, n: int) -> int:
-        result = 1
-        acc = a
-        while n:
-            if n & 1:
-                result = self._mul[result][acc]
-            acc = self._mul[acc][acc]
-            n >>= 1
-        return result
+        if n == 0:
+            return 1
+        return self._exp[self._log[a] * n % (self.q - 1)] if a else 0
 
     def sigma(self, a: int) -> int:
         return self._sigma[a]
@@ -483,16 +471,6 @@ class SelfDualClass:
 
 
 @lru_cache(maxsize=None)
-def class_x_minus_one(field: FieldSpec) -> SelfDualClass:
-    return SelfDualClass(Poly(field, (field_table(field).minus_one, 1)))
-
-
-@lru_cache(maxsize=None)
-def class_x_plus_one(field: FieldSpec) -> SelfDualClass:
-    return SelfDualClass(Poly(field, (1, 1)))
-
-
-@lru_cache(maxsize=None)
 def enumerate_self_dual_classes(field: FieldSpec, degree: int) -> tuple[SelfDualClass, ...]:
     """All self-dual classes of the given degree, in a fixed canonical order.
 
@@ -504,44 +482,46 @@ def enumerate_self_dual_classes(field: FieldSpec, degree: int) -> tuple[SelfDual
         raise ValueError("degree must be positive")
     if degree > MAX_ENUM_DEGREE:
         raise DegreeLimitError(f"enumeration is limited to degree {MAX_ENUM_DEGREE}")
+    trivial = field.ext == "trivial"
+    # No class has this degree: under the trivial involution the roots pair
+    # off as r, 1/r, which differ unless r = +-1, so past degree 1 the
+    # degree is even; under the quadratic one r^(-q0) = r^(q^j) makes the
+    # degree divide 2j + 1.
+    if (degree % 2 == 1 and degree > 1) if trivial else degree % 2 == 0:
+        return ()
     F = field_table(field)
-    q = field.q
+    half = degree // 2
     found = []
-    candidates = []
-    if field.ext == "trivial":
-        if degree == 1:
-            found = [class_x_minus_one(field), class_x_plus_one(field)]
-        elif degree % 2 == 0:
-            # Self-dual with even degree forces a palindrome with P(0) = 1:
-            # an anti-palindrome vanishes at 1 and cannot be irreducible.
-            m = degree // 2
-            for free in itertools.product(range(q), repeat=m):
-                coeffs = (1,) + free + tuple(free[m - 1 - i] for i in range(1, m)) + (1,)
-                candidates.append(Poly(field, coeffs))
-    else:
-        if degree % 2 == 1:
-            # Coefficients below the middle are determined by those above;
-            # the constant term runs over the norm-one torus.
-            k = degree // 2
-            for c0 in F.norm_one_elements():
-                scale = F.inv(F.sigma(c0))
-                for upper in itertools.product(range(q), repeat=k):
-                    cs = [0] * (degree + 1)
-                    cs[degree] = 1
-                    cs[0] = c0
-                    for i in range(1, k + 1):
-                        cs[degree - i] = upper[i - 1]
-                    for i in range(1, k + 1):
-                        cs[i] = F.mul(F.sigma(cs[degree - i]), scale)
-                    candidates.append(Poly(field, tuple(cs)))
-    for cand in candidates:
-        # Self-dual by construction, so SelfDualClass refuses only the
-        # reducible candidates: its checks are the one filter.
-        try:
-            found.append(SelfDualClass(cand))
-        except ValueError:
+    # P~ = P: c0 * sigma(c0) = 1 and c_i = sigma(c_(n-i)) / sigma(c0).
+    for c0 in F.norm_one_elements():
+        # Under the trivial involution c0 = -1 makes P anti-palindromic,
+        # so P(1) = 0 and only x - 1 itself is irreducible.
+        if trivial and degree > 1 and c0 != 1:
             continue
+        scale = F.inv(F.sigma(c0))
+        for upper in itertools.product(range(field.q), repeat=half):
+            cs = [c0] + [0] * (degree - 1 - half) + list(upper) + [1]
+            for i in range(1, degree - half):
+                cs[i] = F.mul(F.sigma(cs[degree - i]), scale)
+            # Self-dual by construction, so SelfDualClass refuses only the
+            # reducible candidates: its checks are the one filter.
+            try:
+                found.append(SelfDualClass(Poly(field, tuple(cs))))
+            except ValueError:
+                continue
     return tuple(sorted(found, key=lambda c: c.sort_key))
+
+
+# sort_key puts x - 1 and x + 1 first among the linear classes under both
+# involutions.
+@lru_cache(maxsize=None)
+def class_x_minus_one(field: FieldSpec) -> SelfDualClass:
+    return enumerate_self_dual_classes(field, 1)[0]
+
+
+@lru_cache(maxsize=None)
+def class_x_plus_one(field: FieldSpec) -> SelfDualClass:
+    return enumerate_self_dual_classes(field, 1)[1]
 
 
 def count_self_dual_classes(field: FieldSpec, degree: int) -> int:

@@ -324,6 +324,22 @@ class TestErrorPaths:
         code, out, err = run(capsys, "examples", "--name", "nope")
         assert (code, out, err) == (2, "", "error: no gallery entry named 'nope'\n")
 
+    def test_empty_gallery_name(self, capsys):
+        code, out, err = run(capsys, "examples", "--name", "")
+        assert (code, out, err) == (2, "", "error: no gallery entry named ''\n")
+
+    @pytest.mark.parametrize("argv, key", [
+        (("enumerate", '{"family": "Sp", "witt_index": 1, "witt_index": 2, '
+                       '"aniso": [0, 0], "field": {"p": 3}}', "--count"), "witt_index"),
+        (("enumerate", '{"family": "Sp", "witt_index": 2, "aniso": [0, 0], '
+                       '"field": {"p": 3, "p": 5}}', "--count"), "p"),
+        (("validate", '{"group": {}, "group": {}}'), "group"),
+        (("describe", '{"supports": [[{"poly": [2, 1], "m": 1, "m": 2}]]}'), "m"),
+    ])
+    def test_duplicate_key_is_refused(self, capsys, argv, key):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: duplicate key {key!r}\n")
+
     @pytest.mark.parametrize("path, key", [
         ((), "extra"),
         (("group",), "Family"),

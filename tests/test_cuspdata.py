@@ -28,12 +28,9 @@ from cuspred.cuspdata import (
 )
 from cuspred.ffpoly import (
     FieldSpec,
-    SelfDualClass,
-    Poly,
     class_x_minus_one,
     class_x_plus_one,
     enumerate_self_dual_classes,
-    field_table,
 )
 from cuspred.groups import FiniteFactor, GroupSpec, ParahoricSpec, enumerate_parahorics
 from cuspred.hecke import identity_sides, ired, parameter_shapes
@@ -43,10 +40,6 @@ from cuspred.selfcheck import _CHECKS, iter_group_specs
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
 F9Q = FieldSpec(3, 2, "quadratic")
-
-
-def cls(field, *coeffs):
-    return SelfDualClass(Poly.make(field_table(field), coeffs))
 
 
 def support(field, *pairs):
