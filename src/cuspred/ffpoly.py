@@ -28,7 +28,10 @@ products, inverses, powers and sigma are read off it.
 
 Class candidates come from one loop for both involutions: the constant
 term runs over the norm-one elements, the upper half of the coefficients
-is free and the lower half is solved from P~ = P.
+is free and the lower half is solved from P~ = P.  Each candidate is
+tested for irreducibility by Ben-Or's test, run on coefficient lists
+through the same tables: P of degree n is irreducible exactly when it is
+prime to x^(q^k) - x for every k <= n/2.
 
 >>> F3 = FieldSpec(3)
 >>> [c.label for c in enumerate_self_dual_classes(F3, 1)]
@@ -56,7 +59,6 @@ __all__ = [
     "Poly",
     "SelfDualClass",
     "field_table",
-    "poly_gcd",
     "is_irreducible",
     "sigma_dual",
     "enumerate_self_dual_classes",
@@ -191,9 +193,6 @@ class FieldTable:
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
-
     def neg(self, a: int) -> int:
         return self._neg[a]
 
@@ -237,108 +236,17 @@ class Poly:
         if self.coeffs and self.coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
 
-    @staticmethod
-    def make(field: FieldSpec, coeffs) -> "Poly":
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Poly(field, tuple(cs))
-
-    @staticmethod
-    def zero(field: FieldSpec) -> "Poly":
-        return Poly(field, ())
-
-    @staticmethod
-    def one(field: FieldSpec) -> "Poly":
-        return Poly(field, (1,))
-
-    @staticmethod
-    def x(field: FieldSpec) -> "Poly":
-        return Poly(field, (0, 1))
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial given degree -1."""
         return len(self.coeffs) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __add__(self, other: "Poly") -> "Poly":
-        F = field_table(self.field)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return Poly.make(self.field, out)
-
-    def __neg__(self) -> "Poly":
-        F = field_table(self.field)
-        return Poly(self.field, tuple(F.neg(c) for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.field)
-        F = field_table(self.field)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return Poly.make(self.field, out)
-
-    def pdivmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        F = field_table(self.field)
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly.zero(self.field), self
-        quo = [0] * (dq + 1)
-        lead_inv = F.inv(other.coeffs[-1])
-        for k in range(dq, -1, -1):
-            c = F.mul(rem[k + len(other.coeffs) - 1], lead_inv)
-            quo[k] = c
-            if c:
-                for i, b in enumerate(other.coeffs):
-                    rem[k + i] = F.sub(rem[k + i], F.mul(c, b))
-        return Poly.make(self.field, quo), Poly.make(self.field, rem)
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.pdivmod(other)[1]
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no monic normalization")
-        if self.is_monic:
-            return self
-        F = field_table(self.field)
-        scale = F.inv(self.coeffs[-1])
-        return Poly(self.field, tuple(F.mul(scale, c) for c in self.coeffs))
-
-    def pow_mod(self, n: int, modulus: "Poly") -> "Poly":
-        result = Poly.one(self.field) % modulus
-        acc = self % modulus
-        while n:
-            if n & 1:
-                result = (result * acc) % modulus
-            acc = (acc * acc) % modulus
-            n >>= 1
-        return result
-
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self.coeffs:
             return "0"
         terms = []
         for i in range(len(self.coeffs) - 1, -1, -1):
@@ -354,33 +262,64 @@ class Poly:
         return "+".join(terms)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.monic()
+def _mod(a: list[int], b: list[int], F: FieldTable) -> list[int]:
+    """The remainder of a by b, as coefficient lists from the constant term
+    up; b has a nonzero leading coefficient, the result no trailing zero."""
+    a = list(a)
+    n = len(b) - 1
+    add, mul = F._add, F._mul
+    # Adding c * x^(top - n) * b * (-1 / lead) clears a[top] = c.
+    scale = mul[F.minus_one][F.inv(b[-1])]
+    b = [mul[scale][c] for c in b]
+    for top in range(len(a) - 1, n - 1, -1):
+        row = mul[a[top]]
+        for i in range(n):
+            a[top - n + i] = add[a[top - n + i]][row[b[i]]]
+    del a[n:]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _times(a: list[int], b: list[int], F: FieldTable) -> list[int]:
+    """The product of two coefficient lists."""
+    add, mul = F._add, F._mul
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        row = mul[c]
+        for j, d in enumerate(b):
+            out[i + j] = add[out[i + j]][row[d]]
+    return out
 
 
 def is_irreducible(poly: Poly) -> bool:
-    """Rabin's criterion: x^(q^n) = x mod P, with no fixed points below."""
+    """Ben-Or's test: P of degree n is irreducible exactly when
+    gcd(x^(q^k) - x, P) = 1 for every k <= n/2, because x^(q^k) - x is the
+    product of the monic irreducibles whose degree divides k.
+
+    Runs on coefficient lists through the field tables, for any nonzero
+    leading coefficient.
+    """
     n = poly.degree
-    if n <= 0:
+    if n < 1:
         return False
-    if n == 1:
-        return True
-    poly = poly.monic()
-    q = poly.field.q
-    x = Poly.x(poly.field)
-    frob = {}
-    h = x % poly
-    for k in range(1, n + 1):
-        h = h.pow_mod(q, poly)
-        frob[k] = h
-    if frob[n] != x % poly:
-        return False
-    for r in _factor(n):
-        if poly_gcd(frob[n // r] - x, poly).degree != 0:
+    F = field_table(poly.field)
+    P = list(poly.coeffs)
+    h = [0, 1]  # x^(q^k) mod P, from k = 0
+    for _ in range(n // 2):
+        # h^q by squaring and multiplying, the bits of q from the top.
+        base = h
+        for bit in bin(poly.field.q)[3:]:
+            h = _mod(_times(h, h, F), P, F)
+            if bit == "1":
+                h = _mod(_times(h, base, F), P, F)
+        # Euclid on h - x (padded to x's length) and P; the last nonzero
+        # remainder is their gcd.
+        a, b = h + [0, 0], P
+        a[1] = F.add(a[1], F.minus_one)
+        while b:
+            a, b = b, _mod(a, b, F)
+        if len(a) > 1:
             return False
     return True
 

@@ -18,7 +18,6 @@ from cuspred.ffpoly import (
     enumerate_self_dual_classes,
     field_table,
     is_irreducible,
-    poly_gcd,
     sigma_dual,
 )
 
@@ -192,22 +191,13 @@ class TestFieldTable:
 
 
 class TestPoly:
-    def test_divmod_roundtrip(self):
-        for lower in itertools.product(range(3), repeat=4):
-            a = Poly.make(F3, lower)
-            b = Poly(F3, (1, 2, 1))
-            quo, rem = a.pdivmod(b)
-            assert quo * b + rem == a
-            assert rem.degree < b.degree
-
     def test_str_rendering(self):
         assert str(Poly(F3, (1, 0, 1))) == "x^2+1"
         assert str(Poly(F3, (2, 1))) == "x+2"
-        assert str(Poly.zero(F3)) == "0"
+        assert str(Poly(F3, ())) == "0"
         assert str(Poly(F3, (0, 2, 1))) == "x^2+2x"
 
     def test_normalization(self):
-        assert Poly.make(F3, [1, 2, 0, 0]).coeffs == (1, 2)
         with pytest.raises(ValueError):
             Poly(F3, (1, 0))
         with pytest.raises(ValueError):
@@ -231,12 +221,6 @@ class TestIrreducibility:
                 # -P is not monic and has the same factors.
                 negated = Poly(field, tuple(F.neg(c) for c in cand.coeffs))
                 assert is_irreducible(negated) == expected, str(negated)
-
-    def test_gcd_is_monic_divisor(self):
-        a = Poly(F3, (1, 0, 1)) * Poly(F3, (2, 1))
-        b = Poly(F3, (2, 1)) * Poly(F3, (1, 1))
-        g = poly_gcd(a, b)
-        assert g == Poly(F3, (2, 1))
 
 
 class TestSigmaDual:
@@ -273,6 +257,12 @@ class TestCensus:
         for degree in range(1, maxdeg + 1):
             got = sorted(c.poly.coeffs for c in enumerate_self_dual_classes(field, degree))
             assert got == brute_force_classes(field, degree), (field, degree)
+
+    # Past the reach of the brute-force oracle the listing is checked
+    # against the torus count.
+    @pytest.mark.parametrize("field,degree", [(F9Q, 7), (F25Q, 5), (F5, 8)])
+    def test_listing_matches_count(self, field, degree):
+        assert len(enumerate_self_dual_classes(field, degree)) == count_self_dual_classes(field, degree)
 
     def test_parity_laws(self):
         # trivial involution: no odd degree beyond 1; quadratic: odd only
