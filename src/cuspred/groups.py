@@ -191,6 +191,15 @@ class GroupSpec:
         if self.dim < 1:
             raise ValueError("dimension must be positive")
 
+    # parahoric_of is cached on the group: hash the fields once, not on
+    # every lookup.  This is the generated hash, computed once.
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.family, self.dim, self.witt, self.aniso, self.field, self.epsilon))
+
     @cached_property
     def slot_kinds(self) -> tuple[str, str]:
         """Factor kinds of the two parahoric slots (independent of N1)."""

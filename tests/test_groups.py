@@ -79,6 +79,10 @@ class TestGroupSpec:
         assert dual_dimension(GroupSpec("SOeven", 8, 4, (0, 0), F3)) == 8
         assert dual_dimension(GroupSpec("Uunram", 7, 3, (1, 0), F9Q)) == 7
         assert dual_dimension(GroupSpec("Uram", 14, 6, (2, 0), F3, epsilon=1)) == 14
+        # Built separately from the same values: equal, with equal hashes.
+        a = GroupSpec("Uram", 14, 6, (2, 0), FieldSpec(3), epsilon=1)
+        b = GroupSpec("Uram", 14, 6, (2, 0), FieldSpec(3), epsilon=1)
+        assert a is not b and a == b and hash(a) == hash(b)
 
 
 class TestFactorTables:
