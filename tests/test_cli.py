@@ -11,9 +11,11 @@ import pytest
 
 import cuspred
 from cuspred.cli import datum_from_obj, datum_to_obj, group_from_obj, group_to_obj, main
-from cuspred.cuspdata import CuspidalDatum
-from cuspred.ffpoly import count_self_dual_classes
+from cuspred.cuspdata import CuspidalDatum, count_representations, enumerate_data
+from cuspred.ffpoly import DegreeLimitError, FieldSpec, count_self_dual_classes
 from cuspred.fixtures import gallery, gallery_entry
+from cuspred.groups import GroupSpec
+from cuspred.selfcheck import iter_group_specs
 
 
 def run(capsys, *argv):
@@ -151,6 +153,65 @@ class TestEnumerate:
         assert len(rep["data"]) == 8
         assert all(datum_from_obj(obj).group == gallery_entry("sp4").datum.group
                    for obj in rep["data"])
+
+
+def listing_oracle(group, degree, count_only: bool) -> dict:
+    """The enumerate output in each format, built whole: the payload dict,
+    then one json.dumps or one markdown rendering of it."""
+    data = enumerate_data(group, max_degree=degree)
+    payload = {
+        "group": str(group),
+        "degree_bound": degree,
+        "count": len(data),
+        "total_reps": sum(count_representations(d).total for d in data),
+    }
+    if not count_only:
+        payload["data"] = [datum_to_obj(d) for d in data]
+        payload["labels"] = [str(d) for d in data]
+    lines = [f"# enumerate {payload['group']}", ""]
+    bound = payload["degree_bound"]
+    lines.append(f"- degree bound: {bound if bound is not None else 'none'}")
+    lines.append(f"- cuspidal data: {payload['count']}")
+    lines.append(f"- representations: {payload['total_reps']}")
+    lines.extend(f"    - {label}" for label in payload.get("labels", ()))
+    return {"json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
+            "md": "\n".join(lines) + "\n"}
+
+
+class TestListingBytes:
+    """enumerate prints, byte for byte, what the whole-payload oracle prints."""
+
+    EMPTY = GroupSpec("SOeven", 4, 1, (1, 1), FieldSpec(5))
+
+    def check(self, capsys, group, degree, count_only=False):
+        argv = ["enumerate", json.dumps(group_to_obj(group))]
+        argv += [] if degree is None else ["--degree", str(degree)]
+        argv += ["--count"] if count_only else []
+        try:
+            expected = {fmt: (0, text, "")
+                        for fmt, text in listing_oracle(group, degree, count_only).items()}
+        except DegreeLimitError as refusal:
+            expected = dict.fromkeys(
+                ("json", "md"), (2, "", f"error: {refusal}: pass --degree 8 or less\n"))
+        for fmt, output in expected.items():
+            assert run(capsys, *argv, "--format", fmt) == output, (str(group), fmt)
+
+    def test_every_small_group_at_degree_4(self, capsys):
+        groups = list(iter_group_specs((3, 5), 5))
+        assert len(groups) == 88
+        for group in groups:
+            self.check(capsys, group, 4)
+
+    def test_gallery_groups_without_degree_bound(self, capsys):
+        # so20 and u14 would list classes past degree 8 and are refused.
+        for entry in gallery():
+            self.check(capsys, entry.datum.group, None)
+            self.check(capsys, entry.datum.group, None, count_only=True)
+
+    def test_empty_listing(self, capsys):
+        assert enumerate_data(self.EMPTY, max_degree=0) == ()
+        self.check(capsys, self.EMPTY, 0)
+        self.check(capsys, self.EMPTY, 0, count_only=True)
 
 
 class TestSelfcheck:
