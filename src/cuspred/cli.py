@@ -20,6 +20,8 @@ Data travel as JSON.  A datum is
 where polynomials list their coefficients from the constant term up.
 Every subcommand accepts a file path, inline JSON, or "-" for stdin, and
 prints JSON (canonically ordered, byte-deterministic) or markdown.
+enumerate writes its listing as it goes, datum by datum, and never holds
+it whole; its bytes are those of the whole listing rendered at once.
 Exit codes: 0 success, 1 failed validation or a failed check, 2 bad
 input: a file that is not UTF-8, malformed JSON, input that is not a
 JSON object, a key given twice in one object, an unknown key, a missing
@@ -38,13 +40,15 @@ sweeps, when both --degree and --dualdim exceed 8). An unknown examples
 --name, the empty one included, exits 2 too.  An internal invariant
 failure (a failed assertion or a KeyError raised inside the library)
 exits 1 with "internal error:" and the input JSON as a reproducer on
-stderr.
+stderr.  A reader that closes stdout early, as "| head -c 100" does,
+ends the command with exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -141,8 +145,12 @@ def group_from_obj(obj) -> GroupSpec:
         raise SchemaError(f"bad group description: {err}") from err
 
 
+def entry_to_obj(cls: SelfDualClass, m: int) -> dict:
+    return {"poly": list(cls.poly.coeffs), "m": m}
+
+
 def support_to_obj(support: FactorSupport) -> list:
-    return [{"poly": list(cls.poly.coeffs), "m": m} for cls, m in support.entries]
+    return [entry_to_obj(cls, m) for cls, m in support.entries]
 
 
 def _support_from_obj(obj, field: FieldSpec, index: int) -> FactorSupport:
@@ -157,10 +165,14 @@ def _support_from_obj(obj, field: FieldSpec, index: int) -> FactorSupport:
     return FactorSupport.of(pairs)
 
 
+def parahoric_to_obj(parahoric: ParahoricSpec) -> dict:
+    return {"n1": parahoric.n1, "n2": parahoric.n2}
+
+
 def datum_to_obj(datum: CuspidalDatum) -> dict:
     return {
         "group": group_to_obj(datum.group),
-        "parahoric": {"n1": datum.parahoric.n1, "n2": datum.parahoric.n2},
+        "parahoric": parahoric_to_obj(datum.parahoric),
         "supports": [support_to_obj(s) for s in datum.supports],
     }
 
@@ -508,6 +520,43 @@ def _cmd_crossform(args) -> int:
 
 # ---------------------------------------------------------------- enumerate
 
+def _json_at(obj, depth: int) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), laid out to sit `depth` levels deep."""
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _write_json_list(write, texts) -> None:
+    """Write a JSON list one level deep from its items' texts, laid out as
+    json.dumps(..., indent=2) lays it out ("[]" when there are none)."""
+    sep = "[\n    "
+    for text in texts:
+        write(sep + text)
+        sep = ",\n    "
+    write("[]" if sep == "[\n    " else "\n  ]")
+
+
+def _data_texts(group: GroupSpec, data):
+    """Each datum's text as json.dumps(..., sort_keys=True, indent=2) sets it
+    in the "data" list of an enumerate listing.  The group, each parahoric and each
+    support entry are rendered once; the keys are written in sorted order."""
+    group_text = _json_at(group_to_obj(group), 3)
+    parahoric_text = cache(lambda parahoric: _json_at(parahoric_to_obj(parahoric), 3))
+    entry_text = cache(lambda entry: _json_at(entry_to_obj(*entry), 5))
+
+    def support_text(support: FactorSupport) -> str:
+        if not support.entries:
+            return "[]"
+        entries = ",\n          ".join([entry_text(entry) for entry in support.entries])
+        return f"[\n          {entries}\n        ]"
+
+    for datum in data:
+        s1, s2 = datum.supports
+        yield (f'{{\n      "group": {group_text},'
+               f'\n      "parahoric": {parahoric_text(datum.parahoric)},'
+               f'\n      "supports": [\n        {support_text(s1)},'
+               f'\n        {support_text(s2)}\n      ]\n    }}')
+
+
 def _cmd_enumerate(args) -> int:
     obj = args.obj
     if "group" in obj:
@@ -518,27 +567,30 @@ def _cmd_enumerate(args) -> int:
         data = enumerate_data(group, max_degree=args.degree)
     except DegreeLimitError as err:
         raise SchemaError(f"{err}: pass --degree {MAX_ENUM_DEGREE} or less") from err
-    payload = {
-        "group": str(group),
-        "degree_bound": args.degree,
-        "count": len(data),
-        "total_reps": sum(count_representations(d).total for d in data),
-    }
+    total_reps = sum(count_representations(d).total for d in data)
+    # Written datum by datum, never held whole.  The JSON is byte for byte
+    # json.dumps(listing, sort_keys=True, indent=2) of the listing as one
+    # object, so count comes before data and labels.
+    write = sys.stdout.write
+    if args.format == "md":
+        bound = "none" if args.degree is None else args.degree
+        write(f"# enumerate {group}\n\n- degree bound: {bound}\n"
+              f"- cuspidal data: {len(data)}\n- representations: {total_reps}\n")
+        if not args.count:
+            for datum in data:
+                write(f"    - {datum}\n")
+        return 0
+    write(f'{{\n  "count": {len(data)},\n')
     if not args.count:
-        payload["data"] = [datum_to_obj(d) for d in data]
-        payload["labels"] = [str(d) for d in data]
-
-    def render(rep) -> list:
-        lines = [f"# enumerate {rep['group']}", ""]
-        bound = rep["degree_bound"]
-        lines.append(f"- degree bound: {bound if bound is not None else 'none'}")
-        lines.append(f"- cuspidal data: {rep['count']}")
-        lines.append(f"- representations: {rep['total_reps']}")
-        for label in rep.get("labels", ()):
-            lines.append(f"    - {label}")
-        return lines
-
-    _emit(args, payload, render)
+        write('  "data": ')
+        _write_json_list(write, _data_texts(group, data))
+        write(",\n")
+    write(f'  "degree_bound": {json.dumps(args.degree)},\n  "group": {json.dumps(str(group))},\n')
+    if not args.count:
+        write('  "labels": ')
+        _write_json_list(write, (json.dumps(str(d)) for d in data))
+        write(",\n")
+    write(f'  "total_reps": {total_reps}\n}}\n')
     return 0
 
 
@@ -717,7 +769,14 @@ def main(argv=None) -> int:
     try:
         if "input" in args:
             args.obj = _read_json(args.input)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does: not bad input.
+        # Point stdout at devnull so that the flush at exit raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (OSError, SchemaError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

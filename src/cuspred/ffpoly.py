@@ -77,6 +77,15 @@ class DegreeLimitError(ValueError):
     """A class enumeration asked for a degree above MAX_ENUM_DEGREE."""
 
 
+class _NotIrreducible(ValueError):
+    """SelfDualClass refuses a reducible polynomial.  The message is built
+    only when shown: the class listing refuses most candidates and discards
+    the error."""
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} is not irreducible"
+
+
 def _factor(n: int) -> dict[int, int]:
     """Prime factorization {prime: exponent} by trial division; {} below 2."""
     out: dict[int, int] = {}
@@ -355,7 +364,7 @@ class SelfDualClass:
         if sigma_dual(p) != p:
             raise ValueError(f"{p} is not self-dual")
         if not is_irreducible(p):
-            raise ValueError(f"{p} is not irreducible")
+            raise _NotIrreducible(p)
 
     @property
     def field(self) -> FieldSpec:

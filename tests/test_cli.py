@@ -1,10 +1,12 @@
 """End-to-end tests of the command line interface."""
 
+import contextlib
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -153,6 +155,35 @@ class TestEnumerate:
         assert len(rep["data"]) == 8
         assert all(datum_from_obj(obj).group == gallery_entry("sp4").datum.group
                    for obj in rep["data"])
+
+    def test_listing_is_written_as_it_goes(self):
+        # SO(15)/F3 at degree 8: 823 data, 811,167 bytes of JSON.  Listing
+        # the data peaks at 0.15 MB.  Building the payload dicts and one
+        # json.dumps of them peaked at 7.7 MB; writing datum by datum peaks
+        # at 0.25 MB.  The bound leaves no room for the text held whole.
+        obj = {"family": "SOodd", "witt_index": 7, "aniso": [1, 0], "field": {"p": 3}}
+        argv = ["enumerate", "--format", "json", "--degree", "8", json.dumps(obj)]
+
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                pass
+
+        def peak(func) -> int:
+            tracemalloc.start()
+            try:
+                func()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with contextlib.redirect_stdout(Sink()):
+            assert main(argv) == 0  # fills the class and support caches
+            written = peak(lambda: main(argv))
+        listed = peak(lambda: enumerate_data(group_from_obj(obj), max_degree=8))
+        assert written < listed + 400 * 1024, (written, listed)
 
 
 def listing_oracle(group, degree, count_only: bool) -> dict:
@@ -626,6 +657,22 @@ class TestErrorPaths:
                               capture_output=True, text=True, timeout=10)
         assert (done.returncode, done.stdout) == (2, "")
         assert "exceeds 32" in done.stderr
+
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_reader_closing_the_pipe_is_not_bad_input(self, fmt):
+        # U(8)/F9 at degree 5 lists 7,701 data, far more than a pipe holds.
+        group = json.dumps({"family": "Uunram", "witt_index": 4, "aniso": [0, 0],
+                            "field": {"p": 3, "e": 2, "ext": "quadratic"}})
+        env = dict(os.environ, PYTHONPATH=str(Path(cuspred.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cuspred", "enumerate", group, "--degree", "5",
+             "--format", fmt], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert len(head) == 100
+        assert (proc.wait(timeout=30), err) == (1, b"")
 
     def test_file_that_is_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "datum.json"

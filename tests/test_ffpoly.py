@@ -272,10 +272,12 @@ class TestCensus:
             assert count_self_dual_classes(F9Q, d) == 0
 
     def test_classes_are_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^x\^2\+x\+1 is not irreducible$"):
             SelfDualClass(Poly(F3, (1, 1, 1)))  # x^2+x+1 has root 1
-        with pytest.raises(ValueError):
-            SelfDualClass(Poly(F3, (2, 0, 1)))  # x^2+2 not self-dual
+        with pytest.raises(ValueError, match=r"^x\^2\+2 is not irreducible$"):
+            SelfDualClass(Poly(F3, (2, 0, 1)))  # x^2+2 = (x-1)(x+1), self-dual
+        with pytest.raises(ValueError, match=r"^x\^2\+x\+2 is not self-dual$"):
+            SelfDualClass(Poly(F3, (2, 1, 1)))  # its dual is x^2+2x+2
 
     def test_linear_helpers(self):
         assert class_x_minus_one(F3).label == "x-1"
