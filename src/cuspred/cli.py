@@ -536,9 +536,10 @@ def _write_json_list(write, texts) -> None:
 
 
 def _data_texts(group: GroupSpec, data):
-    """Each datum's text as json.dumps(..., sort_keys=True, indent=2) sets it
-    in the "data" list of an enumerate listing.  The group, each parahoric and each
-    support entry are rendered once; the keys are written in sorted order."""
+    """Each datum's text as json.dumps(..., sort_keys=True, indent=2) sets
+    it in the "data" list of an enumerate listing.  The group, each
+    parahoric and each support entry are rendered once; the keys are
+    written in sorted order."""
     group_text = _json_at(group_to_obj(group), 3)
     parahoric_text = cache(lambda parahoric: _json_at(parahoric_to_obj(parahoric), 3))
     entry_text = cache(lambda entry: _json_at(entry_to_obj(*entry), 5))

@@ -164,13 +164,6 @@ class TestEnumerate:
         obj = {"family": "SOodd", "witt_index": 7, "aniso": [1, 0], "field": {"p": 3}}
         argv = ["enumerate", "--format", "json", "--degree", "8", json.dumps(obj)]
 
-        class Sink:
-            def write(self, text):
-                return len(text)
-
-            def flush(self):
-                pass
-
         def peak(func) -> int:
             tracemalloc.start()
             try:
@@ -179,7 +172,7 @@ class TestEnumerate:
             finally:
                 tracemalloc.stop()
 
-        with contextlib.redirect_stdout(Sink()):
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             assert main(argv) == 0  # fills the class and support caches
             written = peak(lambda: main(argv))
         listed = peak(lambda: enumerate_data(group_from_obj(obj), max_degree=8))
