@@ -20,8 +20,11 @@ Data travel as JSON.  A datum is
 where polynomials list their coefficients from the constant term up.
 Every subcommand accepts a file path, inline JSON, or "-" for stdin, and
 prints JSON (canonically ordered, byte-deterministic) or markdown.
-enumerate writes its listing as it goes, datum by datum, and never holds
-it whole; its bytes are those of the whole listing rendered at once.
+Every JSON output is byte for byte json.dumps(payload, sort_keys=True,
+indent=2) of its payload, produced by one writer that lays out each
+subtree shared within a payload once.  enumerate writes its listing as
+it goes, datum by datum, and never holds it whole; its bytes are those
+of the whole listing rendered at once.
 Exit codes: 0 success, 1 failed validation or a failed check, 2 bad
 input: a file that is not UTF-8, malformed JSON, input that is not a
 JSON object, a key given twice in one object, an unknown key, a missing
@@ -51,6 +54,7 @@ import json
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .cuspdata import (
     CuspidalDatum,
@@ -232,9 +236,48 @@ def _read_json(source: str):
     return obj
 
 
+def _dumps(obj, depth: int = 0) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), laid out to sit `depth`
+    levels deep.  Within one call, a container met twice at the same depth
+    is laid out once: the memo is keyed by its id, which stays its own
+    while obj holds it.  Keys must be str."""
+    return _text(obj, depth, {})
+
+
+def _text(value, depth: int, memo: dict) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return repr(value)  # the text json.dumps writes for it
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    key = (id(value), depth)
+    done = memo.get(key)
+    if done is None:
+        done = memo[key] = _layout(value, depth, memo)
+    return done
+
+
+def _layout(value, depth: int, memo: dict) -> str:
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict):
+        for k in value:
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+        items = [f"{encode_basestring_ascii(k)}: {_text(value[k], depth + 1, memo)}"
+                 for k in sorted(value)]
+        ends = "{}"
+    else:
+        items = [_text(item, depth + 1, memo) for item in value]
+        ends = "[]"
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{ends[1]}"
+
+
 def _emit(args, obj, render_md) -> None:
     if args.format == "json":
-        print(json.dumps(obj, sort_keys=True, indent=2))
+        print(_dumps(obj))
     else:
         print("\n".join(render_md(obj)))
 
@@ -315,6 +358,17 @@ def _cmd_describe(args) -> int:
     report = reducibility_report(datum)
     reps = count_representations(datum)
     shapes = parameter_shapes(datum)
+    # parameter_shapes hands every shape that takes a (class, members)
+    # option the same tuple: one dict per tuple, so that _dumps lays each
+    # out once however many shapes take it.  Keyed by id: hashing a tuple
+    # hashes its members again on every lookup.
+    options = {id(option): option for shape in shapes for option in shape.entries}
+    option_objs = {
+        key: {"class": cls.label,
+              "members": [{"tag": m.tag, "s": str(m.s), "chain": list(m.chain)}
+                          for m in members]}
+        for key, (cls, members) in options.items()
+    }
     obj = {
         "datum": str(datum),
         "group": str(datum.group),
@@ -342,17 +396,8 @@ def _cmd_describe(args) -> int:
                      "ok": report.identity_holds},
         "shapes": {
             "count": len(shapes),
-            "entries": [
-                [
-                    {
-                        "class": cls.label,
-                        "members": [{"tag": m.tag, "s": str(m.s),
-                                     "chain": list(m.chain)} for m in members],
-                    }
-                    for cls, members in shape.entries
-                ]
-                for shape in shapes
-            ],
+            "entries": [[option_objs[id(option)] for option in shape.entries]
+                        for shape in shapes],
         },
         "notes": _datum_notes(datum.parahoric),
     }
@@ -520,11 +565,6 @@ def _cmd_crossform(args) -> int:
 
 # ---------------------------------------------------------------- enumerate
 
-def _json_at(obj, depth: int) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), laid out to sit `depth` levels deep."""
-    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
-
-
 def _write_json_list(write, texts) -> None:
     """Write a JSON list one level deep from its items' texts, laid out as
     json.dumps(..., indent=2) lays it out ("[]" when there are none)."""
@@ -540,9 +580,9 @@ def _data_texts(group: GroupSpec, data):
     it in the "data" list of an enumerate listing.  The group, each
     parahoric and each support entry are rendered once; the keys are
     written in sorted order."""
-    group_text = _json_at(group_to_obj(group), 3)
-    parahoric_text = cache(lambda parahoric: _json_at(parahoric_to_obj(parahoric), 3))
-    entry_text = cache(lambda entry: _json_at(entry_to_obj(*entry), 5))
+    group_text = _dumps(group_to_obj(group), 3)
+    parahoric_text = cache(lambda parahoric: _dumps(parahoric_to_obj(parahoric), 3))
+    entry_text = cache(lambda entry: _dumps(entry_to_obj(*entry), 5))
 
     def support_text(support: FactorSupport) -> str:
         if not support.entries:
@@ -586,10 +626,10 @@ def _cmd_enumerate(args) -> int:
         write('  "data": ')
         _write_json_list(write, _data_texts(group, data))
         write(",\n")
-    write(f'  "degree_bound": {json.dumps(args.degree)},\n  "group": {json.dumps(str(group))},\n')
+    write(f'  "degree_bound": {_dumps(args.degree)},\n  "group": {_dumps(str(group))},\n')
     if not args.count:
         write('  "labels": ')
-        _write_json_list(write, (json.dumps(str(d)) for d in data))
+        _write_json_list(write, (_dumps(str(d)) for d in data))
         write(",\n")
     write(f'  "total_reps": {total_reps}\n}}\n')
     return 0

@@ -269,10 +269,15 @@ class ParahoricSpec:
         return not any(f.kind == "SOeven" and f.dim == 2 and f.sign == 1
                        for f in self.factors)
 
-    def __str__(self) -> str:
+    @cached_property
+    def label(self) -> str:
+        """The name every datum label starts with, formatted once."""
         g = self.group
         name = str(g).split("[")[0]
         return f"{name}/F{g.field.q}:({self.n1},{self.n2})"
+
+    def __str__(self) -> str:
+        return self.label
 
 
 def enumerate_parahorics(group: GroupSpec) -> tuple[ParahoricSpec, ...]:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cuspred
-from cuspred.cli import datum_from_obj, datum_to_obj, group_from_obj, group_to_obj, main
+from cuspred.cli import _dumps, datum_from_obj, datum_to_obj, group_from_obj, group_to_obj, main
 from cuspred.cuspdata import CuspidalDatum, count_representations, enumerate_data
 from cuspred.ffpoly import DegreeLimitError, FieldSpec, count_self_dual_classes
 from cuspred.fixtures import gallery, gallery_entry
@@ -236,6 +236,71 @@ class TestListingBytes:
         assert enumerate_data(self.EMPTY, max_degree=0) == ()
         self.check(capsys, self.EMPTY, 0)
         self.check(capsys, self.EMPTY, 0, count_only=True)
+
+
+def stdlib_dumps(obj, depth: int = 0) -> str:
+    """The oracle of _dumps: the standard library's indented encoder."""
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+class TestJsonBytes:
+    """Every JSON output is byte for byte json.dumps(..., sort_keys=True, indent=2)."""
+
+    # U(10)/F9 at (4,1): four classes with two options each, 64 shapes.
+    SHAPES_64 = json.dumps(
+        {"group": {"family": "Uunram", "epsilon": 0, "witt_index": 5, "aniso": [0, 0],
+                   "field": {"p": 3, "e": 2, "ext": "quadratic"}},
+         "parahoric": {"n1": 4, "n2": 1},
+         "supports": [[{"poly": [5, 1], "m": 1}, {"poly": [7, 1], "m": 1},
+                       {"poly": [1, 3, 8, 1], "m": 1}, {"poly": [1, 8, 3, 1], "m": 1}],
+                      [{"poly": [2, 1], "m": 1}, {"poly": [1, 1], "m": 1}]]})
+
+    def argvs(self):
+        data = [datum_text(entry.name) for entry in gallery()] + [self.SHAPES_64]
+        for text in data:
+            for command in ("validate", "describe", "packet", "crossform"):
+                yield [command, text]
+            yield ["enumerate", text, "--degree", "2"]
+        yield ["examples"]
+        yield ["selfcheck", "--dualdim", "4"]
+
+    def test_every_json_output_round_trips(self, capsys):
+        seen = set()
+        for argv in self.argvs():
+            code, out, err = run(capsys, *argv, "--format", "json")
+            assert code in (0, 1) and err == "", argv
+            assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out, argv
+            seen.add(argv[0])
+        assert len(seen) == 7
+
+    def test_shared_shape_entries_are_written_in_full(self, capsys):
+        code, rep = run_json(capsys, "describe", self.SHAPES_64)
+        assert code == 0
+        assert rep["shapes"]["count"] == len(rep["shapes"]["entries"]) == 64
+        assert len({json.dumps(shape) for shape in rep["shapes"]["entries"]}) == 64
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), {"a": {}, "b": [], "c": ()},
+        [[], [{}], {"x": []}],
+        (1, (2, 3), ["four", (5,)]),
+        {"é": "ü ñ 𝔽   \x00 \"quoted\" \\ /", "plain": "text"},
+        [True, False, None, 0, -1, 1.5, -0.0],
+        {"big": 10 ** 3999, "neg": -(7 ** 4733)},  # 4,000 digits each
+    ])
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_dumps_matches_stdlib(self, obj, depth):
+        assert _dumps(obj, depth) == stdlib_dumps(obj, depth)
+
+    def test_container_shared_at_two_depths(self):
+        shared = [1, {"k": [2, 3]}]
+        obj = {"a": shared, "b": [shared, {"c": shared}], "d": shared}
+        for depth in (0, 2):
+            assert _dumps(obj, depth) == stdlib_dumps(obj, depth)
+
+    @pytest.mark.parametrize("obj", [{1: 2}, {"a": {None: 1}}, [{"b": 1, (2,): 3}]])
+    def test_key_that_is_not_a_str_is_refused(self, obj):
+        with pytest.raises(TypeError, match="keys must be str"):
+            _dumps(obj)
 
 
 class TestSelfcheck:
