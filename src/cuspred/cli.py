@@ -22,9 +22,10 @@ Every subcommand accepts a file path, inline JSON, or "-" for stdin, and
 prints JSON (canonically ordered, byte-deterministic) or markdown.
 Every JSON output is byte for byte json.dumps(payload, sort_keys=True,
 indent=2) of its payload, produced by one writer that lays out each
-subtree shared within a payload once.  enumerate writes its listing as
-it goes, datum by datum, and never holds it whole; its bytes are those
-of the whole listing rendered at once.
+subtree shared within a payload once.  enumerate holds each factor's
+supports, never the data: it counts from them and writes its listing
+datum by datum, each datum's text joined from its two supports' texts;
+its bytes are those of the whole listing rendered at once.
 Exit codes: 0 success, 1 failed validation or a failed check, 2 bad
 input: a file that is not UTF-8, malformed JSON, input that is not a
 JSON object, a key given twice in one object, an unknown key, a missing
@@ -59,8 +60,10 @@ from json.encoder import encode_basestring_ascii
 from .cuspdata import (
     CuspidalDatum,
     FactorSupport,
+    census_total_reps,
     count_representations,
-    enumerate_data,
+    datum_label,
+    enumerate_census,
     support_violation,
 )
 from .ffpoly import MAX_ENUM_DEGREE, DegreeLimitError, FieldSpec, Poly, SelfDualClass
@@ -575,13 +578,18 @@ def _write_json_list(write, texts) -> None:
     write("[]" if sep == "[\n    " else "\n  ]")
 
 
-def _data_texts(group: GroupSpec, data):
+def _reused(supports1, texts2):
+    """The second slot's texts of a parahoric, held (for that parahoric
+    alone) only when more than one first-slot support pairs with them."""
+    return list(texts2) if len(supports1) > 1 else texts2
+
+
+def _data_texts(group: GroupSpec, census):
     """Each datum's text as json.dumps(..., sort_keys=True, indent=2) sets
-    it in the "data" list of an enumerate listing.  The group, each
-    parahoric and each support entry are rendered once; the keys are
-    written in sorted order."""
+    it in the "data" list of an enumerate listing, joined from the texts
+    of the group, its parahoric and its two supports, each rendered once
+    per parahoric.  The keys are written in sorted order."""
     group_text = _dumps(group_to_obj(group), 3)
-    parahoric_text = cache(lambda parahoric: _dumps(parahoric_to_obj(parahoric), 3))
     entry_text = cache(lambda entry: _dumps(entry_to_obj(*entry), 5))
 
     def support_text(support: FactorSupport) -> str:
@@ -590,12 +598,26 @@ def _data_texts(group: GroupSpec, data):
         entries = ",\n          ".join([entry_text(entry) for entry in support.entries])
         return f"[\n          {entries}\n        ]"
 
-    for datum in data:
-        s1, s2 = datum.supports
-        yield (f'{{\n      "group": {group_text},'
-               f'\n      "parahoric": {parahoric_text(datum.parahoric)},'
-               f'\n      "supports": [\n        {support_text(s1)},'
-               f'\n        {support_text(s2)}\n      ]\n    }}')
+    for parahoric, (supports1, supports2) in census:
+        head = (f'{{\n      "group": {group_text},'
+                f'\n      "parahoric": {_dumps(parahoric_to_obj(parahoric), 3)},'
+                '\n      "supports": [\n        ')
+        texts2 = _reused(supports1, map(support_text, supports2))
+        for s1 in supports1:
+            head1 = f"{head}{support_text(s1)},\n        "
+            for text2 in texts2:
+                yield f"{head1}{text2}\n      ]\n    }}"
+
+
+def _datum_labels(census):
+    """Each datum's label, joined from the labels of its two supports, each
+    rendered once per parahoric."""
+    for parahoric, (supports1, supports2) in census:
+        labels2 = _reused(supports1, map(str, supports2))
+        for s1 in supports1:
+            label1 = str(s1)
+            for label2 in labels2:
+                yield datum_label(parahoric, label1, label2)
 
 
 def _cmd_enumerate(args) -> int:
@@ -605,31 +627,35 @@ def _cmd_enumerate(args) -> int:
         obj = obj["group"]
     group = group_from_obj(obj)
     try:
-        data = enumerate_data(group, max_degree=args.degree)
+        census = enumerate_census(group, max_degree=args.degree)
     except DegreeLimitError as err:
         raise SchemaError(f"{err}: pass --degree {MAX_ENUM_DEGREE} or less") from err
-    total_reps = sum(count_representations(d).total for d in data)
-    # Written datum by datum, never held whole.  The JSON is byte for byte
-    # json.dumps(listing, sort_keys=True, indent=2) of the listing as one
-    # object, so count comes before data and labels.
+    # Only each factor's supports are held, never the data: the count and
+    # the representations are read off them, and the listing is written
+    # datum by datum, each datum's text joined from its supports' texts.
+    # The JSON is byte for byte json.dumps(listing, sort_keys=True,
+    # indent=2) of the listing as one object, so count comes before data
+    # and labels.
+    count = sum(len(s1) * len(s2) for _, (s1, s2) in census)
+    total_reps = census_total_reps(census)
     write = sys.stdout.write
     if args.format == "md":
         bound = "none" if args.degree is None else args.degree
         write(f"# enumerate {group}\n\n- degree bound: {bound}\n"
-              f"- cuspidal data: {len(data)}\n- representations: {total_reps}\n")
+              f"- cuspidal data: {count}\n- representations: {total_reps}\n")
         if not args.count:
-            for datum in data:
-                write(f"    - {datum}\n")
+            for label in _datum_labels(census):
+                write(f"    - {label}\n")
         return 0
-    write(f'{{\n  "count": {len(data)},\n')
+    write(f'{{\n  "count": {count},\n')
     if not args.count:
         write('  "data": ')
-        _write_json_list(write, _data_texts(group, data))
+        _write_json_list(write, _data_texts(group, census))
         write(",\n")
     write(f'  "degree_bound": {_dumps(args.degree)},\n  "group": {_dumps(str(group))},\n')
     if not args.count:
         write('  "labels": ')
-        _write_json_list(write, (_dumps(str(d)) for d in data))
+        _write_json_list(write, map(_dumps, _datum_labels(census)))
         write(",\n")
     write(f'  "total_reps": {total_reps}\n}}\n')
     return 0
@@ -783,7 +809,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=_bound, default=None,
                    help="bound on polynomial class degrees")
     p.add_argument("--count", action="store_true",
-                   help="print only the census size")
+                   help="print only the number of data and of representations")
 
     p = add("selfcheck", _cmd_selfcheck, "exhaustive consistency sweep",
             needs_input=False)

@@ -33,7 +33,10 @@ entry per class: x - 1 and x + 1 under the trivial involution, then the
 classes by degree.  A signature spends both slots, with an entry for
 each of x -+ 1 and one per pooled degree, holding a copy per class of
 that degree.  Either way the results come in lexicographic order of the
-multiplicities.
+multiplicities.  A census (enumerate_census) keeps each maximal
+parahoric with the supports of its two factors: its data are the
+products of the two lists, so a census is counted and listed without
+building a datum.
 
 Every computed quantity reads a datum through one map, CuspidalDatum.pairs:
 each support class, together with x - 1 and x + 1, goes to its pair of
@@ -48,7 +51,8 @@ product: a slot gives n when no sign reaches it, 1 when swapped and 2n
 otherwise (packets.full_orthogonal_count, a sign per slot of positive
 dimension).  The component group of the parahoric has order 1, giving
 n1 n2, or 2 with one sign flipping both slots, giving n1 n2 / 2 when a
-slot is swapped and 2 n1 n2 when none is (count_representations).
+slot is swapped and 2 n1 n2 when none is (_orbit_total, which serves
+count_representations for one datum and census_total_reps for a census).
 """
 
 from __future__ import annotations
@@ -89,7 +93,10 @@ __all__ = [
     "validate_support",
     "count_representations",
     "slot_series",
+    "datum_label",
     "enumerate_supports",
+    "enumerate_census",
+    "census_total_reps",
     "enumerate_data",
     "enumerate_signatures",
     "signature_of",
@@ -254,8 +261,14 @@ class CuspidalDatum:
                 for cls in sorted(classes, key=lambda c: c.sort_key)}
 
     def __str__(self) -> str:
-        s1, s2 = self.supports
-        return f"{self.parahoric} [{s1}] x [{s2}]"
+        return datum_label(self.parahoric, *self.supports)
+
+
+def datum_label(parahoric: ParahoricSpec, support1: FactorSupport | str,
+                support2: FactorSupport | str) -> str:
+    """The label of a datum, from its parahoric and two supports or from
+    their str texts: "<parahoric> [<support 1>] x [<support 2>]"."""
+    return f"{parahoric} [{support1}] x [{support2}]"
 
 
 @dataclass(frozen=True)
@@ -286,21 +299,27 @@ def slot_series(factor: FiniteFactor, support: FactorSupport, field: FieldSpec) 
     return 1, "fixed"
 
 
+def _orbit_total(order: int, slot1: tuple[int, str], slot2: tuple[int, str]) -> int:
+    """The orbit rule of the module docstring: representations above two
+    slots of the given slot_series, under a component group of the given
+    order."""
+    (n1, act1), (n2, act2) = slot1, slot2
+    if order == 1:
+        return n1 * n2
+    if "swapped" in (act1, act2):
+        return n1 * n2 // 2
+    return 2 * n1 * n2
+
+
 def count_representations(datum: CuspidalDatum) -> RepCount:
     """Representations above the datum: the orbit rule of the module
     docstring under the component group."""
     field = datum.field
     (f1, f2) = datum.parahoric.factors
-    n1, act1 = slot_series(f1, datum.supports[0], field)
-    n2, act2 = slot_series(f2, datum.supports[1], field)
+    slots = (slot_series(f1, datum.supports[0], field), slot_series(f2, datum.supports[1], field))
+    (n1, act1), (n2, act2) = slots
     order = component_group_order(datum.parahoric)
-    if order == 1:
-        total = n1 * n2
-    elif "swapped" in (act1, act2):
-        total = n1 * n2 // 2
-    else:
-        total = 2 * n1 * n2
-    return RepCount(n1, n2, order, (act1, act2), total)
+    return RepCount(n1, n2, order, (act1, act2), _orbit_total(order, *slots))
 
 
 def _degree_pool(field: FieldSpec, budget: int, max_degree: int | None) -> range:
@@ -385,13 +404,47 @@ def enumerate_supports(factor: FiniteFactor, field: FieldSpec,
     return tuple(s for s in supports if support_violation(factor, s, field) is None)
 
 
+Census = tuple[tuple[ParahoricSpec, tuple[tuple[FactorSupport, ...], ...]], ...]
+
+
+def enumerate_census(group: GroupSpec, max_degree: int | None = None) -> Census:
+    """Every maximal parahoric of the group with the valid supports of its
+    two factors.  The data on a parahoric are the products of its two
+    lists, first support outermost; every product is a valid datum.  Each
+    distinct factor's supports are enumerated once per call."""
+    supports: dict[FiniteFactor, tuple[FactorSupport, ...]] = {}
+    census = []
+    for parahoric in enumerate_parahorics(group):
+        if not parahoric.maximal:
+            continue
+        for factor in parahoric.factors:
+            if factor not in supports:
+                supports[factor] = enumerate_supports(factor, group.field, max_degree)
+        census.append((parahoric, tuple(supports[f] for f in parahoric.factors)))
+    return tuple(census)
+
+
+def census_total_reps(census: Census) -> int:
+    """The sum of count_representations over every datum of the census:
+    the orbit rule once per pair of slot series, weighted by how many
+    supports of each slot give them."""
+    total = 0
+    for parahoric, slots in census:
+        field = parahoric.group.field
+        order = component_group_order(parahoric)
+        series1, series2 = (Counter(slot_series(factor, s, field) for s in supports)
+                            for factor, supports in zip(parahoric.factors, slots))
+        total += sum(k1 * k2 * _orbit_total(order, slot1, slot2)
+                     for slot1, k1 in series1.items() for slot2, k2 in series2.items())
+    return total
+
+
 def enumerate_data(group: GroupSpec, max_degree: int | None = None) -> tuple[CuspidalDatum, ...]:
-    """Every cuspidal datum of the group, over all maximal parahorics."""
-    return tuple(
-        CuspidalDatum(parahoric, supports)
-        for parahoric in enumerate_parahorics(group) if parahoric.maximal
-        for supports in itertools.product(*(enumerate_supports(f, group.field, max_degree)
-                                            for f in parahoric.factors)))
+    """Every cuspidal datum of the group, over all maximal parahorics: the
+    products of enumerate_census, each built and validated."""
+    return tuple(CuspidalDatum(parahoric, supports)
+                 for parahoric, slots in enumerate_census(group, max_degree)
+                 for supports in itertools.product(*slots))
 
 
 # ---------------------------------------------------------------------------

@@ -157,12 +157,28 @@ class TestEnumerate:
                    for obj in rep["data"])
 
     def test_listing_is_written_as_it_goes(self):
+        # Only each factor's supports are held, never the data.
         # SO(15)/F3 at degree 8: 823 data, 811,167 bytes of JSON.  Listing
         # the data peaks at 0.15 MB.  Building the payload dicts and one
         # json.dumps of them peaked at 7.7 MB; writing datum by datum peaks
-        # at 0.25 MB.  The bound leaves no room for the text held whole.
-        obj = {"family": "SOodd", "witt_index": 7, "aniso": [1, 0], "field": {"p": 3}}
-        argv = ["enumerate", "--format", "json", "--degree", "8", json.dumps(obj)]
+        # at 0.17 MB.  The bound leaves no room for the text held whole.
+        so15 = {"family": "SOodd", "witt_index": 7, "aniso": [1, 0], "field": {"p": 3}}
+        written, listed = self.listing_peaks(so15, 8)
+        assert written < listed + 400 * 1024, (written, listed)
+        # U(8)/F9 at degree 5: 7,701 data, 7,410,302 bytes of JSON.  Listing
+        # the data peaks at 1.4 MB; writing from the support lists peaks at
+        # 0.46 MB.  The bound leaves no room for the data built, nor for
+        # every support's text held at once (0.95 MB).
+        u8 = {"family": "Uunram", "witt_index": 4, "aniso": [0, 0],
+              "field": {"p": 3, "e": 2, "ext": "quadratic"}}
+        written, listed = self.listing_peaks(u8, 5)
+        assert written < listed / 2, (written, listed)
+
+    @staticmethod
+    def listing_peaks(obj, degree) -> tuple[int, int]:
+        """tracemalloc peaks of the JSON listing written to devnull and of
+        enumerate_data on the same group, with the class caches filled."""
+        argv = ["enumerate", "--format", "json", "--degree", str(degree), json.dumps(obj)]
 
         def peak(func) -> int:
             tracemalloc.start()
@@ -173,10 +189,9 @@ class TestEnumerate:
                 tracemalloc.stop()
 
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-            assert main(argv) == 0  # fills the class and support caches
+            assert main(argv) == 0  # fills the class caches
             written = peak(lambda: main(argv))
-        listed = peak(lambda: enumerate_data(group_from_obj(obj), max_degree=8))
-        assert written < listed + 400 * 1024, (written, listed)
+        return written, peak(lambda: enumerate_data(group_from_obj(obj), max_degree=degree))
 
 
 def listing_oracle(group, degree, count_only: bool) -> dict:
@@ -225,6 +240,12 @@ class TestListingBytes:
         assert len(groups) == 88
         for group in groups:
             self.check(capsys, group, 4)
+
+    def test_every_small_group_count_at_degree_4(self, capsys):
+        # --count reads the census size and the representations off the
+        # support lists, apart from the listing.
+        for group in iter_group_specs((3, 5), 5):
+            self.check(capsys, group, 4, count_only=True)
 
     def test_gallery_groups_without_degree_bound(self, capsys):
         # so20 and u14 would list classes past degree 8 and are refused.

@@ -12,8 +12,10 @@ import pytest
 from cuspred.cuspdata import (
     CuspidalDatum,
     FactorSupport,
+    census_total_reps,
     char_poly_exponent,
     count_representations,
+    enumerate_census,
     enumerate_data,
     enumerate_signatures,
     enumerate_supports,
@@ -364,6 +366,52 @@ class TestEnumeration:
         assert len(enumerate_data(group, max_degree=2)) == 8
         for d in data:
             count_representations(d)  # must not raise
+
+    # The ten groups of the benchmark's census workload, with the class
+    # degree bound of each and its number of data.
+    CENSUS_GROUPS = [
+        (GroupSpec("Sp", 16, 8, (0, 0), F3), 8, 3648),
+        (GroupSpec("Sp", 12, 6, (0, 0), F5), 4, 2332),
+        (GroupSpec("SOeven", 16, 8, (0, 0), F3), 8, 1363),
+        (GroupSpec("SOeven", 14, 6, (1, 1), F5), 4, 1518),
+        (GroupSpec("SOodd", 15, 7, (1, 0), F3), 8, 823),
+        (GroupSpec("SOodd", 13, 6, (1, 0), F5), 6, 3700),
+        (GroupSpec("Uunram", 8, 4, (0, 0), F9Q), 5, 7701),
+        (GroupSpec("Uunram", 5, 2, (1, 0), FieldSpec(5, 2, "quadratic")), 3, 3366),
+        (GroupSpec("Uram", 13, 6, (0, 1), F3, epsilon=-1), 8, 564),
+        (GroupSpec("Uram", 13, 6, (1, 0), F5, epsilon=1), 6, 6222),
+    ]
+
+    def test_census_counts_match_the_data(self):
+        # enumerate counts and lists from the census without building a
+        # datum.  That rests on every product of a parahoric's two support
+        # lists being a valid datum: CuspidalDatum validates each one here.
+        cases = [(g, 4, None) for g in iter_group_specs((3, 5), 5)] + self.CENSUS_GROUPS
+        assert len(cases) == 98
+        for group, degree, size in cases:
+            census = enumerate_census(group, degree)
+            data = [CuspidalDatum(parahoric, supports) for parahoric, slots in census
+                    for supports in itertools.product(*slots)]
+            assert tuple(data) == enumerate_data(group, degree), str(group)
+            assert sum(len(s1) * len(s2) for _, (s1, s2) in census) == len(data), str(group)
+            assert size in (None, len(data)), str(group)
+            assert census_total_reps(census) == \
+                sum(count_representations(d).total for d in data), str(group)
+
+    def test_census_enumerates_each_factor_once(self, monkeypatch):
+        # Sp(12)/F3: seven parahorics Sp(2 n1) x Sp(2 n2), seven factors.
+        calls = []
+
+        def counted(factor, field, max_degree=None):
+            calls.append(factor)
+            return enumerate_supports(factor, field, max_degree)
+
+        monkeypatch.setattr("cuspred.cuspdata.enumerate_supports", counted)
+        census = enumerate_census(GroupSpec("Sp", 12, 6, (0, 0), F3), 4)
+        assert len(census) == 7
+        assert sorted(f.dim for f in calls) == [0, 2, 4, 6, 8, 10, 12]
+        for parahoric, slots in census:
+            assert slots == tuple(enumerate_supports(f, F3, 4) for f in parahoric.factors)
 
     def test_every_enumerated_datum_is_valid(self):
         group = GroupSpec("SOodd", 5, 2, (0, 1), F3)
