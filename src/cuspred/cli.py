@@ -39,8 +39,9 @@ more than 4,300 digits, a negative --degree or --dualdim, a selfcheck
 residue size or check given twice, a selfcheck residue size other than
 an odd prime q0 with F(q0^2) of at most 32 elements (so 3 or 5), an
 empty check name, or an enumerate or a selfcheck that would list classes
-past degree 8 (pass --degree 8 or less; selfcheck refuses before it
-sweeps, when both --degree and --dualdim exceed 8). An unknown examples
+past degree 8 (pass --degree 8 or less; enumerate refuses before it
+lists any class, and selfcheck before it sweeps, when both --degree and
+--dualdim exceed 8). An unknown examples
 --name, the empty one included, exits 2 too.  An internal invariant
 failure (a failed assertion or a KeyError raised inside the library)
 exits 1 with "internal error:" and the input JSON as a reproducer on
@@ -51,6 +52,7 @@ ends the command with exit 1 and nothing on stderr.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -664,13 +666,11 @@ def _cmd_enumerate(args) -> int:
 # ---------------------------------------------------------------- selfcheck
 
 def _cmd_selfcheck(args) -> int:
-    checks = ALL_CHECKS if args.checks is None else tuple(args.checks.split(","))
+    # Only the options given are passed on: run_selfcheck holds the defaults.
+    given = {"q0_values": args.q, "max_dual": args.dualdim, "max_degree": args.degree,
+             "checks": None if args.checks is None else args.checks.split(",")}
     try:
-        report = run_selfcheck(
-            q0_values=tuple(args.q) if args.q else (3, 5),
-            max_dual=args.dualdim,
-            max_degree=args.degree if args.degree is not None else 4,
-            checks=checks)
+        report = run_selfcheck(**{k: v for k, v in given.items() if v is not None})
     except DegreeLimitError as err:
         raise SchemaError(f"{err}: pass --degree {MAX_ENUM_DEGREE} or less") from err
     except ValueError as err:
@@ -813,13 +813,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("selfcheck", _cmd_selfcheck, "exhaustive consistency sweep",
             needs_input=False)
+    defaults = {k: v.default for k, v in inspect.signature(run_selfcheck).parameters.items()}
     p.add_argument("--q", type=int, action="append",
-                   help="residue field size q0, an odd prime with F(q0^2) of at most "
-                        "32 elements; repeatable (default 3 and 5)")
-    p.add_argument("--dualdim", type=_bound, default=13,
-                   help="bound on the dual dimension (default 13)")
+                   help="residue field size q0, an odd prime with F(q0^2) of at most 32 elements;"
+                        f" repeatable (default {' and '.join(map(str, defaults['q0_values']))})")
+    p.add_argument("--dualdim", type=_bound, default=None,
+                   help=f"bound on the dual dimension (default {defaults['max_dual']})")
     p.add_argument("--degree", type=_bound, default=None,
-                   help="bound on polynomial class degrees (default 4)")
+                   help=f"bound on polynomial class degrees (default {defaults['max_degree']})")
     p.add_argument("--checks", default=None,
                    help=f"comma separated subset of {','.join(ALL_CHECKS)}")
 

@@ -60,7 +60,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from math import factorial, perm
 from operator import sub
 
@@ -411,17 +411,21 @@ def enumerate_census(group: GroupSpec, max_degree: int | None = None) -> Census:
     """Every maximal parahoric of the group with the valid supports of its
     two factors.  The data on a parahoric are the products of its two
     lists, first support outermost; every product is a valid datum.  Each
-    distinct factor's supports are enumerated once per call."""
-    supports: dict[FiniteFactor, tuple[FactorSupport, ...]] = {}
-    census = []
-    for parahoric in enumerate_parahorics(group):
-        if not parahoric.maximal:
-            continue
-        for factor in parahoric.factors:
-            if factor not in supports:
-                supports[factor] = enumerate_supports(factor, group.field, max_degree)
-        census.append((parahoric, tuple(supports[f] for f in parahoric.factors)))
-    return tuple(census)
+    distinct factor's supports are enumerated once per call.
+
+    The census lists classes up to the top pool degree of its widest
+    factor, and it lists that degree first, so that a census past
+    MAX_ENUM_DEGREE refuses before it lists any class.  The widest factor
+    of a slot sits on the first maximal parahoric from that slot's end of
+    the chain, so the reach is found without walking the whole chain."""
+    chain = enumerate_parahorics(group)
+    widest = max(next((p.factors[slot].dual_dim for p in walk if p.maximal), 0)
+                 for slot, walk in enumerate((chain, reversed(chain))))
+    degrees = _degree_pool(group.field, widest, max_degree)
+    if degrees:  # refuses past the cap; within it, the supports reuse the classes
+        enumerate_self_dual_classes(group.field, degrees[-1])
+    supports = cache(partial(enumerate_supports, field=group.field, max_degree=max_degree))
+    return tuple((p, tuple(map(supports, p.factors))) for p in chain if p.maximal)
 
 
 def census_total_reps(census: Census) -> int:

@@ -159,8 +159,6 @@ class FieldTable:
     """Precomputed arithmetic for one FieldSpec, encoded as the module says."""
 
     def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.p = spec.p
         self.q = spec.q
         p, e, q = spec.p, spec.e, spec.q
 

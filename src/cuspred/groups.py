@@ -97,6 +97,7 @@ _SPLIT_ERRORS = {
 }
 
 
+_FAMILY_NAMES = {"Sp": "Sp", "SOodd": "SO", "SOeven": "SO", "Uunram": "U", "Uram": "U"}
 _DUAL_SHIFT = {"Sp": 1, "SOodd": -1}
 
 
@@ -206,16 +207,18 @@ class GroupSpec:
         end1, end2 = _ENDS[self.family, self.epsilon]
         return (end1[self.aniso[0]], end2[self.aniso[1]])
 
+    @cached_property
+    def name(self) -> str:
+        """The classical name and dimension, as in Sp(6) or U(5)."""
+        return f"{_FAMILY_NAMES[self.family]}({self.dim})"
+
     def __str__(self) -> str:
-        name = {"Sp": "Sp", "SOodd": "SO", "SOeven": "SO", "Uunram": "U", "Uram": "U"}[self.family]
         tags = [f"w{self.witt}", f"a{self.aniso[0]}{self.aniso[1]}"]
         if self.family == "Uram":
             tags.append("e+" if self.epsilon > 0 else "e-")
         if self.family == "Uunram":
             tags.append("ur")
-        base = f"{name}({self.dim})"
-        extra = ",".join(tags)
-        return f"{base}[{extra}]/F{self.field.q}"
+        return f"{self.name}[{','.join(tags)}]/F{self.field.q}"
 
 
 def dual_dimension(group: GroupSpec) -> int:
@@ -272,9 +275,7 @@ class ParahoricSpec:
     @cached_property
     def label(self) -> str:
         """The name every datum label starts with, formatted once."""
-        g = self.group
-        name = str(g).split("[")[0]
-        return f"{name}/F{g.field.q}:({self.n1},{self.n2})"
+        return f"{self.group.name}/F{self.group.field.q}:({self.n1},{self.n2})"
 
     def __str__(self) -> str:
         return self.label

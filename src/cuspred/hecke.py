@@ -52,6 +52,7 @@ __all__ = [
     "parameter_pair",
     "exponent_pair",
     "reducibility_pair",
+    "real_points",
     "iteration_domain",
     "ired",
     "jordan",
@@ -91,9 +92,6 @@ class HalfInt:
         if self.twice % 2 == 0:
             return str(self.twice // 2)
         return f"{self.twice}/2"
-
-    def __repr__(self) -> str:
-        return f"HalfInt({self.twice})"
 
 
 def finite_parameter(kind: str, cls: SelfDualClass, m: int) -> HalfInt:
@@ -140,11 +138,17 @@ def iteration_domain(datum: CuspidalDatum) -> tuple[SelfDualClass, ...]:
     return tuple(datum.pairs)
 
 
+def real_points(s_pair: tuple[HalfInt, HalfInt]) -> tuple[int, ...]:
+    """The real reducibility points of a class with exponents (s, s'), in
+    slots of any kinds: the members with s >= 1, as their doubles 2s."""
+    return tuple(s.twice for s in s_pair if s.twice >= 2)
+
+
 def ired(datum: CuspidalDatum) -> tuple[tuple[SelfDualClass, HalfInt], ...]:
-    """Multiset of real reducibility points: members with s >= 1."""
+    """Multiset of real reducibility points, class by class."""
     # Classes come in canonical order and s >= s', so this is sorted.
-    return tuple((cls, s) for cls in datum.pairs
-                 for s in reducibility_pair(datum, cls) if s.twice >= 2)
+    return tuple((cls, HalfInt(twice)) for cls in datum.pairs
+                 for twice in real_points(reducibility_pair(datum, cls)))
 
 
 def jordan_chain(s: HalfInt) -> tuple[int, ...]:
@@ -187,11 +191,6 @@ class ClassReport:
     s_pair: tuple[HalfInt, HalfInt]
     chains: tuple[tuple[int, ...], tuple[int, ...]]
 
-    def __str__(self) -> str:
-        f1, f2 = self.f_pair
-        s, s2 = self.s_pair
-        return f"{self.cls.label}: f=({f1},{f2}) s=({s},{s2})"
-
 
 @dataclass(frozen=True)
 class ReducibilityReport:
@@ -229,18 +228,10 @@ class ShapeMember:
     s: HalfInt
     chain: tuple[int, ...]
 
-    def __str__(self) -> str:
-        body = ",".join(str(m) for m in self.chain) if self.chain else "-"
-        return f"{self.tag}<-[{body}]"
-
 
 @dataclass(frozen=True)
 class ParamShape:
     entries: tuple[tuple[SelfDualClass, tuple[ShapeMember, ShapeMember]], ...]
-
-    def __str__(self) -> str:
-        return "; ".join(
-            f"{cls.label}: {members[0]} {members[1]}" for cls, members in self.entries)
 
 
 def _member_tags(cls: SelfDualClass, trivial_ext: bool) -> tuple[str, str]:

@@ -25,8 +25,8 @@ The search scores every subset on integers before it builds anything.
 Against the slot kinds of the group searched, each class of datum.pairs
 has, unswapped and swapped, its two slot exponent costs a_P(m) deg P
 (x - 1 at m = 0 costs the implicit Sp entry), its two minus-type block
-counts, and its real reducibility points (the members with s >= 1, read
-through hecke.exponent_pair).  All three are per class: the totals
+counts, and its real reducibility points (hecke.real_points, the s >= 1
+members of hecke.exponent_pair).  All three are per class: the totals
 and block counts of a swapped datum are sums over its classes, and its
 IRed lists the points class by class in canonical order.  So a subset
 scores as the unswapped sums plus the deltas of its classes, and it
@@ -73,7 +73,7 @@ from .cuspdata import (
 )
 from .ffpoly import SelfDualClass, class_x_plus_one
 from .groups import GroupSpec, ParahoricSpec, group_forms, parahoric_of
-from .hecke import HalfInt, exponent_pair, ired, jordan
+from .hecke import HalfInt, exponent_pair, ired, jordan, real_points
 
 __all__ = [
     "QSets",
@@ -189,12 +189,6 @@ def _class_score(kinds: tuple[str, str], cls: SelfDualClass, pair) -> tuple[int,
             *(minus_type_exponent(cls, m) for m in pair))
 
 
-def _real_points(kinds: tuple[str, str], cls: SelfDualClass, pair) -> tuple[int, ...]:
-    """Doubled reducibility exponents s >= 1 of the class in slots of the
-    given kinds."""
-    return tuple(s.twice for s in exponent_pair(kinds, cls, pair) if s.twice >= 2)
-
-
 def _prescore(group: GroupSpec, datum: CuspidalDatum, raw):
     """Yield (swap set, parahoric, same points) for every subset of the
     raw classes, in _subsets order, whose swap passes the integer
@@ -212,8 +206,8 @@ def _prescore(group: GroupSpec, datum: CuspidalDatum, raw):
     must_swap = must_stay = 0
     moved = False  # a class that never swaps has other points on this group
     for cls, pair in datum.pairs.items():
-        points = _real_points(own, cls, pair)
-        stays = kinds == own or _real_points(kinds, cls, pair) == points
+        points = real_points(exponent_pair(own, cls, pair))
+        stays = kinds == own or real_points(exponent_pair(kinds, cls, pair)) == points
         i = index.get(cls)
         if i is None:
             moved = moved or not stays
@@ -221,7 +215,7 @@ def _prescore(group: GroupSpec, datum: CuspidalDatum, raw):
         swapped = pair[::-1]
         deltas[i] = tuple(b - a for a, b in zip(scores[cls], _class_score(kinds, cls, swapped)))
         must_swap |= (not stays) << i
-        must_stay |= (_real_points(kinds, cls, swapped) != points) << i
+        must_stay |= (real_points(exponent_pair(kinds, cls, swapped)) != points) << i
     for subset in _subsets(range(len(raw))):
         t1, t2, b1, b2 = map(sum, zip(base, *(deltas[i] for i in subset)))
         parahoric = parahoric_of(group, (t1, t2))

@@ -44,9 +44,6 @@ __all__ = [
     "run_selfcheck",
 ]
 
-ALL_CHECKS = ("identity", "recovery", "epsilon", "census-law")
-
-
 @dataclass(frozen=True)
 class CheckFailure:
     check: str
@@ -72,7 +69,7 @@ class SelfcheckReport:
         return not any(self.failure_counts.values())
 
 
-def iter_group_specs(q0_values=(3, 5), max_dual: int = 13):
+def iter_group_specs(q0_values, max_dual: int):
     """Every group of every family with dual dimension at most the bound."""
     for q0 in q0_values:
         trivial = FieldSpec(q0)
@@ -125,6 +122,7 @@ _CHECKS = {
     "epsilon": _check_epsilon,
     "census-law": _check_census_law,
 }
+ALL_CHECKS = tuple(_CHECKS)
 
 
 def _check_selection(what: str, values) -> None:

@@ -14,7 +14,7 @@ import pytest
 import cuspred
 from cuspred.cli import _dumps, datum_from_obj, datum_to_obj, group_from_obj, group_to_obj, main
 from cuspred.cuspdata import CuspidalDatum, count_representations, enumerate_data
-from cuspred.ffpoly import DegreeLimitError, FieldSpec, count_self_dual_classes
+from cuspred.ffpoly import MAX_ENUM_DEGREE, DegreeLimitError, FieldSpec, enumerate_self_dual_classes
 from cuspred.fixtures import gallery, gallery_entry
 from cuspred.groups import GroupSpec
 from cuspred.selfcheck import iter_group_specs
@@ -554,19 +554,30 @@ class TestErrorPaths:
             assert "--degree 8 or less" in err
 
     def test_enumerate_refuses_large_witt_index_at_once(self, capsys, monkeypatch):
-        # Sp(200000) without --degree: the degree-10 class listing refuses
-        # before any class count past degree 10 is taken.
-        def bounded(field, degree):
-            if degree > 10:
-                raise AssertionError(f"counted the classes of degree {degree}")
-            return count_self_dual_classes(field, degree)
+        # Without --degree, the census tries the top pool degree of its
+        # widest factor first, so it refuses before it lists any class: a
+        # listing within the cap would be a class listed before the refusal.
+        tried = []
 
-        monkeypatch.setattr("cuspred.cuspdata.count_self_dual_classes", bounded)
-        group = json.dumps({"family": "Sp", "witt_index": 100000, "aniso": [0, 0],
-                            "field": {"p": 3}})
-        code, out, err = run(capsys, "enumerate", "--count", group)
-        assert (code, out) == (2, "")
-        assert err == "error: enumeration is limited to degree 8: pass --degree 8 or less\n"
+        def recorded(field, degree):
+            tried.append((field.q, degree))
+            if degree <= MAX_ENUM_DEGREE:
+                raise AssertionError(f"listed the degree {degree} classes before the refusal")
+            return enumerate_self_dual_classes(field, degree)
+
+        monkeypatch.setattr("cuspred.cuspdata.enumerate_self_dual_classes", recorded)
+        cases = [("Sp", 100000, (0, 0), 200000), ("Sp", 10, (0, 0), 20),
+                 # only the second slot's widest factor, SO-(10), is past the cap
+                 ("SOeven", 4, (0, 2), 10)]
+        for p in (3, 31):
+            for family, witt, aniso, top in cases:
+                group = json.dumps({"family": family, "witt_index": witt,
+                                    "aniso": list(aniso), "field": {"p": p}})
+                tried.clear()
+                code, out, err = run(capsys, "enumerate", "--count", group)
+                assert (code, out) == (2, "")
+                assert err == "error: enumeration is limited to degree 8: pass --degree 8 or less\n"
+                assert tried == [(p, top)]
 
     def test_selfcheck_refuses_degree_past_limit_before_sweeping(self, capsys, monkeypatch):
         def sweep(*args):
