@@ -52,7 +52,6 @@ ends the command with exit 1 and nothing on stderr.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -73,7 +72,7 @@ from .fixtures import evaluate_entry, gallery, gallery_entry
 from .groups import GroupSpec, ParahoricSpec
 from .hecke import ired, jordan, parameter_shapes, reducibility_report
 from .packets import companions, cross_form_companions, packet_stats
-from .selfcheck import ALL_CHECKS, run_selfcheck
+from .selfcheck import ALL_CHECKS, DEFAULT_DEGREE, DEFAULT_DUAL, DEFAULT_Q0, run_selfcheck
 
 __all__ = [
     "SchemaError",
@@ -666,7 +665,7 @@ def _cmd_enumerate(args) -> int:
 # ---------------------------------------------------------------- selfcheck
 
 def _cmd_selfcheck(args) -> int:
-    # Only the options given are passed on: run_selfcheck holds the defaults.
+    # Only the options given are passed on: selfcheck holds the defaults.
     given = {"q0_values": args.q, "max_dual": args.dualdim, "max_degree": args.degree,
              "checks": None if args.checks is None else args.checks.split(",")}
     try:
@@ -813,14 +812,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("selfcheck", _cmd_selfcheck, "exhaustive consistency sweep",
             needs_input=False)
-    defaults = {k: v.default for k, v in inspect.signature(run_selfcheck).parameters.items()}
     p.add_argument("--q", type=int, action="append",
                    help="residue field size q0, an odd prime with F(q0^2) of at most 32 elements;"
-                        f" repeatable (default {' and '.join(map(str, defaults['q0_values']))})")
+                        f" repeatable (default {' and '.join(map(str, DEFAULT_Q0))})")
     p.add_argument("--dualdim", type=_bound, default=None,
-                   help=f"bound on the dual dimension (default {defaults['max_dual']})")
+                   help=f"bound on the dual dimension (default {DEFAULT_DUAL})")
     p.add_argument("--degree", type=_bound, default=None,
-                   help=f"bound on polynomial class degrees (default {defaults['max_degree']})")
+                   help=f"bound on polynomial class degrees (default {DEFAULT_DEGREE})")
     p.add_argument("--checks", default=None,
                    help=f"comma separated subset of {','.join(ALL_CHECKS)}")
 

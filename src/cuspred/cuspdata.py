@@ -60,7 +60,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from math import factorial, perm
 from operator import sub
 
@@ -419,13 +419,22 @@ def enumerate_census(group: GroupSpec, max_degree: int | None = None) -> Census:
     of a slot sits on the first maximal parahoric from that slot's end of
     the chain, so the reach is found without walking the whole chain."""
     chain = enumerate_parahorics(group)
-    widest = max(next((p.factors[slot].dual_dim for p in walk if p.maximal), 0)
-                 for slot, walk in enumerate((chain, reversed(chain))))
+    first = next(p for p in chain if p.maximal)  # every group has a maximal parahoric
+    last = next(p for p in reversed(chain) if p.maximal)
+    widest = max(first.factors[0].dual_dim, last.factors[1].dual_dim)
     degrees = _degree_pool(group.field, widest, max_degree)
     if degrees:  # refuses past the cap; within it, the supports reuse the classes
         enumerate_self_dual_classes(group.field, degrees[-1])
-    supports = cache(partial(enumerate_supports, field=group.field, max_degree=max_degree))
-    return tuple((p, tuple(map(supports, p.factors))) for p in chain if p.maximal)
+    supports: dict[FiniteFactor, tuple[FactorSupport, ...]] = {}
+    census = []
+    for parahoric in chain:
+        if not parahoric.maximal:
+            continue
+        for factor in parahoric.factors:
+            if factor not in supports:
+                supports[factor] = enumerate_supports(factor, group.field, max_degree)
+        census.append((parahoric, tuple(supports[f] for f in parahoric.factors)))
+    return tuple(census)
 
 
 def census_total_reps(census: Census) -> int:

@@ -218,7 +218,8 @@ class GroupSpec:
             tags.append("e+" if self.epsilon > 0 else "e-")
         if self.family == "Uunram":
             tags.append("ur")
-        return f"{self.name}[{','.join(tags)}]/F{self.field.q}"
+        extra = ",".join(tags)
+        return f"{self.name}[{extra}]/F{self.field.q}"
 
 
 def dual_dimension(group: GroupSpec) -> int:

@@ -39,6 +39,9 @@ from .packets import companions, enumerate_epsilon, packet_stats, recover_m_pair
 __all__ = [
     "ALL_CHECKS",
     "CheckFailure",
+    "DEFAULT_DEGREE",
+    "DEFAULT_DUAL",
+    "DEFAULT_Q0",
     "SelfcheckReport",
     "iter_group_specs",
     "run_selfcheck",
@@ -123,6 +126,10 @@ _CHECKS = {
     "census-law": _check_census_law,
 }
 ALL_CHECKS = tuple(_CHECKS)
+# The sweep's defaults; the selfcheck command's help reads them from here.
+DEFAULT_Q0 = (3, 5)
+DEFAULT_DUAL = 13
+DEFAULT_DEGREE = 4
 
 
 def _check_selection(what: str, values) -> None:
@@ -133,8 +140,8 @@ def _check_selection(what: str, values) -> None:
             raise ValueError(f"{what} {value!r} is given twice")
 
 
-def run_selfcheck(q0_values=(3, 5), max_dual: int = 13, max_degree: int = 4,
-                  checks=ALL_CHECKS) -> SelfcheckReport:
+def run_selfcheck(q0_values=DEFAULT_Q0, max_dual: int = DEFAULT_DUAL,
+                  max_degree: int = DEFAULT_DEGREE, checks=ALL_CHECKS) -> SelfcheckReport:
     """Sweep the groups and stop after the first datum that fails a check."""
     q0_values, checks = tuple(q0_values), tuple(checks)
     _check_selection("residue size", q0_values)
