@@ -1,12 +1,14 @@
 """End-to-end tests of the command line interface."""
 
 import contextlib
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,27 @@ class TestSerialization:
         assert obj["parahoric"] == {"n1": 2, "n2": 1}
         # x - 1 over F3, constant term first
         assert obj["supports"][0] == [{"poly": [2, 1], "m": 1}]
+
+
+class TestMemos:
+    def test_no_memo_keeps_a_class_alive(self, capsys, monkeypatch):
+        # Memos key on a class's type, never on the class: the classes
+        # built from a datum's JSON are freed once the commands are done.
+        refs = []
+
+        def recorded(obj):
+            datum = datum_from_obj(obj)
+            refs.extend(weakref.ref(cls) for support in datum.supports
+                        for cls, _ in support.entries)
+            return datum
+
+        monkeypatch.setattr("cuspred.cli.datum_from_obj", recorded)
+        for name in ("u14", "so20"):
+            for command in ("describe", "packet", "crossform"):
+                assert run(capsys, command, datum_text(name))[0] == 0
+        gc.collect()
+        assert len(refs) == 6 * 3
+        assert [ref() for ref in refs] == [None] * len(refs)
 
 
 class TestValidate:

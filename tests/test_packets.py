@@ -23,7 +23,13 @@ from cuspred.ffpoly import (
     enumerate_self_dual_classes,
 )
 from cuspred.fixtures import gallery, gallery_entry
-from cuspred.groups import GroupSpec, ParahoricSpec, component_group_order, enumerate_parahorics
+from cuspred.groups import (
+    GroupSpec,
+    ParahoricSpec,
+    component_group_order,
+    enumerate_parahorics,
+    parahoric_of,
+)
 from cuspred.hecke import ired, reducibility_pair
 from cuspred.packets import (
     QSets,
@@ -272,6 +278,21 @@ class TestDeviationWitnesses:
         monkeypatch.setattr("cuspred.packets.CuspidalDatum", refusing)
         with pytest.raises(AssertionError, match=r"^swap \['x-1'\] passed the pre-score on "
                            r"Sp\(6\)/F3:\(0,3\) but fails validation: clause d: planted$"):
+            companions(datum)
+
+    def test_unswapped_datum_named_on_another_parahoric_raises(self, monkeypatch):
+        # The empty swap is the datum itself only on the datum's own
+        # parahoric: a pre-score naming another is built there and refused.
+        datum = gallery_entry("sp6").datum
+        own, other = datum.parahoric, ParahoricSpec(datum.group, 0, 3)
+
+        def misplaced(group, dual_dims):
+            found = parahoric_of(group, dual_dims)
+            return other if found == own else found
+
+        monkeypatch.setattr("cuspred.packets.parahoric_of", misplaced)
+        with pytest.raises(AssertionError, match=r"^swap \[\] passed the pre-score on "
+                           r"Sp\(6\)/F3:\(0,3\) but fails validation: clause c: "):
             companions(datum)
 
 
