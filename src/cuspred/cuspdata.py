@@ -65,6 +65,7 @@ from math import factorial, perm
 from operator import sub
 
 from .ffpoly import (
+    ClassType,
     FieldSpec,
     SelfDualClass,
     class_x_minus_one,
@@ -110,8 +111,9 @@ def _triangular(m: int) -> int:
     return m * (m + 1) // 2
 
 
-def char_poly_exponent(kind: str, cls: SelfDualClass, m: int) -> int:
-    """Exponent a_P of the class P in the characteristic polynomial."""
+def char_poly_exponent(kind: str, cls: SelfDualClass | ClassType, m: int) -> int:
+    """Exponent a_P of the class P, or of a class of that type, in the
+    characteristic polynomial."""
     if m < 0:
         raise ValueError("multiplicity must be nonnegative")
     if kind == "U" or not cls.is_linear:
@@ -125,7 +127,7 @@ def char_poly_exponent(kind: str, cls: SelfDualClass, m: int) -> int:
     raise ValueError(f"unknown factor kind {kind!r}")
 
 
-def minus_type_exponent(cls: SelfDualClass, m: int) -> int:
+def minus_type_exponent(cls: SelfDualClass | ClassType, m: int) -> int:
     """Number of minus-type blocks contributed to an SOeven factor.
 
     Each linear eigenvalue block of parameter m contributes m such
@@ -417,17 +419,19 @@ def enumerate_census(group: GroupSpec, max_degree: int | None = None) -> Census:
     factor, and it lists that degree first, so that a census past
     MAX_ENUM_DEGREE refuses before it lists any class.  The widest factor
     of a slot sits on the first maximal parahoric from that slot's end of
-    the chain, so the reach is found without walking the whole chain."""
-    chain = enumerate_parahorics(group)
-    first = next(p for p in chain if p.maximal)  # every group has a maximal parahoric
-    last = next(p for p in reversed(chain) if p.maximal)
+    the chain: the end itself, or the next vertex when the end's slot is
+    the split SO(2).  Both are built directly, so the reach is found, and
+    a census refused, before the chain is built."""
+    N = group.witt
+    first, last = (next(p for p in (ParahoricSpec(group, *ns) for ns in ends) if p.maximal)
+                   for ends in (((N, 0), (N - 1, 1)), ((0, N), (1, N - 1))))
     widest = max(first.factors[0].dual_dim, last.factors[1].dual_dim)
     degrees = _degree_pool(group.field, widest, max_degree)
     if degrees:  # refuses past the cap; within it, the supports reuse the classes
         enumerate_self_dual_classes(group.field, degrees[-1])
     supports: dict[FiniteFactor, tuple[FactorSupport, ...]] = {}
     census = []
-    for parahoric in chain:
+    for parahoric in enumerate_parahorics(group):
         if not parahoric.maximal:
             continue
         for factor in parahoric.factors:

@@ -48,6 +48,7 @@ prime to x^(q^k) - x for every k <= n/2.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -57,6 +58,7 @@ __all__ = [
     "FieldSpec",
     "FieldTable",
     "Poly",
+    "ClassType",
     "SelfDualClass",
     "field_table",
     "is_irreducible",
@@ -349,6 +351,22 @@ def sigma_dual(poly: Poly) -> Poly:
     return Poly(poly.field, tuple(F.mul(F.sigma(cs[n - i]), scale) for i in range(n + 1)))
 
 
+class ClassType(namedtuple("ClassType", ("degree", "rank"))):
+    """All that the exponent and parameter tables read of a class: its
+    degree and its rank, 0 for x - 1, 1 for x + 1 and 2 for any other.
+    Memos key on the type, never on a class, so they keep no class alive."""
+
+    __slots__ = ()
+
+    @property
+    def is_linear(self) -> bool:
+        return self.degree == 1
+
+    @property
+    def is_x_minus_one(self) -> bool:
+        return self.rank == 0
+
+
 @dataclass(frozen=True)
 class SelfDualClass:
     """A monic irreducible polynomial equal to its own sigma-dual."""
@@ -402,15 +420,14 @@ class SelfDualClass:
         return str(self.poly)
 
     @cached_property
+    def type(self) -> ClassType:
+        rank = 0 if self.is_x_minus_one else 1 if self.is_x_plus_one else 2
+        return ClassType(self.degree, rank)
+
+    @cached_property
     def sort_key(self) -> tuple:
         # x - 1 and x + 1 first; they play a distinguished role everywhere.
-        if self.is_x_minus_one:
-            rank = 0
-        elif self.is_x_plus_one:
-            rank = 1
-        else:
-            rank = 2
-        return (self.degree, rank, self.poly.coeffs)
+        return (*self.type, self.poly.coeffs)
 
     def __str__(self) -> str:
         return self.label
@@ -470,6 +487,7 @@ def class_x_plus_one(field: FieldSpec) -> SelfDualClass:
     return enumerate_self_dual_classes(field, 1)[1]
 
 
+@lru_cache(maxsize=1024)
 def count_self_dual_classes(field: FieldSpec, degree: int) -> int:
     """Census of self-dual classes by torus counting, without enumeration.
 

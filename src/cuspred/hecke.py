@@ -22,6 +22,10 @@ reducibility points; each contributes the Jordan chain m = 2s - 1,
 
     sum over P of (floor(s^2) + floor(s'^2)) deg P  =  dual dimension.
 
+The tables read a class only through its type, ffpoly.ClassType: its
+degree and whether it is x - 1, x + 1 or neither.  So exponent_pair is
+memoised on the slot kinds, the type and the multiplicities.
+
 A parameter shape distributes the two chains of each class over its two
 tagged members: the tags are ("1", "w0") at x - 1, ("w1", "w2") at
 x + 1, ("rho", "rho'") elsewhere.  Symplectic groups keep only shapes
@@ -35,10 +39,11 @@ survives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .cuspdata import CuspidalDatum
-from .ffpoly import SelfDualClass
+from .ffpoly import ClassType, SelfDualClass
 from .groups import dual_dimension
 
 __all__ = [
@@ -94,8 +99,9 @@ class HalfInt:
         return f"{self.twice}/2"
 
 
-def finite_parameter(kind: str, cls: SelfDualClass, m: int) -> HalfInt:
-    """The slot parameter f of the class at multiplicity m (0 if absent)."""
+def finite_parameter(kind: str, cls: SelfDualClass | ClassType, m: int) -> HalfInt:
+    """The slot parameter f of the class, or of a class of that type, at
+    multiplicity m (0 if absent)."""
     if m < 0:
         raise ValueError("multiplicity must be nonnegative")
     if kind == "U" or not cls.is_linear:
@@ -120,11 +126,21 @@ def exponent_pair(kinds: tuple[str, str], cls: SelfDualClass,
                   pair: tuple[int, int]) -> tuple[HalfInt, HalfInt]:
     """(s, s') with s >= s', both half-integers, of the class at
     multiplicities (m1, m2) in slots of the given kinds."""
-    f1, f2 = (finite_parameter(kind, cls, m).twice for kind, m in zip(kinds, pair))
-    twice_degree = 2 * cls.degree
+    s_pair = _type_exponent_pair(kinds, cls.type, pair)
+    if s_pair is None:
+        raise AssertionError(f"reducibility exponent of {cls.label} is not half-integral")
+    return s_pair
+
+
+@lru_cache(maxsize=4096)
+def _type_exponent_pair(kinds: tuple[str, str], ctype: ClassType,
+                        pair: tuple[int, int]) -> tuple[HalfInt, HalfInt] | None:
+    """exponent_pair of every class of the type, None when not half-integral."""
+    f1, f2 = (finite_parameter(kind, ctype, m).twice for kind, m in zip(kinds, pair))
+    twice_degree = 2 * ctype.degree
     total, diff = f1 + f2, abs(f1 - f2)
     if total % twice_degree or diff % twice_degree:
-        raise AssertionError(f"reducibility exponent of {cls.label} is not half-integral")
+        return None
     return (HalfInt(total // twice_degree), HalfInt(diff // twice_degree))
 
 

@@ -36,11 +36,14 @@ groups.parahoric_of, an arithmetic solve of the dual-dimension rule
 that costs the same at any Witt index, and the score hands it on.  The
 score rejects a missing or nonmaximal parahoric, an SOeven slot whose
 block parity contradicts its sign, and a swap that moves a point;
-clauses a and b hold for every swap.  Each survivor is built once, on
-its parahoric, and validated in full; a survivor that fails validation,
-or a kept swap that passes all but the points, is an internal error
-naming the swap.  The closed form, enumerate_epsilon, asks parahoric_of
-only whether a swap re-solves at all.
+clauses a and b hold for every swap.  The class scores are memoised on
+the class type (see hecke).  Each survivor is built once, on its
+parahoric, and validated in full, except the empty swap on the datum's
+own parahoric: that companion is the datum itself, already validated.
+A survivor that fails validation, or a kept swap that passes all but
+the points, is an internal error naming the swap.  The closed form,
+enumerate_epsilon, asks parahoric_of only whether a swap re-solves at
+all.
 
 Cross-form companions play the same game against every other form of
 the group: same family, dimension, residue field and ramification
@@ -61,6 +64,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .cuspdata import (
     CuspidalDatum,
@@ -71,7 +75,7 @@ from .cuspdata import (
     slot_series,
     _type_matches,
 )
-from .ffpoly import SelfDualClass, class_x_plus_one
+from .ffpoly import ClassType, SelfDualClass, class_x_plus_one
 from .groups import GroupSpec, ParahoricSpec, group_forms, parahoric_of
 from .hecke import HalfInt, exponent_pair, ired, jordan, real_points
 
@@ -120,9 +124,11 @@ class QSets:
         return len(self.raw)
 
 
-def _constant_difference(kind1: str, kind2: str, cls: SelfDualClass) -> bool:
-    """Whether the two slot exponent formulas differ by a constant."""
-    diffs = {char_poly_exponent(kind1, cls, m) - char_poly_exponent(kind2, cls, m)
+@lru_cache(maxsize=256)
+def _constant_difference(kind1: str, kind2: str, ctype: ClassType) -> bool:
+    """Whether the two slot exponent formulas differ by a constant on
+    classes of the type."""
+    diffs = {char_poly_exponent(kind1, ctype, m) - char_poly_exponent(kind2, ctype, m)
              for m in range(3)}
     return len(diffs) == 1
 
@@ -136,7 +142,7 @@ def q_sets(datum: CuspidalDatum) -> QSets:
         if m1 == m2:
             continue
         raw.append(cls)
-        if not _constant_difference(kinds[0], kinds[1], cls):
+        if not _constant_difference(kinds[0], kinds[1], cls.type):
             removed.append(cls)
             continue
         kept.append(cls)
@@ -181,12 +187,15 @@ def _subsets(classes):
         yield from itertools.combinations(classes, r)
 
 
-def _class_score(kinds: tuple[str, str], cls: SelfDualClass, pair) -> tuple[int, ...]:
-    """Exponent costs and minus-type blocks of the class in the two slots.
+@lru_cache(maxsize=4096)
+def _class_score(kinds: tuple[str, str], ctype: ClassType, pair) -> tuple[int, ...]:
+    """Exponent costs and minus-type blocks of a class of the type in the
+    two slots.
 
     The m = 0 cost of x - 1 in an Sp slot is the implicit entry."""
-    return (*(char_poly_exponent(kind, cls, m) * cls.degree for kind, m in zip(kinds, pair)),
-            *(minus_type_exponent(cls, m) for m in pair))
+    return (*(char_poly_exponent(kind, ctype, m) * ctype.degree
+              for kind, m in zip(kinds, pair)),
+            *(minus_type_exponent(ctype, m) for m in pair))
 
 
 def _prescore(group: GroupSpec, datum: CuspidalDatum, raw):
@@ -197,7 +206,7 @@ def _prescore(group: GroupSpec, datum: CuspidalDatum, raw):
     Same points tells whether the swap keeps the datum's real
     reducibility points."""
     kinds, own = group.slot_kinds, datum.group.slot_kinds
-    scores = {cls: _class_score(kinds, cls, pair) for cls, pair in datum.pairs.items()}
+    scores = {cls: _class_score(kinds, cls.type, pair) for cls, pair in datum.pairs.items()}
     base = tuple(map(sum, zip(*scores.values())))
     index = {cls: i for i, cls in enumerate(raw)}
     deltas = [()] * len(raw)
@@ -213,7 +222,8 @@ def _prescore(group: GroupSpec, datum: CuspidalDatum, raw):
             moved = moved or not stays
             continue
         swapped = pair[::-1]
-        deltas[i] = tuple(b - a for a, b in zip(scores[cls], _class_score(kinds, cls, swapped)))
+        deltas[i] = tuple(b - a for a, b in zip(scores[cls],
+                                                 _class_score(kinds, cls.type, swapped)))
         must_swap |= (not stays) << i
         must_stay |= (real_points(exponent_pair(kinds, cls, swapped)) != points) << i
     for subset in _subsets(range(len(raw))):
@@ -256,7 +266,9 @@ def companions(datum: CuspidalDatum) -> CompanionCensus:
     kept = set(qs.kept)
     out = []
     for subset, parahoric, same in _prescore(datum.group, datum, qs.raw):
-        if same:
+        if same and not subset and parahoric == datum.parahoric:
+            out.append(Companion((), datum, count_representations(datum).total))
+        elif same:
             out.append(_survivor(parahoric, datum, subset))
         elif kept.issuperset(subset):
             raise AssertionError(

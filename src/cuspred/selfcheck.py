@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache, partial
 
 from .cuspdata import (
     enumerate_signatures,
@@ -132,6 +131,18 @@ DEFAULT_DUAL = 13
 DEFAULT_DEGREE = 4
 
 
+def _searched_once(datum):
+    """The datum's companion census as a thunk that searches on its first
+    call only.  A search that raises is not kept, so it raises again."""
+    found = []
+
+    def census():
+        if not found:
+            found.append(companions(datum))
+        return found[0]
+    return census
+
+
 def _check_selection(what: str, values) -> None:
     if not values:
         raise ValueError(f"no {what} selected")
@@ -166,7 +177,7 @@ def run_selfcheck(q0_values=DEFAULT_Q0, max_dual: int = DEFAULT_DUAL,
             signatures += 1
             data_weight += weight
             datum = signature_representative(group, sig)
-            census = cache(partial(companions, datum))
+            census = _searched_once(datum)
             for name in checks:
                 try:
                     detail = _CHECKS[name](datum, census)

@@ -29,6 +29,7 @@ from cuspred.cuspdata import (
     validate_support,
 )
 from cuspred.ffpoly import (
+    DegreeLimitError,
     FieldSpec,
     class_x_minus_one,
     class_x_plus_one,
@@ -412,6 +413,18 @@ class TestEnumeration:
         assert sorted(f.dim for f in calls) == [0, 2, 4, 6, 8, 10, 12]
         for parahoric, slots in census:
             assert slots == tuple(enumerate_supports(f, F3, 4) for f in parahoric.factors)
+
+    def test_census_refuses_before_building_the_chain(self, monkeypatch):
+        # The reach is read off the first maximal parahoric from each end,
+        # built directly: past the cap, no chain of N + 1 parahorics is built.
+        def chain(group):
+            raise AssertionError(f"built the chain of {group}")
+
+        monkeypatch.setattr("cuspred.cuspdata.enumerate_parahorics", chain)
+        for group in (GroupSpec("Sp", 200000, 100000, (0, 0), F3),
+                      GroupSpec("SOodd", 200001, 100000, (0, 1), F3)):
+            with pytest.raises(DegreeLimitError, match="limited to degree 8"):
+                enumerate_census(group)
 
     def test_every_enumerated_datum_is_valid(self):
         group = GroupSpec("SOodd", 5, 2, (0, 1), F3)

@@ -2,7 +2,13 @@
 
 import pytest
 
-from cuspred.cuspdata import CuspidalDatum, FactorSupport, enumerate_data
+from cuspred.cuspdata import (
+    CuspidalDatum,
+    FactorSupport,
+    char_poly_exponent,
+    enumerate_data,
+    minus_type_exponent,
+)
 from cuspred.ffpoly import (
     FieldSpec,
     class_x_minus_one,
@@ -10,9 +16,10 @@ from cuspred.ffpoly import (
     enumerate_self_dual_classes,
 )
 from cuspred.fixtures import gallery, gallery_entry
-from cuspred.groups import GroupSpec, ParahoricSpec
+from cuspred.groups import FACTOR_KINDS, GroupSpec, ParahoricSpec
 from cuspred.hecke import (
     HalfInt,
+    exponent_pair,
     finite_parameter,
     identity_sides,
     ired,
@@ -73,6 +80,28 @@ class TestFiniteParameter:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown factor kind 'iii'"):
             finite_parameter("iii", class_x_plus_one(F3), 1)
+
+    def test_tables_read_a_class_only_through_its_type(self):
+        # The memos key on the type: every table gives a class and its
+        # type the same value.
+        for field in (F3, FieldSpec(5), F9Q):
+            for degree in range(1, 5):
+                for cls in enumerate_self_dual_classes(field, degree):
+                    assert cls.type == cls.sort_key[:2]
+                    for m in range(4):
+                        assert minus_type_exponent(cls, m) == minus_type_exponent(cls.type, m)
+                        for kind in FACTOR_KINDS:
+                            assert (finite_parameter(kind, cls, m)
+                                    == finite_parameter(kind, cls.type, m))
+                            assert (char_poly_exponent(kind, cls, m)
+                                    == char_poly_exponent(kind, cls.type, m))
+
+    def test_exponent_that_is_not_half_integral_names_the_class(self):
+        # No group pairs a U slot with an orthogonal one: there x - 1
+        # would get s = (1/2 + 1) / 2 = 3/4.
+        with pytest.raises(AssertionError,
+                           match=r"^reducibility exponent of x-1 is not half-integral$"):
+            exponent_pair(("U", "SOodd"), class_x_minus_one(F3), (0, 0))
 
     def test_jordan_chain(self):
         assert jordan_chain(HalfInt.of(3)) == (5, 3, 1)
