@@ -549,6 +549,14 @@ class TestEnumerationPins:
         assert len(lines) == 2806
         assert self.digest(lines) == "a2e3e043f04f64aa"
 
+    def test_degree_six_signatures_are_pinned(self):
+        # Past degree 4: pooled rows of degrees 5 (unitary) and 6 (trivial).
+        lines = [f"{g}|{sig}|{w}|{signature_representative(g, sig)}"
+                 for g in iter_group_specs((3, 5), 10)
+                 for sig, w in enumerate_signatures(g, max_degree=6)]
+        assert len(lines) == 5416
+        assert self.digest(lines) == "5051af24f5988c44"
+
     def test_concrete_data_are_pinned(self):
         lines = [str(d) for g in iter_group_specs((3, 5), 6)
                  for d in enumerate_data(g, max_degree=4)]
