@@ -55,6 +55,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
@@ -119,14 +120,24 @@ def field_to_obj(field: FieldSpec) -> dict:
     return {"p": field.p, "e": field.e, "ext": field.ext}
 
 
+@contextmanager
+def _reading(what: str):
+    """Let a SchemaError through; rewrap any other KeyError, TypeError or
+    ValueError as a SchemaError naming the description being read."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except (KeyError, TypeError, ValueError) as err:
+        raise SchemaError(f"bad {what} description: {err}") from err
+
+
 def field_from_obj(obj) -> FieldSpec:
     _check_keys(obj, ("p",), "field", optional=("e", "ext"))
-    try:
+    with _reading("field"):
         return FieldSpec(_json_int(obj["p"], "p", "field"),
                          _json_int(obj.get("e", 1), "e", "field"),
                          str(obj.get("ext", "trivial")))
-    except (KeyError, TypeError, ValueError) as err:
-        raise SchemaError(f"bad field description: {err}") from err
 
 
 def group_to_obj(group: GroupSpec) -> dict:
@@ -141,16 +152,12 @@ def group_to_obj(group: GroupSpec) -> dict:
 
 def group_from_obj(obj) -> GroupSpec:
     _check_keys(obj, ("family", "witt_index", "aniso", "field"), "group", optional=("epsilon",))
-    try:
+    with _reading("group"):
         witt = _json_int(obj["witt_index"], "witt_index", "group")
         a1, a2 = _json_ints(obj["aniso"], "aniso", "group", length=2)
         field = field_from_obj(obj["field"])
         return GroupSpec(str(obj["family"]), 2 * witt + a1 + a2, witt, (a1, a2),
                          field, _json_int(obj.get("epsilon", 0), "epsilon", "group"))
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError) as err:
-        raise SchemaError(f"bad group description: {err}") from err
 
 
 def entry_to_obj(cls: SelfDualClass, m: int) -> dict:
@@ -191,7 +198,7 @@ _DATUM_KEYS = ("group", "parahoric", "supports")
 def datum_parts_from_obj(obj) -> tuple[ParahoricSpec, tuple[FactorSupport, FactorSupport]]:
     """Build the pieces of a datum without running the support validation."""
     _check_keys(obj, _DATUM_KEYS, "datum")
-    try:
+    with _reading("datum"):
         group = group_from_obj(obj["group"])
         _check_keys(obj["parahoric"], ("n1", "n2"), "parahoric")
         parahoric = ParahoricSpec(group, _json_int(obj["parahoric"]["n1"], "n1", "parahoric"),
@@ -203,10 +210,6 @@ def datum_parts_from_obj(obj) -> tuple[ParahoricSpec, tuple[FactorSupport, Facto
             raise SchemaError("a datum carries exactly two supports")
         s1, s2 = (_support_from_obj(s, group.field, i) for i, s in enumerate(supports))
         return parahoric, (s1, s2)
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError) as err:
-        raise SchemaError(f"bad datum description: {err}") from err
 
 
 def datum_from_obj(obj) -> CuspidalDatum:

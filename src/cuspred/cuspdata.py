@@ -16,8 +16,10 @@ A symplectic factor always carries x - 1: when the support omits it, the
 entry is implicit with m = 0 and a = 1, so the exponent totals of a
 symplectic factor add to dim + 1 rather than dim.
 
-Validation clauses, in order: (a) classes match the factor's field,
-involution and degree parity; (b) multiplicities are positive, which
+Validation clauses, in order: (a) classes match the factor's field and
+involution (the degree parity needs no check: a self-dual class has odd
+degree under the quadratic involution, and degree 1 or an even degree
+under the trivial one, see ffpoly); (b) multiplicities are positive, which
 FactorSupport enforces on construction; (c) the exponent totals (with the
 implicit entry) equal the factor's dual dimension; (d) an SOeven factor's
 support has the right type: the parity of m(x-1) + m(x+1) + sum of a_P
@@ -30,9 +32,11 @@ budget is its dual dimension less the m = 0 costs (the implicit x - 1 of
 an Sp slot), and an entry takes each multiplicity whose cost above the
 m = 0 cost still fits, one per slot.  A support spends one slot with an
 entry per class: x - 1 and x + 1 under the trivial involution, then the
-classes by degree.  A signature spends both slots, with an entry for
-each of x -+ 1 and one per pooled degree, holding a copy per class of
-that degree.  Either way the results come in lexicographic order of the
+classes by degree.  A signature spends both slots, with an entry per row
+type (signature_type): x - 1 and x + 1 under the trivial involution,
+holding one class each, then one per pooled degree, holding a copy per
+class of that degree.  Both read the exponent table by class type
+(_options).  Either way the results come in lexicographic order of the
 multiplicities.  A census (enumerate_census) keeps each maximal
 parahoric with the supports of its two factors: its data are the
 products of the two lists, so a census is counted and listed without
@@ -60,7 +64,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from math import factorial, perm
 from operator import sub
 
@@ -101,6 +105,7 @@ __all__ = [
     "enumerate_data",
     "enumerate_signatures",
     "signature_of",
+    "signature_type",
     "signature_weight",
     "signature_representative",
 ]
@@ -201,17 +206,11 @@ def exponent_total(kind: str, entries) -> int:
 def support_violation(factor: FiniteFactor, support: FactorSupport,
                       field: FieldSpec) -> tuple[str, str] | None:
     """(clause, reason) of the first clause the support fails, None if valid."""
-    unitary = factor.kind == "U"
-    if unitary != (field.ext == "quadratic"):
+    if (factor.kind == "U") != (field.ext == "quadratic"):
         return "a", "factor kind does not match the field involution"
     for cls, _ in support.entries:
         if cls.field != field:
             return "a", f"class {cls.label} lives over the wrong field"
-        if unitary:
-            if cls.degree % 2 == 0:
-                return "a", f"class {cls.label} has even degree"
-        elif cls.degree != 1 and cls.degree % 2:
-            return "a", f"class {cls.label} has odd degree above 1"
     total = exponent_total(factor.kind, support.entries)
     if total != factor.dual_dim:
         return "c", f"exponent total {total} differs from dual dimension {factor.dual_dim}"
@@ -332,16 +331,17 @@ def _degree_pool(field: FieldSpec, budget: int, max_degree: int | None) -> range
     return range(2 if field.ext == "trivial" else 1, cap + 1, 2)
 
 
-def _options(exponents, degree: int, budgets) -> list[tuple]:
-    """(multiplicities, costs) of every choice on a class, a tuple of each
-    over the slots: the one fitting rule.  A slot takes each m, ascending,
-    whose cost (a_P(m) - a_P(0)) deg P fits its budget; the choices are
-    the product over the slots, less the all-zero tuple."""
+def _options(kinds, ctype: ClassType, budgets) -> list[tuple]:
+    """(multiplicities, costs) of every choice on a class of the type, a
+    tuple of each over the slots of the given kinds: the one fitting rule.
+    A slot takes each m, ascending, whose cost (a_P(m) - a_P(0)) deg P
+    fits its budget; the choices are the product over the slots, less the
+    all-zero tuple."""
     per_slot = []
-    for exponent, budget in zip(exponents, budgets):
-        base = exponent(0) * degree
+    for kind, budget in zip(kinds, budgets):
+        base = char_poly_exponent(kind, ctype, 0) * ctype.degree
         slot, m = [], 0
-        while (cost := exponent(m) * degree - base) <= budget:
+        while (cost := char_poly_exponent(kind, ctype, m) * ctype.degree - base) <= budget:
             slot.append((m, cost))
             m += 1
         per_slot.append(slot)
@@ -399,8 +399,7 @@ def enumerate_supports(factor: FiniteFactor, field: FieldSpec,
     if kind != "U":
         pool = [class_x_minus_one(field), class_x_plus_one(field), *pool]
     budget = factor.dual_dim - sum(char_poly_exponent(kind, cls, 0) * cls.degree for cls in pool)
-    entries = [(1, _options((partial(char_poly_exponent, kind, cls),), cls.degree, (budget,)))
-               for cls in pool]
+    entries = [(1, _options((kind,), cls.type, (budget,))) for cls in pool]
     supports = (FactorSupport.of([(pool[index], m) for index, (m,) in way])
                 for way in _spend(entries, (budget,)))
     return tuple(s for s in supports if support_violation(factor, s, field) is None)
@@ -467,73 +466,65 @@ def enumerate_data(group: GroupSpec, max_degree: int | None = None) -> tuple[Cus
 # ---------------------------------------------------------------------------
 # Signature enumeration.  Classes of equal degree enter every computed
 # quantity interchangeably, so a census only needs one representative per
-# "signature": the multiplicity pairs at x -+ 1 (trivial involution) plus
-# the multiset of (degree, m1, m2) triples over anonymous classes, with an
-# exact count of how many concrete data share the signature.
+# "signature": one (type, m1, m2) row per class of nonzero pair, the type
+# being signature_type of the class, with an exact count of how many
+# concrete data share the signature.
 # ---------------------------------------------------------------------------
+
+
+def signature_type(cls: SelfDualClass) -> ClassType:
+    """The type naming the class's signature row.  x - 1 and x + 1 keep
+    their own types under the trivial involution; every other class is
+    pooled with the classes of its degree, as ClassType(degree, 2)."""
+    return cls.type if cls.field.ext == "trivial" else ClassType(cls.degree, 2)
 
 
 @dataclass(frozen=True)
 class DatumSignature:
     n1: int
     n2: int
-    m_plus: tuple[int, int]
-    m_minus: tuple[int, int]
-    pooled: tuple[tuple[int, int, int], ...]  # sorted (degree, m1, m2)
+    rows: tuple[tuple[ClassType, int, int], ...]  # sorted (type, m1, m2)
 
     def __str__(self) -> str:
         parts = [f"({self.n1},{self.n2})"]
-        if self.m_plus != (0, 0):
-            parts.append(f"x-1:{self.m_plus}")
-        if self.m_minus != (0, 0):
-            parts.append(f"x+1:{self.m_minus}")
-        parts.extend(f"d{d}:{(a, b)}" for d, a, b in self.pooled)
+        parts.extend(f"{('x-1', 'x+1', f'd{t.degree}')[t.rank]}:{(a, b)}" for t, a, b in self.rows)
         return " ".join(parts)
 
 
 def signature_of(datum: CuspidalDatum) -> DatumSignature:
-    field = datum.field
-    pooled = []
-    m_plus = (0, 0)
-    m_minus = (0, 0)
-    for cls, pair in datum.pairs.items():
-        if pair == (0, 0):
-            continue  # x -+ 1 when absent
-        if field.ext == "trivial" and cls.is_x_minus_one:
-            m_plus = pair
-        elif field.ext == "trivial" and cls.is_x_plus_one:
-            m_minus = pair
-        else:
-            pooled.append((cls.degree, pair[0], pair[1]))
-    return DatumSignature(datum.parahoric.n1, datum.parahoric.n2,
-                          m_plus, m_minus, tuple(sorted(pooled)))
+    rows = sorted((signature_type(cls), *pair) for cls, pair in datum.pairs.items()
+                  if pair != (0, 0))  # x -+ 1 when absent
+    return DatumSignature(datum.parahoric.n1, datum.parahoric.n2, tuple(rows))
 
 
 def signature_weight(group: GroupSpec, sig: DatumSignature) -> int:
     """Number of concrete data sharing the signature."""
-    if group.field.ext == "trivial" and any(d == 1 for d, _, _ in sig.pooled):
+    types = Counter(t for t, _, _ in sig.rows)
+    if group.field.ext == "trivial" and ClassType(1, 2) in types:
         raise ValueError("linear classes are not pooled for the trivial involution")
-    # Distinct classes go to the pooled triples of each degree in order;
-    # triples that repeat are interchangeable.
+    # Distinct classes go to the rows of each pooled type in order; rows
+    # that repeat are interchangeable.  x - 1 and x + 1 name one class each.
     weight = 1
-    for degree, k in Counter(d for d, _, _ in sig.pooled).items():
-        weight *= perm(count_self_dual_classes(group.field, degree), k)
-    for repeats in Counter(sig.pooled).values():
+    for t, k in types.items():
+        if t.rank == 2:
+            weight *= perm(count_self_dual_classes(group.field, t.degree), k)
+    for repeats in Counter(sig.rows).values():
         weight //= factorial(repeats)
     return weight
 
 
 def signature_representative(group: GroupSpec, sig: DatumSignature) -> CuspidalDatum:
     """A concrete datum with the given signature, on canonical classes."""
-    field = group.field
-    entries = [(class_x_minus_one(field), sig.m_plus), (class_x_plus_one(field), sig.m_minus)]
-    by_degree: dict[int, list[tuple[int, int]]] = {}
-    for d, a, b in sig.pooled:
-        by_degree.setdefault(d, []).append((a, b))
-    for d, pairs in by_degree.items():
-        classes = enumerate_self_dual_classes(field, d)
+    by_type: dict[ClassType, list[tuple[int, int]]] = {}
+    for t, a, b in sig.rows:
+        by_type.setdefault(t, []).append((a, b))
+    entries = []
+    for t, pairs in by_type.items():
+        classes = enumerate_self_dual_classes(group.field, t.degree)
+        if t.rank < 2:  # x - 1 or x + 1, first among the linear classes
+            classes = classes[t.rank:t.rank + 1]
         if len(pairs) > len(classes):
-            raise ValueError(f"not enough degree {d} classes for the signature")
+            raise ValueError(f"not enough degree {t.degree} classes for the signature")
         entries.extend(zip(classes, pairs))
     supports = (FactorSupport.of([(cls, pair[slot]) for cls, pair in entries if pair[slot]])
                 for slot in (0, 1))
@@ -541,31 +532,25 @@ def signature_representative(group: GroupSpec, sig: DatumSignature) -> CuspidalD
 
 
 def enumerate_signatures(group: GroupSpec, max_degree: int | None = None):
-    """Yield (signature, weight) over all maximal parahorics of the group."""
-    field = group.field
-    linear = [class_x_minus_one(field), class_x_plus_one(field)] if field.ext == "trivial" else []
+    """Yield (signature, weight) over all maximal parahorics of the group.
+
+    Each row type is spent with a copy per class of the type: one each
+    for x - 1 and x + 1 under the trivial involution, and one per class
+    of its degree for a pooled type."""
+    field, kinds = group.field, group.slot_kinds
+    linear = [t for t in map(signature_type, enumerate_self_dual_classes(field, 1)) if t.rank < 2]
     for parahoric in enumerate_parahorics(group):
         if not parahoric.maximal:
             continue
-        factors = parahoric.factors
-        budgets = tuple(f.dual_dim - sum(char_poly_exponent(f.kind, cls, 0) for cls in linear)
-                        for f in factors)
-        degrees = _degree_pool(field, max(budgets), max_degree)
-        entries = [(1, _options([partial(char_poly_exponent, f.kind, cls) for f in factors],
-                                1, budgets))
-                   for cls in linear]
-        entries += [(count_self_dual_classes(field, d),
-                     _options((_triangular, _triangular), d, budgets))
-                    for d in degrees]
+        budgets = tuple(f.dual_dim - sum(char_poly_exponent(f.kind, t, 0) for t in linear)
+                        for f in parahoric.factors)
+        types = [(1, t) for t in linear]
+        types += [(count_self_dual_classes(field, d), ClassType(d, 2))
+                  for d in _degree_pool(field, max(budgets), max_degree)]
+        entries = [(copies, _options(kinds, t, budgets)) for copies, t in types]
         for way in _spend(entries, budgets):
-            linear_ms = [(0, 0), (0, 0)]
-            pooled = []
-            for index, ms in way:
-                if index < len(linear):
-                    linear_ms[index] = ms
-                else:
-                    pooled.append((degrees[index - len(linear)], *ms))
-            sig = DatumSignature(parahoric.n1, parahoric.n2, *linear_ms, tuple(sorted(pooled)))
+            rows = tuple(sorted((types[index][1], *ms) for index, ms in way))
+            sig = DatumSignature(parahoric.n1, parahoric.n2, rows)
             if _signature_sign_ok(parahoric, sig):
                 yield sig, signature_weight(group, sig)
 
@@ -573,10 +558,7 @@ def enumerate_signatures(group: GroupSpec, max_degree: int | None = None):
 def _signature_sign_ok(parahoric: ParahoricSpec, sig: DatumSignature) -> bool:
     """Clause d, evaluated on the signature without building a datum."""
     for index, factor in enumerate(parahoric.factors):
-        if factor.kind != "SOeven":
-            continue
-        blocks = sig.m_plus[index] + sig.m_minus[index]
-        blocks += sum(_triangular(pair[index]) for _, *pair in sig.pooled)
-        if not _type_matches(factor, blocks):
+        if factor.kind == "SOeven" and not _type_matches(
+                factor, sum(minus_type_exponent(t, ms[index]) for t, *ms in sig.rows)):
             return False
     return True

@@ -27,8 +27,9 @@ degree and whether it is x - 1, x + 1 or neither.  So exponent_pair is
 memoised on the slot kinds, the type and the multiplicities.
 
 A parameter shape distributes the two chains of each class over its two
-tagged members: the tags are ("1", "w0") at x - 1, ("w1", "w2") at
-x + 1, ("rho", "rho'") elsewhere.  Symplectic groups keep only shapes
+tagged members, named by the rank of the class's signature type
+(cuspdata.signature_type): ("1", "w0") at x - 1 and ("w1", "w2") at
+x + 1 under the trivial involution, ("rho", "rho'") elsewhere.  Symplectic groups keep only shapes
 whose total determinant character is trivial; the four linear tags map
 to the Klein group and each contributes its vector times the parity of
 the chain sum it carries.  When some even degree class carries an odd
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .cuspdata import CuspidalDatum
+from .cuspdata import CuspidalDatum, signature_type
 from .ffpoly import ClassType, SelfDualClass
 from .groups import dual_dimension
 
@@ -250,17 +251,12 @@ class ParamShape:
     entries: tuple[tuple[SelfDualClass, tuple[ShapeMember, ShapeMember]], ...]
 
 
-def _member_tags(cls: SelfDualClass, trivial_ext: bool) -> tuple[str, str]:
-    if trivial_ext and cls.is_x_minus_one:
-        return ("1", "w0")
-    if trivial_ext and cls.is_x_plus_one:
-        return ("w1", "w2")
-    return ("rho", "rho'")
+# Member tags by the rank of signature_type: x - 1, x + 1, any other.
+_TAGS = (("1", "w0"), ("w1", "w2"), ("rho", "rho'"))
 
 
 def parameter_shapes(datum: CuspidalDatum) -> tuple[ParamShape, ...]:
     """All chain-to-member assignments, det-filtered for symplectic groups."""
-    trivial_ext = datum.field.ext == "trivial"
     per_class: list[list[tuple[SelfDualClass, tuple[ShapeMember, ShapeMember]]]] = []
     free_determinant = False
     for cls in datum.pairs:
@@ -270,7 +266,7 @@ def parameter_shapes(datum: CuspidalDatum) -> tuple[ParamShape, ...]:
             continue
         if cls.degree > 1 and sum(chains[0] + chains[1]) % 2:
             free_determinant = True
-        tags = _member_tags(cls, trivial_ext)
+        tags = _TAGS[signature_type(cls).rank]
         options = [(cls, (ShapeMember(tags[0], s, chains[0]),
                           ShapeMember(tags[1], s2, chains[1])))]
         if s != s2:

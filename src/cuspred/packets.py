@@ -72,6 +72,7 @@ from .cuspdata import (
     char_poly_exponent,
     count_representations,
     minus_type_exponent,
+    signature_type,
     slot_series,
     _type_matches,
 )
@@ -101,7 +102,7 @@ def recover_m_pair(cls: SelfDualClass, s: HalfInt, s2: HalfInt) -> tuple[int, in
     Unordered: returned with the larger multiplicity first.
     """
     total, diff = s.twice + s2.twice, abs(s.twice - s2.twice)
-    if cls.is_linear and cls.field.ext == "trivial":
+    if signature_type(cls).rank < 2:
         pair = (total // 4, diff // 4)
     else:
         pair = (total // 2, diff // 2)

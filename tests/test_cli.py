@@ -646,6 +646,16 @@ class TestErrorPaths:
         assert code == 2
         assert f"{name!r}" in err and "must be a JSON integer" in err
 
+    @pytest.mark.parametrize("key, value", [("p", 3.0), ("e", 1.0)])
+    def test_field_number_error_is_prefixed_once(self, capsys, key, value):
+        # The field reader lets its own SchemaError through, as the group
+        # and datum readers do, so the message is not wrapped twice.
+        obj = datum_to_obj(gallery_entry("sp6").datum)
+        obj["group"]["field"][key] = value
+        code, out, err = run(capsys, "validate", json.dumps(obj))
+        assert (code, out) == (2, "")
+        assert err == f"error: '{key}' in field must be a JSON integer, got {value}\n"
+
     @pytest.mark.parametrize("path, key, what", [
         (("group",), "witt_index", "group"),
         ((), "supports", "datum"),

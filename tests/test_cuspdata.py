@@ -472,7 +472,7 @@ class TestSignatures:
         # one of them stands for two concrete data.
         group = GroupSpec("Sp", 4, 2, (0, 0), F3)
         sigs = {sig: w for sig, w in enumerate_signatures(group)}
-        deg4 = [sig for sig in sigs if any(d == 4 for d, _, _ in sig.pooled)]
+        deg4 = [sig for sig in sigs if any(t.degree == 4 for t, _, _ in sig.rows)]
         assert deg4 and all(sigs[s] == 2 for s in deg4)
 
     def test_every_datum_matches_its_representative(self):

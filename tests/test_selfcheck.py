@@ -5,10 +5,11 @@ import itertools
 import json
 import random
 from functools import cache, partial
+from types import SimpleNamespace
 
 import pytest
 
-from cuspred.cli import datum_from_obj, datum_to_obj
+from cuspred.cli import datum_from_obj, datum_to_obj, main
 from cuspred.cuspdata import enumerate_signatures, signature_representative
 from cuspred.groups import FAMILIES, dual_dimension
 from cuspred.packets import companions
@@ -124,3 +125,71 @@ class TestPastTheSweepBound:
             census = cache(partial(companions, datum))
             for name, check in _CHECKS.items():
                 assert check(datum, census) is None, (name, str(datum))
+
+
+class TestFailureReports:
+    """A planted fault, end to end through the CLI: each check's failure
+    detail, the counts, both renderings and a reproducer that the CLI
+    takes back.  The sweep over F3 up to dual dimension 3 starts on Sp(2),
+    so the census law runs on its first datum."""
+
+    DATUM = "Sp(2)/F3:(1,0) [(x^2+1)^1] x [1]"
+    ALL_OK = dict.fromkeys(("identity", "recovery", "epsilon", "census-law"), 0)
+
+    def planted_stats(census):
+        return SimpleNamespace(census_total=3, q=1, delta=0)
+
+    def raising_search(datum):
+        raise AssertionError("planted search fault")
+
+    PLANTS = {
+        "identity": ("verify_identity", lambda datum: False, {"identity": "degree identity failed"}),
+        "recovery": ("recover_m_pair", lambda cls, s, s2: (-1, -1),
+                     {"recovery": "multiplicities of x-1 not recovered"}),
+        "epsilon": ("enumerate_epsilon", lambda datum, qsets: [],
+                    {"epsilon": "census swaps [[], ['x^2+1']] but closed form []"}),
+        "census-law": ("packet_stats", planted_stats,
+                       {"census-law": "census total 3 differs from 2^(1+0)"}),
+        "search": ("companions", raising_search,
+                   {"epsilon": "raised planted search fault",
+                    "census-law": "raised planted search fault"}),
+    }
+
+    def sweep(self, capsys, monkeypatch, plant, fmt):
+        name, fault, details = self.PLANTS[plant]
+        monkeypatch.setattr(f"cuspred.selfcheck.{name}", fault)
+        code = main(["selfcheck", "--q", "3", "--dualdim", "3", "--format", fmt])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "")
+        return out, details
+
+    def describes(self, capsys, reproducer):
+        assert main(["describe", json.dumps(reproducer)]) == 0
+        assert self.DATUM in capsys.readouterr().out
+
+    @pytest.mark.parametrize("plant", PLANTS)
+    def test_json_report(self, capsys, monkeypatch, plant):
+        out, details = self.sweep(capsys, monkeypatch, plant, "json")
+        rep = json.loads(out)
+        assert rep["ok"] is False
+        assert (rep["groups"], rep["signatures"], rep["data_weight"]) == (1, 1, 1)
+        assert rep["failure_counts"] == {**self.ALL_OK, **dict.fromkeys(details, 1)}
+        assert [(f["check"], f["datum"], f["detail"]) for f in rep["failures"]] == [
+            (check, self.DATUM, detail) for check, detail in details.items()]
+        for failure in rep["failures"]:
+            self.describes(capsys, failure["reproducer"])
+
+    @pytest.mark.parametrize("plant", PLANTS)
+    def test_markdown_report(self, capsys, monkeypatch, plant):
+        out, details = self.sweep(capsys, monkeypatch, plant, "md")
+        lines = out.splitlines()
+        assert lines[5:9] == [f"- {check}: {'1 FAILURES' if check in details else 'ok'}"
+                              for check in self.ALL_OK]
+        assert lines[-1] == "- verdict: FAILED"
+        reported = lines[9:-1]
+        assert len(reported) == 2 * len(details)
+        for (check, detail), line, reproducer in zip(details.items(), reported[::2],
+                                                     reported[1::2]):
+            assert line == f"- FAILURE [{check}] {self.DATUM}: {detail}"
+            assert reproducer.startswith("    reproducer: {")
+            self.describes(capsys, json.loads(reproducer[len("    reproducer: "):]))
