@@ -499,16 +499,16 @@ def signature_of(datum: CuspidalDatum) -> DatumSignature:
 
 def signature_weight(group: GroupSpec, sig: DatumSignature) -> int:
     """Number of concrete data sharing the signature."""
-    types = Counter(t for t, _, _ in sig.rows)
+    pooled = [row for row in sig.rows if row[0].rank == 2]  # x -+ 1 name one class each
+    types = Counter(t for t, _, _ in pooled)
     if group.field.ext == "trivial" and ClassType(1, 2) in types:
         raise ValueError("linear classes are not pooled for the trivial involution")
     # Distinct classes go to the rows of each pooled type in order; rows
-    # that repeat are interchangeable.  x - 1 and x + 1 name one class each.
+    # that repeat are interchangeable.
     weight = 1
     for t, k in types.items():
-        if t.rank == 2:
-            weight *= perm(count_self_dual_classes(group.field, t.degree), k)
-    for repeats in Counter(sig.rows).values():
+        weight *= perm(count_self_dual_classes(group.field, t.degree), k)
+    for repeats in Counter(pooled).values():
         weight //= factorial(repeats)
     return weight
 
