@@ -29,12 +29,12 @@ memoised on the slot kinds, the type and the multiplicities.
 A parameter shape distributes the two chains of each class over its two
 tagged members, named by the rank of the class's signature type
 (cuspdata.signature_type): ("1", "w0") at x - 1 and ("w1", "w2") at
-x + 1 under the trivial involution, ("rho", "rho'") elsewhere.  Symplectic groups keep only shapes
-whose total determinant character is trivial; the four linear tags map
-to the Klein group and each contributes its vector times the parity of
-the chain sum it carries.  When some even degree class carries an odd
-chain sum the determinant can be corrected for free and every shape
-survives.
+x + 1 under the trivial involution, ("rho", "rho'") elsewhere.
+Symplectic groups keep only shapes whose total determinant character is
+trivial; the four linear tags map to the Klein group and each
+contributes its vector times the parity of the chain sum it carries.
+When some even degree class carries an odd chain sum the determinant
+can be corrected for free and every shape survives.
 """
 
 from __future__ import annotations
