@@ -27,26 +27,26 @@ supports, never the data: it counts from them and writes its listing
 datum by datum, each datum's text joined from its two supports' texts;
 its bytes are those of the whole listing rendered at once.
 Exit codes: 0 success, 1 failed validation or a failed check, 2 bad
-input: a file that is not UTF-8, malformed JSON, input that is not a
-JSON object, a key given twice in one object, an unknown key, a missing
-key (named with its object), an "aniso" that is not a JSON list of two
-integers, a "poly" that is not a JSON list of integers, "supports" that
-is not a JSON list, a number that is not a JSON integer (3.7, "2" and
-true are refused), a polynomial listed twice in one support, a support
-that is not a JSON list, a "poly" whose leading coefficient is 0, a
-field of more than 32 elements (however large p or e), a JSON integer of
-more than 4,300 digits, a negative --degree or --dualdim, a selfcheck
-residue size or check given twice, a selfcheck residue size other than
-an odd prime q0 with F(q0^2) of at most 32 elements (so 3 or 5), an
-empty check name, or an enumerate or a selfcheck that would list classes
-past degree 8 (pass --degree 8 or less; enumerate refuses before it
-lists any class, and selfcheck before it sweeps, when both --degree and
---dualdim exceed 8). An unknown examples
---name, the empty one included, exits 2 too.  An internal invariant
-failure (a failed assertion or a KeyError raised inside the library)
-exits 1 with "internal error:" and the input JSON as a reproducer on
-stderr.  A reader that closes stdout early, as "| head -c 100" does,
-ends the command with exit 1 and nothing on stderr.
+input: a file that is not UTF-8, malformed JSON, JSON nested too deeply,
+input that is not a JSON object, a key given twice in one object, an
+unknown key, a missing key (named with its object), an "aniso" that is
+not a JSON list of two integers, a "poly" that is not a JSON list of
+integers, "supports" that is not a JSON list, a number that is not a
+JSON integer (3.7, "2" and true are refused), a polynomial listed twice
+in one support, a support that is not a JSON list, a "poly" whose
+leading coefficient is 0, a field of more than 32 elements (however
+large p or e), a JSON integer of more than 4,300 digits, a negative
+--degree or --dualdim, a selfcheck residue size or check given twice, a
+selfcheck residue size other than an odd prime q0 with F(q0^2) of at
+most 32 elements (so 3 or 5), an empty check name, or an enumerate or a
+selfcheck that would list classes past degree 8 (pass --degree 8 or
+less; enumerate refuses before it lists any class, and selfcheck before
+it sweeps, when both --degree and --dualdim exceed 8). An unknown
+examples --name, the empty one included, exits 2 too.  An internal
+invariant failure (a failed assertion or a KeyError raised inside the
+library) exits 1 with "internal error:" and the input JSON as a
+reproducer on stderr.  A reader that closes stdout early, as
+"| head -c 100" does, ends the command with exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -238,6 +238,8 @@ def _read_json(source: str):
         obj = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as err:  # not UTF-8, bad JSON, a repeated key, or a huge integer
         raise SchemaError(str(err)) from err
+    except RecursionError as err:
+        raise SchemaError("JSON nested too deeply") from err
     if not isinstance(obj, dict):
         raise SchemaError("input is not a JSON object")
     return obj

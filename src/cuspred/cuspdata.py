@@ -15,6 +15,9 @@ a_P depends on the factor kind and on whether P is linear:
 A symplectic factor always carries x - 1: when the support omits it, the
 entry is implicit with m = 0 and a = 1, so the exponent totals of a
 symplectic factor add to dim + 1 rather than dim.
+The tables, char_poly_exponent and minus_type_exponent, take the type
+of a class (ffpoly.ClassType: its degree, and whether it is x - 1, x + 1
+or neither), never the class.
 
 Validation clauses, in order: (a) classes match the factor's field and
 involution (the degree parity needs no check: a self-dual class has odd
@@ -92,7 +95,6 @@ __all__ = [
     "DatumSignature",
     "char_poly_exponent",
     "minus_type_exponent",
-    "linear_multiplicities",
     "exponent_total",
     "support_violation",
     "validate_support",
@@ -116,31 +118,32 @@ def _triangular(m: int) -> int:
     return m * (m + 1) // 2
 
 
-def char_poly_exponent(kind: str, cls: SelfDualClass | ClassType, m: int) -> int:
-    """Exponent a_P of the class P, or of a class of that type, in the
-    characteristic polynomial."""
+def char_poly_exponent(kind: str, ctype: ClassType, m: int) -> int:
+    """Exponent a_P in the characteristic polynomial of every class P of
+    the type, at multiplicity m: the table of the module docstring."""
     if m < 0:
         raise ValueError("multiplicity must be nonnegative")
-    if kind == "U" or not cls.is_linear:
+    if kind == "U" or not ctype.is_linear:
         return _triangular(m)
     if kind == "SOodd":
         return 2 * (m * m + m)
     if kind == "Sp":
-        return 2 * (m * m + m) + 1 if cls.is_x_minus_one else 2 * m * m
+        return 2 * (m * m + m) + 1 if ctype.is_x_minus_one else 2 * m * m
     if kind == "SOeven":
         return 2 * m * m
     raise ValueError(f"unknown factor kind {kind!r}")
 
 
-def minus_type_exponent(cls: SelfDualClass | ClassType, m: int) -> int:
-    """Number of minus-type blocks contributed to an SOeven factor.
+def minus_type_exponent(ctype: ClassType, m: int) -> int:
+    """Number of minus-type blocks a class of the type contributes to an
+    SOeven factor.
 
     Each linear eigenvalue block of parameter m contributes m such
     blocks; a nonlinear class contributes one per copy, that is a_P,
     since its restriction-of-scalars torus has minus type in every even
     degree.
     """
-    return m if cls.is_linear else _triangular(m)
+    return m if ctype.is_linear else _triangular(m)
 
 
 def _type_matches(factor: FiniteFactor, blocks: int) -> bool:
@@ -172,22 +175,10 @@ class FactorSupport:
     def empty() -> "FactorSupport":
         return FactorSupport(())
 
-    def get(self, cls: SelfDualClass) -> int:
-        for c, m in self.entries:
-            if c == cls:
-                return m
-        return 0
-
     def __str__(self) -> str:
         if not self.entries:
             return "1"
         return " ".join(f"({c.label})^{m}" for c, m in self.entries)
-
-
-def linear_multiplicities(support: FactorSupport, field: FieldSpec) -> tuple[int, int]:
-    """Multiplicities (m at x-1, m at x+1), zero when absent."""
-    return (support.get(class_x_minus_one(field)),
-            support.get(class_x_plus_one(field)))
 
 
 def exponent_total(kind: str, entries) -> int:
@@ -197,8 +188,8 @@ def exponent_total(kind: str, entries) -> int:
     and a = 1, so the total gains one.  The entries are read twice: pass
     a sequence or a dict view, not an iterator.
     """
-    total = sum(char_poly_exponent(kind, cls, m) * cls.degree for cls, m in entries)
-    if kind == "Sp" and not any(cls.is_x_minus_one for cls, _ in entries):
+    total = sum(char_poly_exponent(kind, cls.type, m) * cls.degree for cls, m in entries)
+    if kind == "Sp" and not any(cls.type.is_x_minus_one for cls, _ in entries):
         total += 1
     return total
 
@@ -215,7 +206,7 @@ def support_violation(factor: FiniteFactor, support: FactorSupport,
     if total != factor.dual_dim:
         return "c", f"exponent total {total} differs from dual dimension {factor.dual_dim}"
     if factor.kind == "SOeven" and not _type_matches(
-            factor, sum(minus_type_exponent(cls, m) for cls, m in support.entries)):
+            factor, sum(minus_type_exponent(cls.type, m) for cls, m in support.entries)):
         return "d", "support type does not match the factor sign"
     return None
 
@@ -283,19 +274,21 @@ class RepCount:
     total: int
 
 
-def slot_series(factor: FiniteFactor, support: FactorSupport, field: FieldSpec) -> tuple[int, str]:
-    """Number of inertial series of the slot and the component action on them."""
+def slot_series(factor: FiniteFactor, support: FactorSupport) -> tuple[int, str]:
+    """Number of inertial series of the slot and the component action on
+    them, read off which of x - 1 (rank 0) and x + 1 (rank 1) the
+    support holds."""
     if factor.kind in ("SOodd", "U"):
         return 1, "fixed"
-    m_plus, m_minus = linear_multiplicities(support, field)
+    ranks = {cls.type.rank for cls, _ in support.entries}
     if factor.kind == "Sp":
-        return (2 if m_minus > 0 else 1), "fixed"
+        return (2 if 1 in ranks else 1), "fixed"
     # SOeven
-    if m_plus == 0 and m_minus == 0:
+    if 0 not in ranks and 1 not in ranks:
         if factor.dual_dim > 0:
             return 2, "swapped"
         return 1, "fixed"
-    if m_plus > 0 and m_minus > 0:
+    if 0 in ranks and 1 in ranks:
         return 2, "fixed"
     return 1, "fixed"
 
@@ -315,9 +308,7 @@ def _orbit_total(order: int, slot1: tuple[int, str], slot2: tuple[int, str]) -> 
 def count_representations(datum: CuspidalDatum) -> RepCount:
     """Representations above the datum: the orbit rule of the module
     docstring under the component group."""
-    field = datum.field
-    (f1, f2) = datum.parahoric.factors
-    slots = (slot_series(f1, datum.supports[0], field), slot_series(f2, datum.supports[1], field))
+    slots = tuple(map(slot_series, datum.parahoric.factors, datum.supports))
     (n1, act1), (n2, act2) = slots
     order = component_group_order(datum.parahoric)
     return RepCount(n1, n2, order, (act1, act2), _orbit_total(order, *slots))
@@ -398,7 +389,8 @@ def enumerate_supports(factor: FiniteFactor, field: FieldSpec,
             for c in enumerate_self_dual_classes(field, d)]
     if kind != "U":
         pool = [class_x_minus_one(field), class_x_plus_one(field), *pool]
-    budget = factor.dual_dim - sum(char_poly_exponent(kind, cls, 0) * cls.degree for cls in pool)
+    budget = factor.dual_dim - sum(char_poly_exponent(kind, cls.type, 0) * cls.degree
+                                   for cls in pool)
     entries = [(1, _options((kind,), cls.type, (budget,))) for cls in pool]
     supports = (FactorSupport.of([(pool[index], m) for index, (m,) in way])
                 for way in _spend(entries, (budget,)))
@@ -446,9 +438,8 @@ def census_total_reps(census: Census) -> int:
     supports of each slot give them."""
     total = 0
     for parahoric, slots in census:
-        field = parahoric.group.field
         order = component_group_order(parahoric)
-        series1, series2 = (Counter(slot_series(factor, s, field) for s in supports)
+        series1, series2 = (Counter(slot_series(factor, s) for s in supports)
                             for factor, supports in zip(parahoric.factors, slots))
         total += sum(k1 * k2 * _orbit_total(order, slot1, slot2)
                      for slot1, k1 in series1.items() for slot2, k2 in series2.items())

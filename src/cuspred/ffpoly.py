@@ -352,9 +352,11 @@ def sigma_dual(poly: Poly) -> Poly:
 
 
 class ClassType(namedtuple("ClassType", ("degree", "rank"))):
-    """All that the exponent and parameter tables read of a class: its
-    degree and its rank, 0 for x - 1, 1 for x + 1 and 2 for any other.
-    Memos key on the type, never on a class, so they keep no class alive."""
+    """The kind of a class: its degree and its rank, 0 for x - 1, 1 for
+    x + 1 and 2 for any other.  The exponent and parameter tables take a
+    type, never a class, and read nothing else of it; is_linear and
+    is_x_minus_one are their vocabulary.  Memos key on the type, so they
+    keep no class alive."""
 
     __slots__ = ()
 
@@ -402,27 +404,14 @@ class SelfDualClass:
         return self.poly.degree
 
     @cached_property
-    def is_linear(self) -> bool:
-        return self.degree == 1
-
-    @cached_property
-    def is_x_minus_one(self) -> bool:
-        return self.degree == 1 and self.poly.coeffs[0] == field_table(self.field).minus_one
-
-    @cached_property
-    def is_x_plus_one(self) -> bool:
-        return self.degree == 1 and self.poly.coeffs[0] == 1
+    def type(self) -> ClassType:
+        """x - 1 and x + 1 are the linear classes of constant term -1 and 1."""
+        ranks = {field_table(self.field).minus_one: 0, 1: 1} if self.degree == 1 else {}
+        return ClassType(self.degree, ranks.get(self.poly.coeffs[0], 2))
 
     @cached_property
     def label(self) -> str:
-        if self.is_x_minus_one:
-            return "x-1"
-        return str(self.poly)
-
-    @cached_property
-    def type(self) -> ClassType:
-        rank = 0 if self.is_x_minus_one else 1 if self.is_x_plus_one else 2
-        return ClassType(self.degree, rank)
+        return "x-1" if self.type.is_x_minus_one else str(self.poly)
 
     @cached_property
     def sort_key(self) -> tuple:

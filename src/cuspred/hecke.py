@@ -22,8 +22,8 @@ reducibility points; each contributes the Jordan chain m = 2s - 1,
 
     sum over P of (floor(s^2) + floor(s'^2)) deg P  =  dual dimension.
 
-The tables read a class only through its type, ffpoly.ClassType: its
-degree and whether it is x - 1, x + 1 or neither.  So exponent_pair is
+The tables take the type of a class, ffpoly.ClassType, never the class:
+its degree and whether it is x - 1, x + 1 or neither.  So exponent_pair is
 memoised on the slot kinds, the type and the multiplicities.
 
 A parameter shape distributes the two chains of each class over its two
@@ -100,17 +100,17 @@ class HalfInt:
         return f"{self.twice}/2"
 
 
-def finite_parameter(kind: str, cls: SelfDualClass | ClassType, m: int) -> HalfInt:
-    """The slot parameter f of the class, or of a class of that type, at
-    multiplicity m (0 if absent)."""
+def finite_parameter(kind: str, ctype: ClassType, m: int) -> HalfInt:
+    """The slot parameter f of every class of the type at multiplicity m
+    (0 if absent): the table of the module docstring."""
     if m < 0:
         raise ValueError("multiplicity must be nonnegative")
-    if kind == "U" or not cls.is_linear:
-        return HalfInt((2 * m + 1) * cls.degree)
+    if kind == "U" or not ctype.is_linear:
+        return HalfInt((2 * m + 1) * ctype.degree)
     if kind == "SOodd":
         return HalfInt.of(2 * m + 1)
     if kind == "Sp":
-        return HalfInt.of(2 * m + 1 if cls.is_x_minus_one else 2 * m)
+        return HalfInt.of(2 * m + 1 if ctype.is_x_minus_one else 2 * m)
     if kind == "SOeven":
         return HalfInt.of(2 * m)
     raise ValueError(f"unknown factor kind {kind!r}")
@@ -120,7 +120,7 @@ def parameter_pair(datum: CuspidalDatum, cls: SelfDualClass) -> tuple[HalfInt, H
     """(f1, f2) of the class in the two slots."""
     f1, f2 = datum.parahoric.factors
     m1, m2 = datum.pairs.get(cls, (0, 0))
-    return (finite_parameter(f1.kind, cls, m1), finite_parameter(f2.kind, cls, m2))
+    return (finite_parameter(f1.kind, cls.type, m1), finite_parameter(f2.kind, cls.type, m2))
 
 
 def exponent_pair(kinds: tuple[str, str], cls: SelfDualClass,

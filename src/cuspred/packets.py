@@ -143,15 +143,16 @@ def q_sets(datum: CuspidalDatum) -> QSets:
         if m1 == m2:
             continue
         raw.append(cls)
-        if not _constant_difference(kinds[0], kinds[1], cls.type):
+        ctype = cls.type
+        if not _constant_difference(kinds[0], kinds[1], ctype):
             removed.append(cls)
             continue
         kept.append(cls)
         if even_orthogonal:
-            pinned = (minus_type_exponent(cls, m1) - minus_type_exponent(cls, m2)) % 2
+            pinned = (minus_type_exponent(ctype, m1) - minus_type_exponent(ctype, m2)) % 2
         elif unitary:
-            pinned = (char_poly_exponent("U", cls, m1)
-                      - char_poly_exponent("U", cls, m2)) % 2
+            pinned = (char_poly_exponent("U", ctype, m1)
+                      - char_poly_exponent("U", ctype, m2)) % 2
         else:
             pinned = 0
         (constrained if pinned else free).append(cls)
@@ -293,8 +294,8 @@ def enumerate_epsilon(datum: CuspidalDatum,
         shift = 0
         for cls in subset:
             m1, m2 = datum.pairs[cls]
-            shift += (char_poly_exponent(f1.kind, cls, m2)
-                      - char_poly_exponent(f1.kind, cls, m1)) * cls.degree
+            shift += (char_poly_exponent(f1.kind, cls.type, m2)
+                      - char_poly_exponent(f1.kind, cls.type, m1)) * cls.degree
         if parahoric_of(datum.group, (f1.dual_dim + shift, f2.dual_dim - shift)) is not None:
             out.append(subset)
     return tuple(out)
@@ -336,7 +337,7 @@ def full_orthogonal_count(datum: CuspidalDatum) -> int:
         raise ValueError("full orthogonal counts only apply to even orthogonal groups")
     total = 1
     for factor, support in zip(datum.parahoric.factors, datum.supports):
-        n, action = slot_series(factor, support, datum.field)
+        n, action = slot_series(factor, support)
         total *= n if factor.dim == 0 else 1 if action == "swapped" else 2 * n
     return total
 

@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -160,6 +161,32 @@ class TestCrossform:
         assert code == 0
         totals = {f["group"]: f["census_total"] for f in rep["forms"]}
         assert totals["SO(20)[w10,a00]/F3"] == 16
+
+
+# An odd orthogonal slot of positive rank inside a ramified unitary group.
+URAM_SO3 = json.dumps({
+    "group": {"family": "Uram", "epsilon": 1, "witt_index": 1, "aniso": [1, 0],
+              "field": {"p": 3}},
+    "parahoric": {"n1": 1, "n2": 0},
+    "supports": [[{"poly": [1, 0, 1], "m": 1}], []]})
+URAM_SO3_NOTE = ("untested combination: odd orthogonal factor of positive rank inside a "
+                 "ramified unitary group; its cuspidal count is taken to be 1 per support")
+
+
+class TestNotes:
+    @pytest.mark.parametrize("command", ["validate", "describe", "packet"])
+    def test_ramified_unitary_odd_orthogonal_note(self, capsys, command):
+        code, rep = run_json(capsys, command, URAM_SO3)
+        assert code == 0 and rep["notes"] == [URAM_SO3_NOTE]
+        code, out, err = run(capsys, command, URAM_SO3)
+        assert (code, err) == (0, "")
+        assert f"- note: {URAM_SO3_NOTE}" in out.splitlines()
+
+    def test_crossform_carries_no_notes(self, capsys):
+        code, rep = run_json(capsys, "crossform", URAM_SO3)
+        assert code == 0 and "notes" not in rep
+        code, out, err = run(capsys, "crossform", URAM_SO3)
+        assert code == 0 and "note:" not in out
 
 
 class TestEnumerate:
@@ -500,6 +527,22 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("source", ["inline", "file", "stdin"])
+    def test_deeply_nested_json(self, capsys, monkeypatch, tmp_path, source):
+        # The parser gives up with a RecursionError: malformed input, not
+        # a traceback.
+        text = "[" * 100000 + "]" * 100000
+        if source == "file":
+            path = tmp_path / "deep.json"
+            path.write_text(text)
+            text = str(path)
+        elif source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            text = "-"
+        code, out, err = run(capsys, "describe", text)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_missing_keys(self, capsys):
         code, out, err = run(capsys, "describe", '{"group": {"family": "Sp"}}')
         assert code == 2
@@ -645,6 +688,12 @@ class TestErrorPaths:
         code, out, err = run(capsys, "validate", json.dumps(obj))
         assert code == 2
         assert f"{name!r}" in err and "must be a JSON integer" in err
+
+    def test_field_degree_must_be_positive(self, capsys):
+        obj = datum_to_obj(gallery_entry("sp6").datum)
+        obj["group"]["field"]["e"] = 0
+        code, out, err = run(capsys, "validate", json.dumps(obj))
+        assert (code, out, err) == (2, "", "error: bad field description: e must be positive\n")
 
     @pytest.mark.parametrize("key, value", [("p", 3.0), ("e", 1.0)])
     def test_field_number_error_is_prefixed_once(self, capsys, key, value):

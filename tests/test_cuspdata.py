@@ -11,6 +11,7 @@ import pytest
 
 from cuspred.cuspdata import (
     CuspidalDatum,
+    DatumSignature,
     FactorSupport,
     census_total_reps,
     char_poly_exponent,
@@ -20,7 +21,6 @@ from cuspred.cuspdata import (
     enumerate_signatures,
     enumerate_supports,
     exponent_total,
-    linear_multiplicities,
     minus_type_exponent,
     signature_of,
     signature_representative,
@@ -29,6 +29,7 @@ from cuspred.cuspdata import (
     validate_support,
 )
 from cuspred.ffpoly import (
+    ClassType,
     DegreeLimitError,
     FieldSpec,
     class_x_minus_one,
@@ -56,7 +57,7 @@ Q4A, Q4B = enumerate_self_dual_classes(F3, 4)
 
 class TestExponentFormulas:
     def test_linear_tables(self):
-        xm, xp = class_x_minus_one(F3), class_x_plus_one(F3)
+        xm, xp = class_x_minus_one(F3).type, class_x_plus_one(F3).type
         # SOodd: both eigenvalues follow 2(m^2 + m)
         assert [char_poly_exponent("SOodd", xm, m) for m in range(4)] == [0, 4, 12, 24]
         assert [char_poly_exponent("SOodd", xp, m) for m in range(4)] == [0, 4, 12, 24]
@@ -69,25 +70,25 @@ class TestExponentFormulas:
 
     def test_nonlinear_is_triangular(self):
         for kind in ("SOodd", "Sp", "SOeven", "U"):
-            assert [char_poly_exponent(kind, P2, m) for m in range(5)] == [0, 1, 3, 6, 10]
+            assert [char_poly_exponent(kind, P2.type, m) for m in range(5)] == [0, 1, 3, 6, 10]
 
     def test_case_u_linear_is_triangular(self):
-        xm9 = class_x_minus_one(F9Q)
+        xm9 = class_x_minus_one(F9Q).type
         assert [char_poly_exponent("U", xm9, m) for m in range(4)] == [0, 1, 3, 6]
 
     def test_minus_type_exponent(self):
-        xm = class_x_minus_one(F3)
+        xm = class_x_minus_one(F3).type
         assert [minus_type_exponent(xm, m) for m in range(4)] == [0, 1, 2, 3]
-        assert [minus_type_exponent(P2, m) for m in range(4)] == [0, 1, 3, 6]
+        assert [minus_type_exponent(P2.type, m) for m in range(4)] == [0, 1, 3, 6]
 
     def test_negative_multiplicity_rejected(self):
         with pytest.raises(ValueError):
-            char_poly_exponent("Sp", class_x_minus_one(F3), -1)
+            char_poly_exponent("Sp", class_x_minus_one(F3).type, -1)
 
     def test_unknown_kind_rejected(self):
         # The factor kind is the only slot vocabulary; the old tags are gone.
         with pytest.raises(ValueError, match="unknown factor kind 'ii'"):
-            char_poly_exponent("ii", class_x_minus_one(F3), 1)
+            char_poly_exponent("ii", class_x_minus_one(F3).type, 1)
         with pytest.raises(ValueError, match="unknown factor kind 'i'"):
             FiniteFactor("i", 3)
 
@@ -97,7 +98,6 @@ class TestFactorSupport:
         xm, xp = class_x_minus_one(F3), class_x_plus_one(F3)
         s = FactorSupport.of([(xp, 1), (xm, 2)])
         assert s.entries == ((xm, 2), (xp, 1))
-        assert s.get(xm) == 2 and s.get(xp) == 1 and s.get(P2) == 0
         with pytest.raises(ValueError):
             FactorSupport(((xm, 0),))
         with pytest.raises(ValueError):
@@ -112,12 +112,6 @@ class TestFactorSupport:
         xm = class_x_minus_one(F3)
         assert str(FactorSupport.of([(xm, 2)])) == "(x-1)^2"
         assert str(FactorSupport.empty()) == "1"
-
-    def test_linear_multiplicities(self):
-        xm, xp = class_x_minus_one(F3), class_x_plus_one(F3)
-        s = FactorSupport.of([(xm, 1), (P2, 3)])
-        assert linear_multiplicities(s, F3) == (1, 0)
-        assert linear_multiplicities(FactorSupport.empty(), F3) == (0, 0)
 
 
 class TestValidation:
@@ -345,7 +339,7 @@ class TestEnumeration:
             ranges = []
             for c in pool:
                 m = 0
-                while char_poly_exponent(factor.kind, c, m + 1) * c.degree <= factor.dual_dim:
+                while char_poly_exponent(factor.kind, c.type, m + 1) * c.degree <= factor.dual_dim:
                     m += 1
                 ranges.append(range(m + 1))
             if math.prod(map(len, ranges)) > 10 ** 5:
@@ -475,6 +469,22 @@ class TestSignatures:
         deg4 = [sig for sig in sigs if any(t.degree == 4 for t, _, _ in sig.rows)]
         assert deg4 and all(sigs[s] == 2 for s in deg4)
 
+    def test_pooled_linear_row_is_refused_under_the_trivial_involution(self):
+        # Over F3 the linear classes are x - 1 and x + 1, rows of their own.
+        group = GroupSpec("Sp", 4, 2, (0, 0), F3)
+        sig = DatumSignature(2, 0, ((ClassType(1, 2), 1, 0),))
+        with pytest.raises(ValueError, match="linear classes are not pooled "
+                                             "for the trivial involution"):
+            signature_weight(group, sig)
+
+    def test_representative_needs_enough_classes(self):
+        # F3 has one self-dual class of degree 2, x^2 + 1.
+        group = GroupSpec("Sp", 4, 2, (0, 0), F3)
+        assert len(enumerate_self_dual_classes(F3, 2)) == 1
+        sig = DatumSignature(2, 0, ((ClassType(2, 2), 1, 0), (ClassType(2, 2), 1, 0)))
+        with pytest.raises(ValueError, match="not enough degree 2 classes"):
+            signature_representative(group, sig)
+
     def test_every_datum_matches_its_representative(self):
         # The sweep checks one representative per signature.  Every
         # concrete datum must pass the same checks and give the same
@@ -507,7 +517,7 @@ def _signature_invariants(datum, trivial):
     law that reads delta applies to Sp alone.
     """
     def tag(cls):
-        return (cls.degree, cls.label if trivial and cls.is_linear else "")
+        return (cls.degree, cls.label if trivial and cls.degree == 1 else "")
 
     def swaps(swap_sets):
         return sorted(sorted(tag(c) for c in s) for s in swap_sets)

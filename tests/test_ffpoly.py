@@ -284,9 +284,9 @@ class TestCensus:
         assert class_x_minus_one(F3).poly.coeffs == (2, 1)
         assert class_x_plus_one(F3).label == "x+1"
         a, b = enumerate_self_dual_classes(F3, 1)
-        assert a.is_x_minus_one and b.is_x_plus_one
+        assert (a.type.rank, b.type.rank) == (0, 1)
         quad_linear = enumerate_self_dual_classes(F9Q, 1)
-        assert quad_linear[0].is_x_minus_one and quad_linear[1].is_x_plus_one
+        assert (quad_linear[0].type.rank, quad_linear[1].type.rank) == (0, 1)
         assert len(quad_linear) == 4
 
 

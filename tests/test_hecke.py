@@ -5,9 +5,7 @@ import pytest
 from cuspred.cuspdata import (
     CuspidalDatum,
     FactorSupport,
-    char_poly_exponent,
     enumerate_data,
-    minus_type_exponent,
 )
 from cuspred.ffpoly import (
     FieldSpec,
@@ -16,7 +14,7 @@ from cuspred.ffpoly import (
     enumerate_self_dual_classes,
 )
 from cuspred.fixtures import gallery, gallery_entry
-from cuspred.groups import FACTOR_KINDS, GroupSpec, ParahoricSpec
+from cuspred.groups import GroupSpec, ParahoricSpec
 from cuspred.hecke import (
     HalfInt,
     exponent_pair,
@@ -61,7 +59,7 @@ class TestHalfInt:
 
 class TestFiniteParameter:
     def test_linear_tables(self):
-        xm, xp = class_x_minus_one(F3), class_x_plus_one(F3)
+        xm, xp = class_x_minus_one(F3).type, class_x_plus_one(F3).type
         assert [finite_parameter("SOodd", xm, m).twice for m in range(3)] == [2, 6, 10]
         assert [finite_parameter("SOodd", xp, m).twice for m in range(3)] == [2, 6, 10]
         assert [finite_parameter("Sp", xm, m).twice for m in range(3)] == [2, 6, 10]
@@ -70,31 +68,30 @@ class TestFiniteParameter:
         assert [finite_parameter("SOeven", xp, m).twice for m in range(3)] == [0, 4, 8]
 
     def test_nonlinear_table(self):
-        p2 = enumerate_self_dual_classes(F3, 2)[0]
+        p2 = enumerate_self_dual_classes(F3, 2)[0].type
         assert [str(finite_parameter("Sp", p2, m)) for m in range(3)] == ["1", "3", "5"]
-        cubic = enumerate_self_dual_classes(F9Q, 3)[0]
+        cubic = enumerate_self_dual_classes(F9Q, 3)[0].type
         assert [str(finite_parameter("U", cubic, m)) for m in range(3)] == ["3/2", "9/2", "15/2"]
-        linear9 = class_x_minus_one(F9Q)
+        linear9 = class_x_minus_one(F9Q).type
         assert [str(finite_parameter("U", linear9, m)) for m in range(3)] == ["1/2", "3/2", "5/2"]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown factor kind 'iii'"):
-            finite_parameter("iii", class_x_plus_one(F3), 1)
+            finite_parameter("iii", class_x_plus_one(F3).type, 1)
 
     def test_tables_read_a_class_only_through_its_type(self):
-        # The memos key on the type: every table gives a class and its
-        # type the same value.
+        # The tables take a type: rank 0 is x - 1, rank 1 is x + 1, under
+        # either involution, and the type leads the sort key.
         for field in (F3, FieldSpec(5), F9Q):
+            seen = set()
             for degree in range(1, 5):
                 for cls in enumerate_self_dual_classes(field, degree):
+                    rank = cls.type.rank
+                    assert (rank == 0) == (cls.label == "x-1"), cls
+                    assert (rank == 1) == (cls.poly.coeffs == (1, 1)), cls
                     assert cls.type == cls.sort_key[:2]
-                    for m in range(4):
-                        assert minus_type_exponent(cls, m) == minus_type_exponent(cls.type, m)
-                        for kind in FACTOR_KINDS:
-                            assert (finite_parameter(kind, cls, m)
-                                    == finite_parameter(kind, cls.type, m))
-                            assert (char_poly_exponent(kind, cls, m)
-                                    == char_poly_exponent(kind, cls.type, m))
+                    seen.add(rank)
+            assert seen == {0, 1, 2}
 
     def test_exponent_that_is_not_half_integral_names_the_class(self):
         # No group pairs a U slot with an orthogonal one: there x - 1

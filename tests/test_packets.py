@@ -494,7 +494,7 @@ class TestCountsAgainstOrbitWalk:
     @staticmethod
     def check(datum, cases) -> None:
         factors = datum.parahoric.factors
-        series = tuple(slot_series(f, s, datum.field) for f, s in zip(factors, datum.supports))
+        series = tuple(slot_series(f, s) for f, s in zip(factors, datum.supports))
         order = component_group_order(datum.parahoric)
         component = [(0, 1)] if order == 2 else []
         assert count_representations(datum).total == stabiliser_total(series, component), \
