@@ -40,7 +40,9 @@ factor has positive dimension, and order 1 otherwise.
 
 The factor kind, Sp, SOodd, SOeven or U, is the only name of a slot type
 in the package: it alone fixes the exponent table, the parameter table and
-the sign condition of the slot.
+the sign condition of the slot.  A slot factor is built once per kind,
+dimension and sign: every vertex with that slot, of any group, shares the
+FiniteFactor and its dual_dim.
 
 >>> G = GroupSpec("Sp", 6, 3, (0, 0), FieldSpec(3))
 >>> dual_dimension(G)
@@ -244,8 +246,11 @@ def group_forms(family: str, dim: int, field: FieldSpec):
                     continue
 
 
+@lru_cache(maxsize=1024)
 def _slot_factor(kind: str, n: int, a: int) -> FiniteFactor:
-    """An even orthogonal slot is split exactly when its anisotropic part is 0."""
+    """An even orthogonal slot is split exactly when its anisotropic part
+    is 0.  Built once: vertices with equal slots share the factor and its
+    dual_dim."""
     return FiniteFactor(kind, 2 * n + a, (1 if a == 0 else -1) if kind == "SOeven" else 0)
 
 

@@ -31,19 +31,25 @@ and block counts of a swapped datum are sums over its classes, and its
 IRed lists the points class by class in canonical order.  So a subset
 scores as the unswapped sums plus the deltas of its classes, and it
 keeps the points exactly when each swapped class keeps them swapped and
-each other class unswapped.  The totals name the parahoric through
-groups.parahoric_of, an arithmetic solve of the dual-dimension rule
-that costs the same at any Witt index, and the score hands it on.  The
-score rejects a missing or nonmaximal parahoric, an SOeven slot whose
-block parity contradicts its sign, and a swap that moves a point;
-clauses a and b hold for every swap.  The class scores are memoised on
-the class type (see hecke).  Each survivor is built once, on its
-parahoric, and validated in full, except the empty swap on the datum's
-own parahoric: that companion is the datum itself, already validated.
-A survivor that fails validation, or a kept swap that passes all but
-the points, is an internal error naming the swap.  The closed form,
-enumerate_epsilon, asks parahoric_of only whether a swap re-solves at
-all.
+each other class unswapped.  What the search reads of a class is one
+row, memoised on the searched and the datum's own slot kinds, the class
+type and the pair: the four unswapped numbers, their swap delta, and
+whether the points unswapped and swapped are the datum's own; so each
+class costs one lookup per search.  Subsets are visited by size, each
+size in lexicographic order, and a subset's totals are those of the
+subset less its last class plus one delta: the walk keeps only the
+prefix totals of the current subset, O(q) memory however large q is.
+The totals name the parahoric through groups.parahoric_of, an
+arithmetic solve of the dual-dimension rule that costs the same at any
+Witt index, and the score hands it on.  The score rejects a missing or
+nonmaximal parahoric, an SOeven slot whose block parity contradicts its
+sign, and a swap that moves a point; clauses a and b hold for every
+swap.  Each survivor is built once, on its parahoric, and validated in
+full, except the empty swap on the datum's own parahoric: that
+companion is the datum itself, already validated.  A survivor that
+fails validation, or a kept swap that passes all but the points, is an
+internal error naming the swap.  The closed form, enumerate_epsilon,
+asks parahoric_of only whether a swap re-solves at all.
 
 Cross-form companions play the same game against every other form of
 the group: same family, dimension, residue field and ramification
@@ -78,7 +84,7 @@ from .cuspdata import (
 )
 from .ffpoly import ClassType, SelfDualClass, class_x_plus_one
 from .groups import GroupSpec, ParahoricSpec, group_forms, parahoric_of
-from .hecke import HalfInt, exponent_pair, ired, jordan, real_points
+from .hecke import HalfInt, _type_exponent_pair, exponent_pair, ired, jordan, real_points
 
 __all__ = [
     "QSets",
@@ -189,7 +195,6 @@ def _subsets(classes):
         yield from itertools.combinations(classes, r)
 
 
-@lru_cache(maxsize=4096)
 def _class_score(kinds: tuple[str, str], ctype: ClassType, pair) -> tuple[int, ...]:
     """Exponent costs and minus-type blocks of a class of the type in the
     two slots.
@@ -200,44 +205,96 @@ def _class_score(kinds: tuple[str, str], ctype: ClassType, pair) -> tuple[int, .
             *(minus_type_exponent(ctype, m) for m in pair))
 
 
-def _prescore(group: GroupSpec, datum: CuspidalDatum, raw):
+@lru_cache(maxsize=4096)
+def _prescore_row(kinds: tuple[str, str], own: tuple[str, str], ctype: ClassType,
+                  pair: tuple[int, int]):
+    """What the pre-score reads of a class of the type at multiplicities
+    pair, searched in slots of the given kinds for a datum whose own slots
+    have kinds own: its score, the delta its swap adds to the score, and
+    whether its real reducibility points on kinds, unswapped and swapped,
+    are those on own.  None when one of the three exponent pairs is not
+    half-integral."""
+    swapped = pair[::-1]
+    exponents = (_type_exponent_pair(own, ctype, pair), _type_exponent_pair(kinds, ctype, pair),
+                 _type_exponent_pair(kinds, ctype, swapped))
+    if None in exponents:
+        return None
+    points, unswapped, swapped_points = map(real_points, exponents)
+    score = _class_score(kinds, ctype, pair)
+    delta = tuple(b - a for a, b in zip(score, _class_score(kinds, ctype, swapped)))
+    return score, delta, unswapped == points, swapped_points == points
+
+
+def _subset_totals(base: tuple[int, int, int, int], deltas):
+    """(indices, totals) for every subset of range(len(deltas)), in
+    _subsets order, the totals being base plus the deltas of the subset.
+
+    The totals of a subset are those of the subset less its last index,
+    visited earlier, plus one delta.  Only the prefix totals of the
+    current subset are kept, so memory is O(len(deltas))."""
+    q = len(deltas)
+    yield (), base
+    for r in range(1, q + 1):
+        idx = list(range(r))
+        sums = [base]  # sums[j]: the totals of idx[:j]
+        k = 0  # the first position whose prefix totals are stale
+        while True:
+            del sums[k + 1:]
+            for j in range(k, r):
+                (t1, t2, b1, b2), (d1, d2, e1, e2) = sums[j], deltas[idx[j]]
+                sums.append((t1 + d1, t2 + d2, b1 + e1, b2 + e2))
+            yield tuple(idx), sums[r]
+            # The next combination in lexicographic order.
+            k = r - 1
+            while k >= 0 and idx[k] == q - r + k:
+                k -= 1
+            if k < 0:
+                break
+            idx[k] += 1
+            for j in range(k + 1, r):
+                idx[j] = idx[j - 1] + 1
+
+
+def _prescore(group: GroupSpec, datum: CuspidalDatum):
     """Yield (swap set, parahoric, same points) for every subset of the
-    raw classes, in _subsets order, whose swap passes the integer
-    pre-score on the group: the totals name a maximal parahoric, which is
-    yielded, and every SOeven slot gets the block parity of its sign.
-    Same points tells whether the swap keeps the datum's real
-    reducibility points."""
+    raw classes (m1 != m2, in the order of datum.pairs), in _subsets
+    order, whose swap passes the integer pre-score on the group: the
+    totals name a maximal parahoric, which is yielded, and every SOeven
+    slot gets the block parity of its sign.  Same points tells whether
+    the swap keeps the datum's real reducibility points."""
     kinds, own = group.slot_kinds, datum.group.slot_kinds
-    scores = {cls: _class_score(kinds, cls.type, pair) for cls, pair in datum.pairs.items()}
-    base = tuple(map(sum, zip(*scores.values())))
-    index = {cls: i for i, cls in enumerate(raw)}
-    deltas = [()] * len(raw)
+    scores, raw, deltas = [], [], []
     # Bit i stands for raw[i]: its unswapped points differ (so it must be
     # swapped), or its swapped points differ (so it must not be).
     must_swap = must_stay = 0
     moved = False  # a class that never swaps has other points on this group
     for cls, pair in datum.pairs.items():
-        points = real_points(exponent_pair(own, cls, pair))
-        stays = kinds == own or real_points(exponent_pair(kinds, cls, pair)) == points
-        i = index.get(cls)
-        if i is None:
+        row = _prescore_row(kinds, own, cls.type, pair)
+        if row is None:  # exponent_pair raises, naming the class
+            for slots, multiplicities in ((own, pair), (kinds, pair), (kinds, pair[::-1])):
+                exponent_pair(slots, cls, multiplicities)
+        score, delta, stays, swapped_stays = row
+        scores.append(score)
+        if pair[0] == pair[1]:
             moved = moved or not stays
             continue
-        swapped = pair[::-1]
-        deltas[i] = tuple(b - a for a, b in zip(scores[cls],
-                                                 _class_score(kinds, cls.type, swapped)))
-        must_swap |= (not stays) << i
-        must_stay |= (real_points(exponent_pair(kinds, cls, swapped)) != points) << i
-    for subset in _subsets(range(len(raw))):
-        t1, t2, b1, b2 = map(sum, zip(base, *(deltas[i] for i in subset)))
+        must_swap |= (not stays) << len(raw)
+        must_stay |= (not swapped_stays) << len(raw)
+        raw.append(cls)
+        deltas.append(delta)
+    for subset, (t1, t2, b1, b2) in _subset_totals(tuple(map(sum, zip(*scores))), deltas):
         parahoric = parahoric_of(group, (t1, t2))
-        if parahoric is None or not parahoric.maximal or not all(
-                _type_matches(f, b) for f, b in zip(parahoric.factors, (b1, b2))
-                if f.kind == "SOeven"):
+        if parahoric is None or not parahoric.maximal:
+            continue
+        f1, f2 = parahoric.factors
+        if (f1.kind == "SOeven" and not _type_matches(f1, b1)
+                or f2.kind == "SOeven" and not _type_matches(f2, b2)):
             continue
         mask = sum(1 << i for i in subset)
         same = not moved and mask & must_swap == must_swap and not mask & must_stay
-        yield tuple(raw[i] for i in subset), parahoric, same
+        # From a list: tuple() of a generator grows its tuple by resizing,
+        # and the resized blocks pile up in the tuple free lists.
+        yield tuple([raw[i] for i in subset]), parahoric, same
 
 
 def _survivor(parahoric: ParahoricSpec, datum: CuspidalDatum, subset) -> Companion:
@@ -267,7 +324,7 @@ def companions(datum: CuspidalDatum) -> CompanionCensus:
     qs = q_sets(datum)
     kept = set(qs.kept)
     out = []
-    for subset, parahoric, same in _prescore(datum.group, datum, qs.raw):
+    for subset, parahoric, same in _prescore(datum.group, datum):
         if same and not subset and parahoric == datum.parahoric:
             out.append(Companion((), datum, count_representations(datum).total))
         elif same:
@@ -321,10 +378,9 @@ def cross_form_companions(datum: CuspidalDatum) -> tuple[CrossFormEntry, ...]:
     """For every other form of the group, the swaps of raw classes that
     validate there with the same reducibility points.  Forms with no
     match are reported with an empty census."""
-    raw = q_sets(datum).raw
     return tuple(
         CrossFormEntry(form, tuple(_survivor(parahoric, datum, subset)
-                                   for subset, parahoric, same in _prescore(form, datum, raw)
+                                   for subset, parahoric, same in _prescore(form, datum)
                                    if same))
         for form in _other_forms(datum.group))
 

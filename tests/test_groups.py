@@ -186,6 +186,18 @@ class TestParahorics:
             for dims in itertools.product(range(top), repeat=2):
                 assert parahoric_of(group, dims) == chain.get(dims), (str(group), dims)
 
+    def test_equal_slots_share_their_factor(self):
+        # A slot factor is built once per (kind, dim, sign): vertices of
+        # different groups with equal slots hold the same object.
+        sp6 = ParahoricSpec(GroupSpec("Sp", 6, 3, (0, 0), F3), 3, 0)
+        sp10 = ParahoricSpec(GroupSpec("Sp", 10, 5, (0, 0), FieldSpec(5)), 2, 3)
+        assert sp6.factors[0] is sp10.factors[1]
+        assert sp6.factors[1] == FiniteFactor("Sp", 0)
+        so8 = ParahoricSpec(GroupSpec("SOeven", 8, 3, (0, 2), F3), 1, 2)
+        so12 = ParahoricSpec(GroupSpec("SOeven", 12, 4, (2, 2), F3), 2, 2)
+        assert so8.factors[1] is so12.factors[1]
+        assert str(so8.factors[1]) == "SO-(6)"
+
     def test_component_group_order(self):
         Sp6 = GroupSpec("Sp", 6, 3, (0, 0), F3)
         assert component_group_order(ParahoricSpec(Sp6, 2, 1)) == 1

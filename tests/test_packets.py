@@ -2,8 +2,10 @@
 
 import hashlib
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -41,10 +43,14 @@ from cuspred.packets import (
     q_sets,
     recover_m_pair,
     _other_forms,
+    _prescore,
+    _subset_totals,
+    _subsets,
 )
 from cuspred.selfcheck import iter_group_specs
 
 F3 = FieldSpec(3)
+F7 = FieldSpec(7)
 F9Q = FieldSpec(3, 2, "quadratic")
 
 XM, XP = class_x_minus_one(F3), class_x_plus_one(F3)
@@ -383,6 +389,78 @@ class TestCensusPins:
                     add(datum, entry.group, entry.companions)
         assert censuses == 6886  # 2,806 signatures on their own group, 4,080 on other forms
         assert h.hexdigest()[:16] == "81adbbdc426b6c6f"
+
+
+def wide_datum(group, n1, n2, pairs):
+    """A datum on the vertex (n1, n2) whose classes are the first classes
+    over F7 of degrees 1, 2 and 4, with the given multiplicity pairs."""
+    classes = [cls for degree in (1, 2, 4) for cls in enumerate_self_dual_classes(F7, degree)]
+    supports = tuple(FactorSupport.of([(cls, pair[i]) for cls, pair in zip(classes, pairs)
+                                       if pair[i]]) for i in (0, 1))
+    return CuspidalDatum(ParahoricSpec(group, n1, n2), supports)
+
+
+class TestWideSearch:
+    """The pre-score past the q of the pinned sweeps."""
+
+    def test_running_totals_equal_direct_sums(self):
+        rng = random.Random(20)
+        for q in range(11):
+            base = tuple(rng.randrange(-99, 100) for _ in range(4))
+            deltas = [tuple(rng.randrange(-9, 10) for _ in range(4)) for _ in range(q)]
+            direct = [(subset, tuple(map(sum, zip(base, *(deltas[i] for i in subset)))))
+                      for subset in _subsets(range(q))]
+            assert list(_subset_totals(base, deltas)) == direct, q
+
+    # Ten classes, nine of them raw: x -+ 1, the three quadratic classes
+    # and four quartic ones swap; the last quartic class sits at (1, 1).
+    PAIRS = [(1, 0), (0, 1), (1, 0), (0, 1), (2, 0), (1, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+
+    @pytest.mark.parametrize("group, n1, n2, census_size, other_sizes", [
+        # x -+ 1 are removed: their swaps can conserve the totals, but move points.
+        (GroupSpec("SOodd", 49, 24, (0, 1), F7), 11, 13, 64, [64, 64, 64]),
+        # Every raw class is constrained; on the SOodd x SOodd form nothing validates.
+        (GroupSpec("SOeven", 46, 22, (0, 2), F7), 11, 11, 256, [0, 0, 256, 0]),
+    ])
+    def test_nine_raw_classes_against_brute_force(self, group, n1, n2, census_size,
+                                                    other_sizes):
+        # brute_force_census validates each swap, through exponent_total,
+        # and compares ired, through hecke.exponent_pair.
+        datum = wide_datum(group, n1, n2, self.PAIRS)
+        census = companions(datum)
+        assert census.qsets.q == 9
+        assert len(census.companions) == census_size
+        assert census.swap_sets == enumerate_epsilon(datum, census.qsets)
+        triples = TestSearchAgainstBruteForce.triples
+        assert triples(census.companions) == brute_force_census(group, datum)
+        entries = cross_form_companions(datum)
+        assert [len(entry.companions) for entry in entries] == other_sizes
+        for entry in entries:
+            assert triples(entry.companions) == brute_force_census(entry.group, datum), \
+                str(entry.group)
+
+    def test_search_memory_is_linear_in_q(self):
+        # Twelve raw classes on Sp(40)/F7: all 4,096 swaps pass the
+        # pre-score.  The running totals keep one subset's prefix totals;
+        # a table of 4,096 four-tuples alone would take about 290 kB.
+        group = GroupSpec("Sp", 40, 20, (0, 0), F7)
+        datum = wide_datum(group, 10, 10, [(1, 0), (0, 1)] * 6)
+        tracemalloc.start()
+        try:
+            passed = sum(1 for _ in _prescore(group, datum))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert passed == 2 ** 12
+        assert peak < 64_000
+
+    def test_exponent_that_is_not_half_integral_names_the_class(self):
+        # No group pairs a U slot with an orthogonal one; searched in such
+        # slots, x - 1 would get s = 5/4, and the pre-score says so.
+        datum = gallery_entry("sp6").datum
+        with pytest.raises(AssertionError,
+                           match=r"^reducibility exponent of x-1 is not half-integral$"):
+            list(_prescore(SimpleNamespace(slot_kinds=("U", "SOodd")), datum))
 
 
 class TestCrossForm:
