@@ -23,8 +23,9 @@ reducibility points; each contributes the Jordan chain m = 2s - 1,
     sum over P of (floor(s^2) + floor(s'^2)) deg P  =  dual dimension.
 
 The tables take the type of a class, ffpoly.ClassType, never the class:
-its degree and whether it is x - 1, x + 1 or neither.  So exponent_pair is
-memoised on the slot kinds, the type and the multiplicities.
+its degree and whether it is x - 1, x + 1 or neither.  So the exponent
+pair is type_exponent_pair, memoised on the slot kinds, the type and the
+multiplicities; exponent_pair reads it for a class.
 
 A parameter shape distributes the two chains of each class over its two
 tagged members, named by the rank of the class's signature type
@@ -57,6 +58,7 @@ __all__ = [
     "finite_parameter",
     "parameter_pair",
     "exponent_pair",
+    "type_exponent_pair",
     "reducibility_pair",
     "real_points",
     "iteration_domain",
@@ -127,15 +129,15 @@ def exponent_pair(kinds: tuple[str, str], cls: SelfDualClass,
                   pair: tuple[int, int]) -> tuple[HalfInt, HalfInt]:
     """(s, s') with s >= s', both half-integers, of the class at
     multiplicities (m1, m2) in slots of the given kinds."""
-    s_pair = _type_exponent_pair(kinds, cls.type, pair)
+    s_pair = type_exponent_pair(kinds, cls.type, pair)
     if s_pair is None:
         raise AssertionError(f"reducibility exponent of {cls.label} is not half-integral")
     return s_pair
 
 
 @lru_cache(maxsize=4096)
-def _type_exponent_pair(kinds: tuple[str, str], ctype: ClassType,
-                        pair: tuple[int, int]) -> tuple[HalfInt, HalfInt] | None:
+def type_exponent_pair(kinds: tuple[str, str], ctype: ClassType,
+                       pair: tuple[int, int]) -> tuple[HalfInt, HalfInt] | None:
     """exponent_pair of every class of the type, None when not half-integral."""
     f1, f2 = (finite_parameter(kind, ctype, m).twice for kind, m in zip(kinds, pair))
     twice_degree = 2 * ctype.degree

@@ -71,6 +71,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .cuspdata import (
     CuspidalDatum,
@@ -84,7 +85,7 @@ from .cuspdata import (
 )
 from .ffpoly import ClassType, SelfDualClass, class_x_plus_one
 from .groups import GroupSpec, ParahoricSpec, group_forms, parahoric_of
-from .hecke import HalfInt, _type_exponent_pair, exponent_pair, ired, jordan, real_points
+from .hecke import HalfInt, ired, jordan, real_points, type_exponent_pair
 
 __all__ = [
     "QSets",
@@ -215,8 +216,8 @@ def _prescore_row(kinds: tuple[str, str], own: tuple[str, str], ctype: ClassType
     are those on own.  None when one of the three exponent pairs is not
     half-integral."""
     swapped = pair[::-1]
-    exponents = (_type_exponent_pair(own, ctype, pair), _type_exponent_pair(kinds, ctype, pair),
-                 _type_exponent_pair(kinds, ctype, swapped))
+    exponents = (type_exponent_pair(own, ctype, pair), type_exponent_pair(kinds, ctype, pair),
+                 type_exponent_pair(kinds, ctype, swapped))
     if None in exponents:
         return None
     points, unswapped, swapped_points = map(real_points, exponents)
@@ -229,30 +230,16 @@ def _subset_totals(base: tuple[int, int, int, int], deltas):
     """(indices, totals) for every subset of range(len(deltas)), in
     _subsets order, the totals being base plus the deltas of the subset.
 
-    The totals of a subset are those of the subset less its last index,
-    visited earlier, plus one delta.  Only the prefix totals of the
-    current subset are kept, so memory is O(len(deltas))."""
-    q = len(deltas)
-    yield (), base
-    for r in range(1, q + 1):
-        idx = list(range(r))
-        sums = [base]  # sums[j]: the totals of idx[:j]
-        k = 0  # the first position whose prefix totals are stale
-        while True:
-            del sums[k + 1:]
-            for j in range(k, r):
-                (t1, t2, b1, b2), (d1, d2, e1, e2) = sums[j], deltas[idx[j]]
-                sums.append((t1 + d1, t2 + d2, b1 + e1, b2 + e2))
-            yield tuple(idx), sums[r]
-            # The next combination in lexicographic order.
-            k = r - 1
-            while k >= 0 and idx[k] == q - r + k:
-                k -= 1
-            if k < 0:
-                break
-            idx[k] += 1
-            for j in range(k + 1, r):
-                idx[j] = idx[j - 1] + 1
+    A subset's totals are its prefix's plus the delta of its last index;
+    the walk holds the prefix totals of one subset, O(len(deltas))."""
+    def walk(start, r, totals, subset):
+        if not r:
+            yield subset, totals
+            return
+        for i in range(start, len(deltas) - r + 1):
+            yield from walk(i + 1, r - 1, tuple(map(add, totals, deltas[i])), subset + (i,))
+    for r in range(len(deltas) + 1):
+        yield from walk(0, r, base, ())
 
 
 def _prescore(group: GroupSpec, datum: CuspidalDatum):
@@ -270,9 +257,8 @@ def _prescore(group: GroupSpec, datum: CuspidalDatum):
     moved = False  # a class that never swaps has other points on this group
     for cls, pair in datum.pairs.items():
         row = _prescore_row(kinds, own, cls.type, pair)
-        if row is None:  # exponent_pair raises, naming the class
-            for slots, multiplicities in ((own, pair), (kinds, pair), (kinds, pair[::-1])):
-                exponent_pair(slots, cls, multiplicities)
+        if row is None:
+            raise AssertionError(f"reducibility exponent of {cls.label} is not half-integral")
         score, delta, stays, swapped_stays = row
         scores.append(score)
         if pair[0] == pair[1]:
