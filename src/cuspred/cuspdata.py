@@ -476,6 +476,11 @@ class DatumSignature:
     n2: int
     rows: tuple[tuple[ClassType, int, int], ...]  # sorted (type, m1, m2)
 
+    def flipped(self) -> "DatumSignature":
+        """The signature on the mirror form (groups.mirror), whose slots
+        are this one's in reverse order: n1 <-> n2 and (m1, m2) <-> (m2, m1)."""
+        return DatumSignature(self.n2, self.n1, tuple(sorted((t, b, a) for t, a, b in self.rows)))
+
     def __str__(self) -> str:
         parts = [f"({self.n1},{self.n2})"]
         parts.extend(f"{('x-1', 'x+1', f'd{t.degree}')[t.rank]}:{(a, b)}" for t, a, b in self.rows)

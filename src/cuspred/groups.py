@@ -38,6 +38,12 @@ component group, the stabilizer modulo the parahoric, has order 2
 exactly when the parahoric has an orthogonal factor and every orthogonal
 factor has positive dimension, and order 1 otherwise.
 
+Read from its other end, a group's diagram is that of its mirror form
+(mirror): the split reversed and epsilon negated.  Every family's ends
+are symmetric except Uram's, and Uram's two epsilons list them in
+reverse order, so the mirror has the group's slots in reverse order and
+its vertex (n1, n2) is the group's (n2, n1).
+
 The factor kind, Sp, SOodd, SOeven or U, is the only name of a slot type
 in the package: it alone fixes the exponent table, the parameter table and
 the sign condition of the slot.  A slot factor is built once per kind,
@@ -68,6 +74,7 @@ __all__ = [
     "ParahoricSpec",
     "dual_dimension",
     "group_forms",
+    "mirror",
     "enumerate_parahorics",
     "parahoric_of",
     "component_group_order",
@@ -244,6 +251,17 @@ def group_forms(family: str, dim: int, field: FieldSpec):
                                     field, epsilon)
                 except ValueError:
                     continue
+
+
+@lru_cache(maxsize=1024)
+def mirror(group: GroupSpec) -> GroupSpec:
+    """The same group read from the other end of its local Dynkin diagram:
+    the anisotropic split reversed and epsilon negated, so that its slot
+    kinds and factors come in reverse order and its vertex (n1, n2) is
+    the group's (n2, n1).  The flip of a signature, DatumSignature.flipped,
+    goes with it.  Cached: the sweep asks once per signature."""
+    return GroupSpec(group.family, group.dim, group.witt, group.aniso[::-1], group.field,
+                     -group.epsilon)
 
 
 @lru_cache(maxsize=1024)

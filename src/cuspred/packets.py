@@ -63,6 +63,14 @@ predicts the multiplicity with which the packet meets the census.  On
 even orthogonal groups the statistics also count the representations of
 the full orthogonal group, full_orthogonal_count, by the orbit rule of
 the cuspdata docstring.
+
+Every statistic is read through class types, so it is shared by every
+datum of a signature, except delta, the number of slots carrying x + 1
+(QSets.delta).  Under the quadratic involution x + 1 is pooled with the
+other linear classes, so delta depends on which concrete class a datum
+holds.  Only the census law reads it, on Sp alone, so the sweep may
+check one representative per signature; the packet command reports the
+delta of the concrete datum it is given.
 """
 
 from __future__ import annotations
@@ -125,7 +133,10 @@ class QSets:
     removed: tuple[SelfDualClass, ...]
     constrained: tuple[SelfDualClass, ...]  # kept classes that swap in pairs
     free: tuple[SelfDualClass, ...]
-    delta: int  # slots carrying x + 1
+    # Slots carrying x + 1.  Not a signature invariant under the quadratic
+    # involution, where x + 1 is pooled with the other linear classes: it
+    # depends on which concrete class a datum holds (module docstring).
+    delta: int
 
     @property
     def q(self) -> int:

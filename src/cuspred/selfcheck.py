@@ -19,6 +19,20 @@ fails both.
 Classes of equal degree enter every checked quantity interchangeably,
 so one representative per signature covers the whole census; the report
 still records how many concrete data the signatures stand for.
+
+The checks read a signature only through class types, and the field only
+through its involution, so they depend only on the signature's field-free
+key: (family, dimension, Witt index, anisotropic split, epsilon,
+involution, signature).  Read from the diagram's other end, on the mirror
+form (groups.mirror, DatumSignature.flipped), they give the same verdicts
+again.  So one representative is checked per canonical key, the
+field-free key or its mirror's, whichever sorts first: the first
+signature in sweep order with that key.  Every signature and its data
+weight are still counted, so a passing report is unchanged.  As every
+signature of a key gets the same verdicts, the first failing signature
+is the first of its key: a failure stops at the same datum as a
+per-signature sweep, with the same reproducer.  tests/test_selfcheck.py
+keeps the per-signature loop as the oracle of this reduction.
 """
 
 from __future__ import annotations
@@ -27,11 +41,12 @@ import time
 from dataclasses import dataclass
 
 from .cuspdata import (
+    DatumSignature,
     enumerate_signatures,
     signature_representative,
 )
 from .ffpoly import _MAX_Q, MAX_ENUM_DEGREE, DegreeLimitError, FieldSpec
-from .groups import FAMILIES, dual_dimension, group_forms
+from .groups import FAMILIES, GroupSpec, dual_dimension, group_forms, mirror
 from .hecke import reducibility_pair, verify_identity
 from .packets import companions, enumerate_epsilon, packet_stats, recover_m_pair
 
@@ -42,6 +57,7 @@ __all__ = [
     "DEFAULT_DUAL",
     "DEFAULT_Q0",
     "SelfcheckReport",
+    "canonical_key",
     "iter_group_specs",
     "run_selfcheck",
 ]
@@ -82,6 +98,17 @@ def iter_group_specs(q0_values, max_dual: int):
                 for group in group_forms(family, dim, field):
                     if dual_dimension(group) <= max_dual:
                         yield group
+
+
+def _field_free_key(group: GroupSpec, sig: DatumSignature) -> tuple:
+    return (group.family, group.dim, group.witt, group.aniso, group.epsilon, group.field.ext,
+            sig.n1, sig.n2, sig.rows)
+
+
+def canonical_key(group: GroupSpec, sig: DatumSignature) -> tuple:
+    """The field-free key of the signature on the group, or that of its
+    flip on the mirror form, whichever sorts first."""
+    return min(_field_free_key(group, sig), _field_free_key(mirror(group), sig.flipped()))
 
 
 def _check_identity(datum, census) -> str | None:
@@ -171,11 +198,16 @@ def run_selfcheck(q0_values=DEFAULT_Q0, max_dual: int = DEFAULT_DUAL,
     started = time.monotonic()
     groups = signatures = data_weight = 0
     failures: list[CheckFailure] = []
+    checked = set()
     for group in iter_group_specs(q0_values, max_dual):
         groups += 1
         for sig, weight in enumerate_signatures(group, max_degree=max_degree):
             signatures += 1
             data_weight += weight
+            key = canonical_key(group, sig)
+            if key in checked:
+                continue
+            checked.add(key)
             datum = signature_representative(group, sig)
             census = _searched_once(datum)
             for name in checks:

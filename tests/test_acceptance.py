@@ -188,3 +188,9 @@ def test_criterion_9_self_dual_census():
 def test_criterion_10_symplectic_census_law(sweep):
     assert "census-law" in sweep.checks
     assert sweep.failure_counts["census-law"] == 0
+
+
+def test_sweep_counts_every_signature(sweep):
+    # The sweep checks one representative per canonical key, yet counts
+    # every group, signature and concrete datum of the sweep.
+    assert (sweep.groups, sweep.signatures, sweep.data_weight) == (358, 59980, 19940921422)

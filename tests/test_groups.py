@@ -198,6 +198,20 @@ class TestParahorics:
         assert so8.factors[1] is so12.factors[1]
         assert str(so8.factors[1]) == "SO-(6)"
 
+    def test_mirror_reverses_every_vertex(self):
+        # The mirror form is the group read from its other end: every vertex
+        # (n1, n2) is the mirror's (n2, n1) with its factors in reverse
+        # order, and mirroring twice gives the group back.
+        forms = set(iter_group_specs((3, 5), 18))
+        for group in forms:
+            mirrored = groups.mirror(group)
+            assert mirrored in forms and groups.mirror(mirrored) == group, str(group)
+            assert mirrored.slot_kinds == group.slot_kinds[::-1]
+            for P in enumerate_parahorics(group):
+                flipped = ParahoricSpec(mirrored, P.n2, P.n1)
+                assert flipped.factors == P.factors[::-1] and flipped.maximal == P.maximal
+                assert component_group_order(flipped) == component_group_order(P)
+
     def test_component_group_order(self):
         Sp6 = GroupSpec("Sp", 6, 3, (0, 0), F3)
         assert component_group_order(ParahoricSpec(Sp6, 2, 1)) == 1

@@ -4,16 +4,31 @@ import hashlib
 import itertools
 import json
 import random
+from collections import defaultdict
 from functools import cache, partial
 from types import SimpleNamespace
 
 import pytest
 
 from cuspred.cli import datum_from_obj, datum_to_obj, main
-from cuspred.cuspdata import enumerate_signatures, signature_representative
-from cuspred.groups import FAMILIES, dual_dimension
-from cuspred.packets import companions
-from cuspred.selfcheck import _CHECKS, iter_group_specs, run_selfcheck
+from cuspred.cuspdata import (
+    DatumSignature,
+    enumerate_signatures,
+    signature_of,
+    signature_representative,
+    signature_type,
+)
+from cuspred.ffpoly import ClassType, FieldSpec
+from cuspred.groups import FAMILIES, GroupSpec, dual_dimension, mirror
+from cuspred.hecke import ired, jordan
+from cuspred.packets import companions, enumerate_epsilon, packet_stats
+from cuspred.selfcheck import (
+    _CHECKS,
+    _field_free_key,
+    canonical_key,
+    iter_group_specs,
+    run_selfcheck,
+)
 
 
 class TestGroupIteration:
@@ -97,6 +112,89 @@ class TestReport:
         assert report.checks == ("identity",)
         assert set(report.failure_counts) == {"identity"}
         assert report.ok
+
+
+class TestCanonicalKeys:
+    """The sweep checks one representative per canonical key, the first in
+    sweep order.  The per-signature loop below is the reduction's oracle:
+    every signature of the keys it meets gives the same invariants, over
+    either field and on either side of the flip."""
+
+    @staticmethod
+    def invariants(group, sig, flip):
+        """What the checks read of the signature's representative, free of
+        the field; a datum on the flipped side is mapped back."""
+        datum = signature_representative(group, sig)
+        census = cache(partial(companions, datum))
+        order = slice(None, None, -1 if flip else 1)
+
+        def typed(classes):
+            return tuple(sorted((signature_type(c), *datum.pairs[c][order]) for c in classes))
+
+        found = census()
+        qs, stats = found.qsets, packet_stats(found)
+        return {
+            "verdicts": tuple(check(datum, census) is None for check in _CHECKS.values()),
+            "census": sorted(((c.datum.parahoric.n1, c.datum.parahoric.n2)[order],
+                              typed(c.swap_set), c.reps) for c in found.companions),
+            "closed": sorted(map(typed, enumerate_epsilon(datum, qs))),
+            "qsets": tuple(map(len, (qs.raw, qs.kept, qs.removed, qs.constrained, qs.free))),
+            # Under the quadratic involution x + 1 is pooled with the other
+            # linear classes, so delta is not a signature invariant there.
+            "delta": qs.delta if group.field.ext == "trivial" else None,
+            "ired": sorted((signature_type(cls), s.twice) for cls, s in ired(datum)),
+            "jordan": len(jordan(datum)),
+            "totals": (stats.census_total, stats.multiple, stats.o_total),
+        }
+
+    def test_representatives_agree_across_fields_and_flips(self):
+        sweep = list(iter_group_specs((3, 5), 9))
+        signatures = {group: [sig for sig, _ in enumerate_signatures(group, max_degree=4)]
+                      for group in sweep}
+        members = defaultdict(list)
+        for group, sigs in signatures.items():
+            mirrored = set(signatures[mirror(group)])
+            for sig in sigs:
+                assert sig.flipped() in mirrored, (str(group), str(sig))
+                key = canonical_key(group, sig)
+                members[key].append((group, sig, key != _field_free_key(group, sig)))
+        assert (sum(map(len, members.values())), len(members)) == (2806, 845)
+        across_fields = across_flips = 0
+        for key, sharing in members.items():
+            first = self.invariants(*sharing[0])
+            for member in sharing[1:]:
+                assert self.invariants(*member) == first, (key, str(member[0]), str(member[1]))
+            across_fields += len({group.field.p for group, _, _ in sharing}) > 1
+            across_flips += len({flip for _, _, flip in sharing}) > 1
+        assert (across_fields, across_flips) == (601, 796)
+
+    @pytest.mark.parametrize("q0", [(3, 5), (5, 3)])
+    def test_each_key_is_checked_once(self, monkeypatch, q0):
+        calls = []
+        monkeypatch.setitem(_CHECKS, "identity", lambda datum, census: calls.append(datum))
+        report = run_selfcheck(q0_values=q0, max_dual=6)
+        assert report.ok
+        assert (report.groups, report.signatures, report.data_weight) == (118, 857, 37234)
+        assert len(calls) == 250
+
+    @pytest.mark.parametrize("q0, p", [((5, 3), 5), ((3, 5), 3)])
+    def test_failure_is_reported_on_the_first_field(self, capsys, monkeypatch, q0, p):
+        # SO(5)[w2,a01] at (2,0) with x + 1 and one quadratic class in the
+        # first slot: a key of both fields, and of the mirror SO(5)[w2,a10].
+        sig = DatumSignature(2, 0, ((ClassType(1, 1), 1, 0), (ClassType(2, 2), 1, 0)))
+        target = canonical_key(GroupSpec("SOodd", 5, 2, (0, 1), FieldSpec(3)), sig)
+
+        def planted(datum, census):
+            return "planted" if canonical_key(datum.group, signature_of(datum)) == target else None
+
+        monkeypatch.setitem(_CHECKS, "identity", planted)
+        args = ["selfcheck", "--dualdim", "6", "--checks", "identity,epsilon", "--format", "json"]
+        assert main([*args, "--q", str(q0[0]), "--q", str(q0[1])]) == 1
+        [failure] = json.loads(capsys.readouterr().out)["failures"]
+        assert (failure["check"], failure["detail"]) == ("identity", "planted")
+        assert failure["group"] == f"SO(5)[w2,a01]/F{p}"
+        reproduced = datum_from_obj(failure["reproducer"])
+        assert reproduced.field.p == p and signature_of(reproduced) == sig
 
 
 class TestPastTheSweepBound:
