@@ -67,9 +67,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from math import factorial, perm
-from operator import sub
+from functools import cached_property, lru_cache
+from math import comb, factorial, perm
+from operator import itemgetter, sub
 
 from .ffpoly import (
     ClassType,
@@ -322,12 +322,14 @@ def _degree_pool(field: FieldSpec, budget: int, max_degree: int | None) -> range
     return range(2 if field.ext == "trivial" else 1, cap + 1, 2)
 
 
-def _options(kinds, ctype: ClassType, budgets) -> list[tuple]:
+@lru_cache(maxsize=4096)
+def _options(kinds, ctype: ClassType, budgets) -> tuple[tuple, ...]:
     """(multiplicities, costs) of every choice on a class of the type, a
     tuple of each over the slots of the given kinds: the one fitting rule.
     A slot takes each m, ascending, whose cost (a_P(m) - a_P(0)) deg P
     fits its budget; the choices are the product over the slots, less the
-    all-zero tuple."""
+    all-zero tuple.  Memoised: the vertices of a group, and of its mirror
+    and its other-field copies, ask again for the same budgets."""
     per_slot = []
     for kind, budget in zip(kinds, budgets):
         base = char_poly_exponent(kind, ctype, 0) * ctype.degree
@@ -336,8 +338,8 @@ def _options(kinds, ctype: ClassType, budgets) -> list[tuple]:
             slot.append((m, cost))
             m += 1
         per_slot.append(slot)
-    return [tuple(zip(*choice)) for choice in itertools.product(*per_slot)
-            if any(m for m, _ in choice)]
+    return tuple(tuple(zip(*choice)) for choice in itertools.product(*per_slot)
+                 if any(m for m, _ in choice))
 
 
 def _spend(entries, budgets) -> list[tuple]:
@@ -532,7 +534,8 @@ def enumerate_signatures(group: GroupSpec, max_degree: int | None = None):
 
     Each row type is spent with a copy per class of the type: one each
     for x - 1 and x + 1 under the trivial involution, and one per class
-    of its degree for a pooled type."""
+    of its degree for a pooled type.  Each weight is read off the spend
+    (_way_weight)."""
     field, kinds = group.field, group.slot_kinds
     linear = [t for t in map(signature_type, enumerate_self_dual_classes(field, 1)) if t.rank < 2]
     for parahoric in enumerate_parahorics(group):
@@ -548,7 +551,24 @@ def enumerate_signatures(group: GroupSpec, max_degree: int | None = None):
             rows = tuple(sorted((types[index][1], *ms) for index, ms in way))
             sig = DatumSignature(parahoric.n1, parahoric.n2, rows)
             if _signature_sign_ok(parahoric, sig):
-                yield sig, signature_weight(group, sig)
+                yield sig, _way_weight(entries, way)
+
+
+def _way_weight(entries, way) -> int:
+    """The weight of the signature a way spends, read off the way: on each
+    entry the distinct classes go to its choices in order, and a run of
+    equal choices is interchangeable, so the entry gives the falling
+    factorial of its copies over the factorial of each run.  Equal choices
+    sit next to each other, as choices on one entry never increase.
+    signature_weight, read off the rows, is its oracle."""
+    weight = 1
+    for index, choices in itertools.groupby(way, itemgetter(0)):
+        left = entries[index][0]
+        for _, run in itertools.groupby(choices):
+            taken = sum(1 for _ in run)
+            weight *= comb(left, taken)
+            left -= taken
+    return weight
 
 
 def _signature_sign_ok(parahoric: ParahoricSpec, sig: DatumSignature) -> bool:

@@ -33,6 +33,13 @@ signature of a key gets the same verdicts, the first failing signature
 is the first of its key: a failure stops at the same datum as a
 per-signature sweep, with the same reproducer.  tests/test_selfcheck.py
 keeps the per-signature loop as the oracle of this reduction.
+
+The same flip maps a group's signatures one to one onto its mirror's,
+with equal weights, as the field is the same.  So once a group is swept
+in full, its mirror adds no key: when the sweep meets the mirror, it adds
+the first group's signature count and data weight and enumerates nothing.
+A self-mirror group is always enumerated, and a group that stopped on a
+failure is never recorded, as the sweep ends there.
 """
 
 from __future__ import annotations
@@ -199,8 +206,15 @@ def run_selfcheck(q0_values=DEFAULT_Q0, max_dual: int = DEFAULT_DUAL,
     groups = signatures = data_weight = 0
     failures: list[CheckFailure] = []
     checked = set()
+    swept: dict[GroupSpec, tuple[int, int]] = {}  # group -> (signatures, data weight)
     for group in iter_group_specs(q0_values, max_dual):
         groups += 1
+        twin = swept.get(mirror(group))  # never the group itself: it is not swept yet
+        if twin is not None:  # every key of the group is checked: count its twin's totals
+            signatures += twin[0]
+            data_weight += twin[1]
+            continue
+        before = signatures, data_weight
         for sig, weight in enumerate_signatures(group, max_degree=max_degree):
             signatures += 1
             data_weight += weight
@@ -221,6 +235,7 @@ def run_selfcheck(q0_values=DEFAULT_Q0, max_dual: int = DEFAULT_DUAL,
                 break
         if failures:
             break
+        swept[group] = signatures - before[0], data_weight - before[1]
     failure_counts = {name: sum(f.check == name for f in failures) for name in checks}
     return SelfcheckReport(
         q0_values=q0_values,

@@ -4,7 +4,7 @@ import hashlib
 import itertools
 import json
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import cache, partial
 from types import SimpleNamespace
 
@@ -195,6 +195,59 @@ class TestCanonicalKeys:
         assert failure["group"] == f"SO(5)[w2,a01]/F{p}"
         reproduced = datum_from_obj(failure["reproducer"])
         assert reproduced.field.p == p and signature_of(reproduced) == sig
+
+
+class TestMirrorGroups:
+    """The sweep enumerates one group of each mirror pair: the group met
+    second adds the first one's totals.  The per-signature loop over
+    every group, as in TestCanonicalKeys, is the oracle."""
+
+    SWEEP = list(iter_group_specs((3, 5), 13))
+
+    @staticmethod
+    @cache
+    def signatures(group):
+        return Counter(enumerate_signatures(group, max_degree=4))
+
+    def test_flip_maps_signatures_and_weights_onto_the_mirror(self):
+        swept = set(self.SWEEP)
+        for group in self.SWEEP:
+            assert mirror(group) in swept, str(group)
+            flipped = Counter({(sig.flipped(), weight): k
+                               for (sig, weight), k in self.signatures(group).items()})
+            assert flipped == self.signatures(mirror(group)), str(group)
+
+    @pytest.mark.parametrize("q0", [(3, 5), (5, 3)])
+    def test_totals_equal_the_per_signature_loop(self, q0):
+        groups = signatures = data_weight = 0
+        for group in iter_group_specs(q0, 13):
+            groups += 1
+            for (_, weight), k in self.signatures(group).items():
+                signatures += k
+                data_weight += k * weight
+        totals = groups, signatures, data_weight
+        assert totals == (248, 12266, 137879929)
+        report = run_selfcheck(q0_values=q0, max_dual=13, checks=("identity",))
+        assert report.ok and (report.groups, report.signatures, report.data_weight) == totals
+
+    @pytest.mark.parametrize("q0", [(3, 5), (5, 3)])
+    def test_the_second_of_a_mirror_pair_is_not_enumerated(self, monkeypatch, q0):
+        enumerated = []
+
+        def counting(group, **kwargs):
+            enumerated.append(group)
+            return enumerate_signatures(group, **kwargs)
+
+        monkeypatch.setattr("cuspred.selfcheck.enumerate_signatures", counting)
+        report = run_selfcheck(q0_values=q0, max_dual=6)
+        assert report.ok
+        assert (report.groups, report.signatures, report.data_weight) == (118, 857, 37234)
+        assert len(enumerated) == 74
+        # A self-mirror group is its own first: it is always enumerated.
+        seen = set()
+        for group in iter_group_specs(q0, 6):
+            assert (group in enumerated) == (mirror(group) == group or mirror(group) not in seen)
+            seen.add(group)
 
 
 class TestPastTheSweepBound:
