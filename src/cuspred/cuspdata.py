@@ -328,8 +328,9 @@ def _options(kinds, ctype: ClassType, budgets) -> tuple[tuple, ...]:
     tuple of each over the slots of the given kinds: the one fitting rule.
     A slot takes each m, ascending, whose cost (a_P(m) - a_P(0)) deg P
     fits its budget; the choices are the product over the slots, less the
-    all-zero tuple.  Memoised: the vertices of a group, and of its mirror
-    and its other-field copies, ask again for the same budgets."""
+    all-zero tuple.  Memoised, as the vertices of one group, of other
+    groups and of the other field's copies share their kinds and budgets:
+    one dual-6 sweep asks 450 times for 213 of them."""
     per_slot = []
     for kind, budget in zip(kinds, budgets):
         base = char_poly_exponent(kind, ctype, 0) * ctype.degree
@@ -529,13 +530,23 @@ def signature_representative(group: GroupSpec, sig: DatumSignature) -> CuspidalD
     return CuspidalDatum(ParahoricSpec(group, sig.n1, sig.n2), tuple(supports))
 
 
-def enumerate_signatures(group: GroupSpec, max_degree: int | None = None):
+def enumerate_signatures(group: GroupSpec, max_degree: int | None = None, mirrored=None):
     """Yield (signature, weight) over all maximal parahorics of the group.
 
     Each row type is spent with a copy per class of the type: one each
     for x - 1 and x + 1 under the trivial involution, and one per class
     of its degree for a pooled type.  Each weight is read off the spend
-    (_way_weight)."""
+    (_way_weight).
+
+    mirrored, if given, is the listing this yields for groups.mirror(group)
+    at the same max_degree.  Its pairs are then flipped, in its order,
+    and nothing is spent: DatumSignature.flipped maps the mirror's
+    signatures one to one onto the group's, and the field, hence each
+    weight, is the same."""
+    if mirrored is not None:
+        for sig, weight in mirrored:
+            yield sig.flipped(), weight
+        return
     field, kinds = group.field, group.slot_kinds
     linear = [t for t in map(signature_type, enumerate_self_dual_classes(field, 1)) if t.rank < 2]
     for parahoric in enumerate_parahorics(group):

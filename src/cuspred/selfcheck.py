@@ -36,10 +36,13 @@ keeps the per-signature loop as the oracle of this reduction.
 
 The same flip maps a group's signatures one to one onto its mirror's,
 with equal weights, as the field is the same.  So once a group is swept
-in full, its mirror adds no key: when the sweep meets the mirror, it adds
-the first group's signature count and data weight and enumerates nothing.
-A self-mirror group is always enumerated, and a group that stopped on a
-failure is never recorded, as the sweep ends there.
+in full, its mirror adds no key.  The sweep keeps the listing of each
+group it has spent in full, and when it meets the mirror it only counts
+the flips of that listing, which enumerate_signatures(..., mirrored=...)
+yields: nothing is spent and no key is looked up, and every signature
+counted still comes out of enumerate_signatures.  A self-mirror group is always
+spent, and a group that stopped on a failure is never kept, as the sweep
+ends there.
 """
 
 from __future__ import annotations
@@ -206,16 +209,18 @@ def run_selfcheck(q0_values=DEFAULT_Q0, max_dual: int = DEFAULT_DUAL,
     groups = signatures = data_weight = 0
     failures: list[CheckFailure] = []
     checked = set()
-    swept: dict[GroupSpec, tuple[int, int]] = {}  # group -> (signatures, data weight)
+    listed: dict[GroupSpec, list] = {}  # group -> its listing, until its mirror comes
     for group in iter_group_specs(q0_values, max_dual):
         groups += 1
-        twin = swept.get(mirror(group))  # never the group itself: it is not swept yet
-        if twin is not None:  # every key of the group is checked: count its twin's totals
-            signatures += twin[0]
-            data_weight += twin[1]
+        twin = listed.pop(mirror(group), None)  # never the group itself: it is not listed yet
+        if twin is not None:  # every key of the group is checked: only count
+            for _, weight in enumerate_signatures(group, max_degree=max_degree, mirrored=twin):
+                signatures += 1
+                data_weight += weight
             continue
-        before = signatures, data_weight
+        listing = []
         for sig, weight in enumerate_signatures(group, max_degree=max_degree):
+            listing.append((sig, weight))
             signatures += 1
             data_weight += weight
             key = canonical_key(group, sig)
@@ -235,7 +240,8 @@ def run_selfcheck(q0_values=DEFAULT_Q0, max_dual: int = DEFAULT_DUAL,
                 break
         if failures:
             break
-        swept[group] = signatures - before[0], data_weight - before[1]
+        if mirror(group) != group:
+            listed[group] = listing
     failure_counts = {name: sum(f.check == name for f in failures) for name in checks}
     return SelfcheckReport(
         q0_values=q0_values,

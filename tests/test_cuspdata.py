@@ -469,16 +469,20 @@ class TestSignatures:
         deg4 = [sig for sig in sigs if any(t.degree == 4 for t, _, _ in sig.rows)]
         assert deg4 and all(sigs[s] == 2 for s in deg4)
 
-    @pytest.mark.parametrize("max_dual, max_degree", [(13, 4), (8, 6)])
-    def test_weights_read_off_the_spend_match_the_rows(self, max_dual, max_degree):
+    def test_weights_read_off_the_spend_match_the_rows(self):
         # enumerate_signatures reads each weight off its spend;
-        # signature_weight computes it from the rows.
+        # signature_weight computes it from the rows.  The weight digests
+        # of TestEnumerationPins cover dual 9 at degree 4 and dual 10 at
+        # degree 6; this goes on to dual 13 at degree 4.
+        pinned = set(iter_group_specs((3, 5), 9))
         yielded = 0
-        for group in iter_group_specs((3, 5), max_dual):
-            for sig, weight in enumerate_signatures(group, max_degree=max_degree):
+        for group in iter_group_specs((3, 5), 13):
+            if group in pinned:
+                continue
+            for sig, weight in enumerate_signatures(group, max_degree=4):
                 assert weight == signature_weight(group, sig), (str(group), str(sig))
                 yielded += 1
-        assert yielded == {13: 12266, 8: 2300}[max_dual]
+        assert yielded == 12266 - 2806
 
     def test_pooled_linear_row_is_refused_under_the_trivial_involution(self):
         # Over F3 the linear classes are x - 1 and x + 1, rows of their own.
