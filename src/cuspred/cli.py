@@ -687,6 +687,7 @@ def _cmd_selfcheck(args) -> int:
         "groups": report.groups,
         "signatures": report.signatures,
         "data_weight": report.data_weight,
+        "checked": report.checked,
         "failure_counts": report.failure_counts,
         "ok": report.ok,
         "failures": [
@@ -708,7 +709,8 @@ def _cmd_selfcheck(args) -> int:
                      f"class degree <= {rep['max_degree']}")
         lines.append(f"- checks: {', '.join(rep['checks'])}")
         lines.append(f"- swept {rep['groups']} groups, {rep['signatures']} signatures, "
-                     f"{rep['data_weight']} data ({report.elapsed:.1f}s)")
+                     f"{rep['data_weight']} data, {rep['checked']} checked "
+                     f"({report.elapsed:.1f}s)")
         for name, count in rep["failure_counts"].items():
             lines.append(f"- {name}: {'ok' if not count else f'{count} FAILURES'}")
         for f in rep["failures"]:

@@ -26,6 +26,16 @@ nonzero residue among the powers of x, so the polynomial is irreducible
 and x generates the unit group.  Those powers give the discrete log, and
 products, inverses, powers and sigma are read off it.
 
+The value types, FieldSpec here and FiniteFactor, GroupSpec and
+ParahoricSpec in groups, have one object per value: their metaclass,
+Interned, returns the object already built for the same fields while it
+is alive, so == and hash are identity and each value is validated once.
+Every value derived from the fields is a plain attribute, set once when
+the object is built.  SelfDualClass keeps value equality, so that a
+class parsed from JSON stays its own object, freed when the command is
+done, though the cached class listing holds an equal one; its derived
+values, hash included, are plain attributes set the same way.
+
 Class candidates come from one loop for both involutions: the constant
 term runs over the norm-one elements, the upper half of the coefficients
 is free and the lower half is solved from P~ = P.  Each candidate is
@@ -47,14 +57,17 @@ prime to x^(q^k) - x for every k <= n/2.
 
 from __future__ import annotations
 
+import inspect
 import itertools
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 __all__ = [
     "MAX_ENUM_DEGREE",
     "DegreeLimitError",
+    "Interned",
     "FieldSpec",
     "FieldTable",
     "Poly",
@@ -115,12 +128,39 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class Interned(type):
+    """Metaclass of a frozen dataclass with eq=False: one object per value.
+
+    A call fills its positional, keyword and default arguments into the
+    tuple of the dataclass fields, refusing an unknown keyword with
+    TypeError, and returns the object already built for that tuple.  Only
+    a value that __post_init__ accepts is stored, and the table holds it
+    weakly, so a value nothing else keeps is freed.
+    """
+
+    def __init__(cls, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        cls._objects = weakref.WeakValueDictionary()
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls.__dataclass_fields__):
+            bound = inspect.signature(cls.__init__).bind(None, *args, **kwargs)
+            bound.apply_defaults()
+            args = tuple(bound.arguments.values())[1:]
+        try:
+            return cls._objects[args]
+        except KeyError:
+            obj = cls._objects[args] = super().__call__(*args)
+            return obj
+
+
+@dataclass(frozen=True, eq=False)
+class FieldSpec(metaclass=Interned):
     """A small finite field GF(p^e) with a marked involution.
 
     ext is "trivial" for the identity involution and "quadratic" for the
-    order-two automorphism over the subfield of size p^(e/2).
+    order-two automorphism over the subfield of size p^(e/2).  q is its
+    size p^e and q0 the size of the fixed field of the involution.
     """
 
     p: int
@@ -138,23 +178,14 @@ class FieldSpec:
             raise ValueError(f"field size {size} exceeds {_MAX_Q}")
         if not _is_prime(self.p) or self.p == 2:
             raise ValueError("p must be an odd prime")
-        if self.p ** self.e > _MAX_Q:
-            raise ValueError(f"field size {self.p ** self.e} exceeds {_MAX_Q}")
+        q = self.p ** self.e
+        if q > _MAX_Q:
+            raise ValueError(f"field size {q} exceeds {_MAX_Q}")
         if self.ext not in ("trivial", "quadratic"):
             raise ValueError("ext must be 'trivial' or 'quadratic'")
         if self.ext == "quadratic" and self.e % 2 != 0:
             raise ValueError("a quadratic involution needs even e")
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.e
-
-    @property
-    def q0(self) -> int:
-        """Size of the fixed field of the involution."""
-        if self.ext == "quadratic":
-            return self.p ** (self.e // 2)
-        return self.q
+        self.__dict__.update(q=q, q0=self.p ** (self.e // 2) if self.ext == "quadratic" else q)
 
 
 class FieldTable:
@@ -371,7 +402,12 @@ class ClassType(namedtuple("ClassType", ("degree", "rank"))):
 
 @dataclass(frozen=True)
 class SelfDualClass:
-    """A monic irreducible polynomial equal to its own sigma-dual."""
+    """A monic irreducible polynomial equal to its own sigma-dual.
+
+    Its type tells x - 1 and x + 1, the linear classes of constant term
+    -1 and 1, from the others; sort_key puts them first, as they play a
+    distinguished role everywhere.
+    """
 
     poly: Poly
 
@@ -383,40 +419,18 @@ class SelfDualClass:
             raise ValueError(f"{p} is not self-dual")
         if not is_irreducible(p):
             raise _NotIrreducible(p)
+        degree = p.degree
+        ranks = {field_table(p.field).minus_one: 0, 1: 1} if degree == 1 else {}
+        kind = ClassType(degree, ranks.get(p.coeffs[0], 2))
+        # Classes key every multiplicity map: hash the polynomial once, not
+        # on every lookup.  Equal classes have equal polynomials, so this
+        # agrees with the generated ==.
+        self.__dict__.update(field=p.field, degree=degree, type=kind, _hash=hash(p),
+                             label="x-1" if kind.is_x_minus_one else str(p),
+                             sort_key=(*kind, p.coeffs))
 
-    @property
-    def field(self) -> FieldSpec:
-        return self.poly.field
-
-    # Classes key every multiplicity map: hash the polynomial once, not on
-    # every lookup.  Equal classes have equal polynomials, so this agrees
-    # with the generated ==.
     def __hash__(self) -> int:
         return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self.poly)
-
-    # Computed once each; cached_property leaves ==, hash and repr alone.
-    @cached_property
-    def degree(self) -> int:
-        return self.poly.degree
-
-    @cached_property
-    def type(self) -> ClassType:
-        """x - 1 and x + 1 are the linear classes of constant term -1 and 1."""
-        ranks = {field_table(self.field).minus_one: 0, 1: 1} if self.degree == 1 else {}
-        return ClassType(self.degree, ranks.get(self.poly.coeffs[0], 2))
-
-    @cached_property
-    def label(self) -> str:
-        return "x-1" if self.type.is_x_minus_one else str(self.poly)
-
-    @cached_property
-    def sort_key(self) -> tuple:
-        # x - 1 and x + 1 first; they play a distinguished role everywhere.
-        return (*self.type, self.poly.coeffs)
 
     def __str__(self) -> str:
         return self.label

@@ -46,9 +46,10 @@ its vertex (n1, n2) is the group's (n2, n1).
 
 The factor kind, Sp, SOodd, SOeven or U, is the only name of a slot type
 in the package: it alone fixes the exponent table, the parameter table and
-the sign condition of the slot.  A slot factor is built once per kind,
-dimension and sign: every vertex with that slot, of any group, shares the
-FiniteFactor and its dual_dim.
+the sign condition of the slot.  FiniteFactor, GroupSpec and
+ParahoricSpec are value types, as FieldSpec is (see ffpoly): one object
+per value, their derived values plain attributes.  So every vertex with
+the same slot, of any group, shares the FiniteFactor and its dual_dim.
 
 >>> G = GroupSpec("Sp", 6, 3, (0, 0), FieldSpec(3))
 >>> dual_dimension(G)
@@ -62,9 +63,9 @@ FiniteFactor and its dual_dim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from .ffpoly import FieldSpec
+from .ffpoly import FieldSpec, Interned
 
 __all__ = [
     "FAMILIES",
@@ -116,14 +117,15 @@ def _dual_dim(kind: str, dim: int) -> int:
     return dim + _DUAL_SHIFT.get(kind, 0)
 
 
-@dataclass(frozen=True)
-class FiniteFactor:
+@dataclass(frozen=True, eq=False)
+class FiniteFactor(metaclass=Interned):
     """One factor of the reductive quotient of a parahoric.
 
     kind is "Sp", "SOodd", "SOeven" or "U"; dim is the dimension of the
     space the factor acts on (so Sp(dim), SO(dim), U(dim)); sign
     distinguishes the two forms of an even orthogonal group and is 0
-    for the other kinds.
+    for the other kinds.  dual_dim is the dimension of the dual-side
+    space attached to the factor.
     """
 
     kind: str
@@ -148,12 +150,7 @@ class FiniteFactor:
                 raise ValueError("the trivial orthogonal factor is split")
         elif self.sign != 0:
             raise ValueError("only even orthogonal factors carry a sign")
-
-    @cached_property
-    def dual_dim(self) -> int:
-        """Dimension of the dual-side space attached to the factor
-        (computed once; cached_property leaves ==, hash and repr alone)."""
-        return _dual_dim(self.kind, self.dim)
+        self.__dict__["dual_dim"] = _dual_dim(self.kind, self.dim)
 
     def __str__(self) -> str:
         if self.kind == "SOeven":
@@ -163,9 +160,14 @@ class FiniteFactor:
         return f"{self.kind}({self.dim})"
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """A classical group over the p-adic field with given residue data."""
+@dataclass(frozen=True, eq=False)
+class GroupSpec(metaclass=Interned):
+    """A classical group over the p-adic field with given residue data.
+
+    slot_kinds are the factor kinds of the two parahoric slots (the same
+    at every vertex), and name is the classical name and dimension, as in
+    Sp(6) or U(5).
+    """
 
     family: str
     dim: int
@@ -200,26 +202,8 @@ class GroupSpec:
             raise ValueError("the two-dimensional split orthogonal group is excluded")
         if self.dim < 1:
             raise ValueError("dimension must be positive")
-
-    # parahoric_of is cached on the group: hash the fields once, not on
-    # every lookup.  This is the generated hash, computed once.
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.family, self.dim, self.witt, self.aniso, self.field, self.epsilon))
-
-    @cached_property
-    def slot_kinds(self) -> tuple[str, str]:
-        """Factor kinds of the two parahoric slots (independent of N1)."""
-        end1, end2 = _ENDS[self.family, self.epsilon]
-        return (end1[self.aniso[0]], end2[self.aniso[1]])
-
-    @cached_property
-    def name(self) -> str:
-        """The classical name and dimension, as in Sp(6) or U(5)."""
-        return f"{_FAMILY_NAMES[self.family]}({self.dim})"
+        self.__dict__.update(slot_kinds=(end1[a1], end2[a2]),
+                             name=f"{_FAMILY_NAMES[self.family]}({self.dim})")
 
     def __str__(self) -> str:
         tags = [f"w{self.witt}", f"a{self.aniso[0]}{self.aniso[1]}"]
@@ -253,28 +237,30 @@ def group_forms(family: str, dim: int, field: FieldSpec):
                     continue
 
 
-@lru_cache(maxsize=1024)
 def mirror(group: GroupSpec) -> GroupSpec:
     """The same group read from the other end of its local Dynkin diagram:
     the anisotropic split reversed and epsilon negated, so that its slot
     kinds and factors come in reverse order and its vertex (n1, n2) is
     the group's (n2, n1).  The flip of a signature, DatumSignature.flipped,
-    goes with it.  Cached: the sweep asks once per signature."""
+    goes with it."""
     return GroupSpec(group.family, group.dim, group.witt, group.aniso[::-1], group.field,
                      -group.epsilon)
 
 
-@lru_cache(maxsize=1024)
 def _slot_factor(kind: str, n: int, a: int) -> FiniteFactor:
     """An even orthogonal slot is split exactly when its anisotropic part
-    is 0.  Built once: vertices with equal slots share the factor and its
-    dual_dim."""
+    is 0."""
     return FiniteFactor(kind, 2 * n + a, (1 if a == 0 else -1) if kind == "SOeven" else 0)
 
 
-@dataclass(frozen=True)
-class ParahoricSpec:
-    """A vertex of the chain, labelled by the split (n1, n2) of the Witt index."""
+@dataclass(frozen=True, eq=False)
+class ParahoricSpec(metaclass=Interned):
+    """A vertex of the chain, labelled by the split (n1, n2) of the Witt index.
+
+    factors are the two factors of its reductive quotient; maximal is
+    False exactly when a slot degenerates to the split SO(2) torus; label
+    is the name every datum label starts with.
+    """
 
     group: GroupSpec
     n1: int
@@ -283,23 +269,13 @@ class ParahoricSpec:
     def __post_init__(self) -> None:
         if self.n1 < 0 or self.n2 < 0 or self.n1 + self.n2 != self.group.witt:
             raise ValueError("(n1, n2) must be a nonnegative split of the Witt index")
-
-    @cached_property
-    def factors(self) -> tuple[FiniteFactor, FiniteFactor]:
-        k1, k2 = self.group.slot_kinds
-        a1, a2 = self.group.aniso
-        return (_slot_factor(k1, self.n1, a1), _slot_factor(k2, self.n2, a2))
-
-    @cached_property
-    def maximal(self) -> bool:
-        """False exactly when a slot degenerates to the split SO(2) torus."""
-        return not any(f.kind == "SOeven" and f.dim == 2 and f.sign == 1
-                       for f in self.factors)
-
-    @cached_property
-    def label(self) -> str:
-        """The name every datum label starts with, formatted once."""
-        return f"{self.group.name}/F{self.group.field.q}:({self.n1},{self.n2})"
+        group = self.group
+        (k1, k2), (a1, a2) = group.slot_kinds, group.aniso
+        factors = (_slot_factor(k1, self.n1, a1), _slot_factor(k2, self.n2, a2))
+        self.__dict__.update(
+            factors=factors,
+            maximal=not any(f.kind == "SOeven" and f.dim == 2 and f.sign == 1 for f in factors),
+            label=f"{group.name}/F{group.field.q}:({self.n1},{self.n2})")
 
     def __str__(self) -> str:
         return self.label

@@ -28,11 +28,12 @@ form (groups.mirror, DatumSignature.flipped), they give the same verdicts
 again.  So one representative is checked per canonical key, the
 field-free key or its mirror's, whichever sorts first: the first
 signature in sweep order with that key.  Every signature and its data
-weight are still counted, so a passing report is unchanged.  As every
-signature of a key gets the same verdicts, the first failing signature
-is the first of its key: a failure stops at the same datum as a
-per-signature sweep, with the same reproducer.  tests/test_selfcheck.py
-keeps the per-signature loop as the oracle of this reduction.
+weight are still counted, and the report also says how many
+representatives it checked, one per key.  As every signature of a key
+gets the same verdicts, the first failing signature is the first of its
+key: a failure stops at the same datum as a per-signature sweep, with
+the same reproducer.  tests/test_selfcheck.py keeps the per-signature
+loop as the oracle of this reduction.
 
 The same flip maps a group's signatures one to one onto its mirror's,
 with equal weights, as the field is the same.  So once a group is swept
@@ -88,6 +89,7 @@ class SelfcheckReport:
     groups: int
     signatures: int
     data_weight: int
+    checked: int  # representatives checked, one per canonical key
     failure_counts: dict
     failures: tuple[CheckFailure, ...]
     elapsed: float
@@ -251,6 +253,7 @@ def run_selfcheck(q0_values=DEFAULT_Q0, max_dual: int = DEFAULT_DUAL,
         groups=groups,
         signatures=signatures,
         data_weight=data_weight,
+        checked=len(checked),
         failure_counts=failure_counts,
         failures=tuple(failures),
         elapsed=time.monotonic() - started,

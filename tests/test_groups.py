@@ -1,12 +1,15 @@
 """Parahoric quotient tables, checked against hand-computed cases."""
 
 import doctest
+import gc
 import hashlib
 import itertools
+import weakref
 
 import pytest
 
 from cuspred import groups
+from cuspred.cli import group_from_obj
 from cuspred.ffpoly import FieldSpec
 from cuspred.groups import (
     FiniteFactor,
@@ -15,6 +18,7 @@ from cuspred.groups import (
     component_group_order,
     dual_dimension,
     enumerate_parahorics,
+    mirror,
     parahoric_of,
 )
 from cuspred.selfcheck import iter_group_specs
@@ -79,10 +83,55 @@ class TestGroupSpec:
         assert dual_dimension(GroupSpec("SOeven", 8, 4, (0, 0), F3)) == 8
         assert dual_dimension(GroupSpec("Uunram", 7, 3, (1, 0), F9Q)) == 7
         assert dual_dimension(GroupSpec("Uram", 14, 6, (2, 0), F3, epsilon=1)) == 14
-        # Built separately from the same values: equal, with equal hashes.
+        # Built separately from the same values: one object.
         a = GroupSpec("Uram", 14, 6, (2, 0), FieldSpec(3), epsilon=1)
         b = GroupSpec("Uram", 14, 6, (2, 0), FieldSpec(3), epsilon=1)
-        assert a is not b and a == b and hash(a) == hash(b)
+        assert a is b
+
+
+class TestOneObjectPerValue:
+    """Fields, factors, groups and parahorics have one object per value,
+    however the value is spelled: == and hash are identity."""
+
+    def test_spellings_of_a_field_and_a_factor(self):
+        assert FieldSpec(3) is FieldSpec(3, 1, "trivial") is FieldSpec(p=3)
+        assert FiniteFactor("SOeven", 10, sign=1) is FiniteFactor("SOeven", 10, 1)
+
+    def test_two_parses_of_a_group(self):
+        short = {"family": "Uram", "witt_index": 6, "aniso": [2, 0], "epsilon": 1,
+                 "field": {"p": 3}}
+        spelled = {"field": {"ext": "trivial", "e": 1, "p": 3}, "epsilon": 1,
+                   "aniso": [2, 0], "witt_index": 6, "family": "Uram"}
+        group = group_from_obj(short)
+        assert group is group_from_obj(spelled)
+        assert group is GroupSpec("Uram", 14, 6, (2, 0), F3, epsilon=1)
+
+    def test_mirror_and_vertices(self):
+        for group in iter_group_specs((3, 5), 6):
+            assert mirror(mirror(group)) is group, str(group)
+            for vertex in enumerate_parahorics(group):
+                dual_dims = tuple(f.dual_dim for f in vertex.factors)
+                assert parahoric_of(group, dual_dims) is vertex, str(vertex)
+
+    def test_bad_arguments(self):
+        with pytest.raises(TypeError):
+            FieldSpec(3, exponent=1)
+        with pytest.raises(TypeError):
+            GroupSpec("Sp", 6, 3, (0, 0), F3, eps=0)
+        with pytest.raises(TypeError):
+            ParahoricSpec(GroupSpec("Sp", 6, 3, (0, 0), F3), 3)
+
+    def test_a_refused_value_is_not_stored(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="split orthogonal group is excluded"):
+                GroupSpec("SOeven", 2, 1, (0, 0), F3)
+            with pytest.raises(ValueError, match="p must be an odd prime"):
+                FieldSpec(9)
+
+    def test_values_are_held_weakly(self):
+        ref = weakref.ref(GroupSpec("Sp", 1998, 999, (0, 0), F3))
+        gc.collect()
+        assert ref() is None
 
 
 class TestFactorTables:

@@ -445,6 +445,10 @@ class TestWideSearch:
         # a table of 4,096 four-tuples alone would take about 290 kB.
         group = GroupSpec("Sp", 40, 20, (0, 0), F7)
         datum = wide_datum(group, 10, 10, [(1, 0), (0, 1)] * 6)
+        # One untraced pass fills the bounded memos (pre-score rows, type
+        # exponents, parahorics), so the peak does not hang on which tests
+        # ran before.
+        assert sum(1 for _ in _prescore(group, datum)) == 2 ** 12
         tracemalloc.start()
         try:
             passed = sum(1 for _ in _prescore(group, datum))

@@ -177,6 +177,17 @@ class TestCanonicalKeys:
         assert (report.groups, report.signatures, report.data_weight) == (118, 857, 37234)
         assert len(calls) == 250
 
+    @pytest.mark.parametrize("q0", [(3, 5), (5, 3)])
+    def test_report_counts_the_checked_representatives(self, capsys, q0):
+        assert run_selfcheck(q0_values=q0, max_dual=6, checks=("identity",)).checked == 250
+        args = ["selfcheck", "--dualdim", "6", "--checks", "identity"]
+        args += ["--q", str(q0[0]), "--q", str(q0[1])]
+        assert main([*args, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["checked"] == 250
+        assert main(args) == 0
+        assert "- swept 118 groups, 857 signatures, 37234 data, 250 checked (" \
+            in capsys.readouterr().out
+
     @pytest.mark.parametrize("q0, p", [((5, 3), 5), ((3, 5), 3)])
     def test_failure_is_reported_on_the_first_field(self, capsys, monkeypatch, q0, p):
         # SO(5)[w2,a01] at (2,0) with x + 1 and one quadratic class in the
