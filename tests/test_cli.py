@@ -206,6 +206,24 @@ class TestEnumerate:
         assert all(datum_from_obj(obj).group == gallery_entry("sp4").datum.group
                    for obj in rep["data"])
 
+    def test_degree_bound_applies_to_pooled_classes_only(self, capsys):
+        # Under the trivial involution x-1 and x+1 are not pooled: degree 0
+        # still lists the data on them.  Under the quadratic one every
+        # class is pooled, so degree 0 lists none.
+        sp2 = {"family": "Sp", "witt_index": 1, "aniso": [0, 0], "field": {"p": 3}}
+        code, out, _ = run(capsys, "enumerate", json.dumps(sp2), "--degree", "0")
+        assert code == 0
+        assert out.splitlines()[2:] == [
+            "- degree bound: 0", "- cuspidal data: 2", "- representations: 4",
+            "    - Sp(2)/F3:(1,0) [(x+1)^1] x [1]", "    - Sp(2)/F3:(0,1) [1] x [(x+1)^1]"]
+        u2 = {"family": "Uunram", "witt_index": 1, "aniso": [0, 0],
+              "field": {"p": 3, "e": 2, "ext": "quadratic"}}
+        code, rep = run_json(capsys, "enumerate", json.dumps(u2), "--degree", "0")
+        assert code == 0
+        assert (rep["degree_bound"], rep["count"], rep["data"]) == (0, 0, [])
+        code, rep = run_json(capsys, "enumerate", json.dumps(u2), "--degree", "1", "--count")
+        assert code == 0 and rep["count"] == 12
+
     def test_listing_is_written_as_it_goes(self):
         # Only each factor's supports are held, never the data.
         # SO(15)/F3 at degree 8: 823 data, 811,167 bytes of JSON.  Listing
@@ -788,7 +806,7 @@ class TestErrorPaths:
         def broken(datum):
             raise AssertionError("kept swap ['x-1'] moved a reducibility point")
 
-        monkeypatch.setattr("cuspred.cli.companions", broken)
+        monkeypatch.setattr("cuspred.packets.companions", broken)
         text = datum_text("sp6")
         code, out, err = run(capsys, "packet", text)
         assert code == 1 and out == ""
@@ -803,7 +821,7 @@ class TestErrorPaths:
         def broken(datum):
             raise KeyError("x+1")
 
-        monkeypatch.setattr("cuspred.cli.companions", broken)
+        monkeypatch.setattr("cuspred.packets.companions", broken)
         text = datum_text("sp6")
         code, out, err = run(capsys, "packet", text)
         assert code == 1 and out == ""

@@ -25,6 +25,7 @@ from cuspred.packets import companions, enumerate_epsilon, packet_stats
 from cuspred.selfcheck import (
     _CHECKS,
     _field_free_key,
+    _layer_functions,
     canonical_key,
     iter_group_specs,
     run_selfcheck,
@@ -101,7 +102,7 @@ class TestReport:
             run_selfcheck(q0_values=(3, q0), max_dual=2)
 
     def test_stops_at_first_failing_datum(self, monkeypatch):
-        monkeypatch.setitem(_CHECKS, "identity", lambda datum, census: "planted")
+        monkeypatch.setitem(_CHECKS, "identity", lambda datum, census, layers: "planted")
         report = run_selfcheck(q0_values=(3,), max_dual=6, checks=("identity", "recovery"))
         assert report.signatures == 1 and not report.ok
         assert report.failure_counts == {"identity": 1, "recovery": 0}
@@ -134,7 +135,8 @@ class TestCanonicalKeys:
         found = census()
         qs, stats = found.qsets, packet_stats(found)
         return {
-            "verdicts": tuple(check(datum, census) is None for check in _CHECKS.values()),
+            "verdicts": tuple(check(datum, census, _layer_functions()) is None
+                             for check in _CHECKS.values()),
             "census": sorted(((c.datum.parahoric.n1, c.datum.parahoric.n2)[order],
                               typed(c.swap_set), c.reps) for c in found.companions),
             "closed": sorted(map(typed, enumerate_epsilon(datum, qs))),
@@ -171,7 +173,7 @@ class TestCanonicalKeys:
     @pytest.mark.parametrize("q0", [(3, 5), (5, 3)])
     def test_each_key_is_checked_once(self, monkeypatch, q0):
         calls = []
-        monkeypatch.setitem(_CHECKS, "identity", lambda datum, census: calls.append(datum))
+        monkeypatch.setitem(_CHECKS, "identity", lambda datum, census, layers: calls.append(datum))
         report = run_selfcheck(q0_values=q0, max_dual=6)
         assert report.ok
         assert (report.groups, report.signatures, report.data_weight) == (118, 857, 37234)
@@ -195,7 +197,7 @@ class TestCanonicalKeys:
         sig = DatumSignature(2, 0, ((ClassType(1, 1), 1, 0), (ClassType(2, 2), 1, 0)))
         target = canonical_key(GroupSpec("SOodd", 5, 2, (0, 1), FieldSpec(3)), sig)
 
-        def planted(datum, census):
+        def planted(datum, census, layers):
             return "planted" if canonical_key(datum.group, signature_of(datum)) == target else None
 
         monkeypatch.setitem(_CHECKS, "identity", planted)
@@ -287,11 +289,12 @@ class TestPastTheSweepBound:
                 break
         assert len(data) == 60
         assert {datum.group.family for datum in data} == set(FAMILIES)
+        layers = _layer_functions()
         for datum in data:
             assert datum_from_obj(json.loads(json.dumps(datum_to_obj(datum)))) == datum
             census = cache(partial(companions, datum))
             for name, check in _CHECKS.items():
-                assert check(datum, census) is None, (name, str(datum))
+                assert check(datum, census, layers) is None, (name, str(datum))
 
 
 class TestFailureReports:
@@ -310,21 +313,22 @@ class TestFailureReports:
         raise AssertionError("planted search fault")
 
     PLANTS = {
-        "identity": ("verify_identity", lambda datum: False, {"identity": "degree identity failed"}),
-        "recovery": ("recover_m_pair", lambda cls, s, s2: (-1, -1),
+        "identity": ("hecke.verify_identity", lambda datum: False,
+                     {"identity": "degree identity failed"}),
+        "recovery": ("packets.recover_m_pair", lambda cls, s, s2: (-1, -1),
                      {"recovery": "multiplicities of x-1 not recovered"}),
-        "epsilon": ("enumerate_epsilon", lambda datum, qsets: [],
+        "epsilon": ("packets.enumerate_epsilon", lambda datum, qsets: [],
                     {"epsilon": "census swaps [[], ['x^2+1']] but closed form []"}),
-        "census-law": ("packet_stats", planted_stats,
+        "census-law": ("packets.packet_stats", planted_stats,
                        {"census-law": "census total 3 differs from 2^(1+0)"}),
-        "search": ("companions", raising_search,
+        "search": ("packets.companions", raising_search,
                    {"epsilon": "raised planted search fault",
                     "census-law": "raised planted search fault"}),
     }
 
     def sweep(self, capsys, monkeypatch, plant, fmt):
         name, fault, details = self.PLANTS[plant]
-        monkeypatch.setattr(f"cuspred.selfcheck.{name}", fault)
+        monkeypatch.setattr(f"cuspred.{name}", fault)
         code = main(["selfcheck", "--q", "3", "--dualdim", "3", "--format", fmt])
         out, err = capsys.readouterr()
         assert (code, err) == (1, "")
