@@ -53,7 +53,9 @@ most 32 elements (so 3 or 5), an empty check name, or an enumerate or a
 selfcheck that would list classes past degree 8 (pass --degree 8 or
 less; enumerate refuses before it lists any class, and selfcheck before
 it sweeps, when both --degree and --dualdim exceed 8). An unknown
-examples --name, the empty one included, exits 2 too.  An internal
+examples --name, the empty one included, exits 2 too.  Only these
+refusals of its arguments make selfcheck exit 2: a ValueError the
+library raises once the sweep runs exits 1.  An internal
 invariant failure (a failed assertion or a KeyError raised inside the
 library) exits 1 with "internal error:" and the input JSON as a
 reproducer on stderr.  A reader that closes stdout early, as
@@ -79,10 +81,11 @@ from .cuspdata import (
     enumerate_census,
     support_violation,
 )
-from .ffpoly import MAX_ENUM_DEGREE, DegreeLimitError, FieldSpec, Poly, SelfDualClass
+from .ffpoly import MAX_ENUM_DEGREE, DegreeLimitError, FieldSpec, SelfDualClass
 from .fixtures import evaluate_entry, gallery, gallery_entry
 from .groups import GroupSpec, ParahoricSpec
-from .selfcheck import ALL_CHECKS, DEFAULT_DEGREE, DEFAULT_DUAL, DEFAULT_Q0, run_selfcheck
+from .selfcheck import (ALL_CHECKS, DEFAULT_DEGREE, DEFAULT_DUAL, DEFAULT_Q0, run_selfcheck,
+                        sweep_arguments)
 
 __all__ = [
     "SchemaError",
@@ -96,6 +99,14 @@ __all__ = [
 
 class SchemaError(ValueError):
     """The input is well-formed JSON but not a valid object description."""
+
+
+def _refusal(err: ValueError) -> SchemaError:
+    """A library refusal of the input as a SchemaError; a degree past the
+    cap names its remedy."""
+    if isinstance(err, DegreeLimitError):
+        return SchemaError(f"{err}: pass --degree {MAX_ENUM_DEGREE} or less")
+    return SchemaError(str(err))
 
 
 def _check_keys(obj, required: tuple[str, ...], what: str, optional: tuple[str, ...] = ()) -> None:
@@ -170,7 +181,7 @@ def group_from_obj(obj) -> GroupSpec:
 
 
 def entry_to_obj(cls: SelfDualClass, m: int) -> dict:
-    return {"poly": list(cls.poly.coeffs), "m": m}
+    return {"poly": list(cls.coeffs), "m": m}
 
 
 def support_to_obj(support: FactorSupport) -> list:
@@ -184,7 +195,7 @@ def _support_from_obj(obj, field: FieldSpec, index: int) -> FactorSupport:
     for item in obj:
         _check_keys(item, ("poly", "m"), "support entry")
         coeffs = tuple(_json_ints(item["poly"], "poly", "support entry"))
-        pairs.append((SelfDualClass(Poly(field, coeffs)),
+        pairs.append((SelfDualClass(field, coeffs),
                       _json_int(item["m"], "m", "support entry")))
     return FactorSupport.of(pairs)
 
@@ -650,7 +661,7 @@ def _cmd_enumerate(args) -> int:
     try:
         census = enumerate_census(group, max_degree=args.degree)
     except DegreeLimitError as err:
-        raise SchemaError(f"{err}: pass --degree {MAX_ENUM_DEGREE} or less") from err
+        raise _refusal(err) from err
     # Only each factor's supports are held, never the data: the count and
     # the representations are read off them, and the listing is written
     # datum by datum, each datum's text joined from its supports' texts.
@@ -686,14 +697,15 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_selfcheck(args) -> int:
     # Only the options given are passed on: selfcheck holds the defaults.
+    # Only its refusals of them are bad input: a ValueError raised once
+    # the sweep runs is a library fault.
     given = {"q0_values": args.q, "max_dual": args.dualdim, "max_degree": args.degree,
              "checks": None if args.checks is None else args.checks.split(",")}
     try:
-        report = run_selfcheck(**{k: v for k, v in given.items() if v is not None})
-    except DegreeLimitError as err:
-        raise SchemaError(f"{err}: pass --degree {MAX_ENUM_DEGREE} or less") from err
+        arguments = sweep_arguments(**{k: v for k, v in given.items() if v is not None})
     except ValueError as err:
-        raise SchemaError(str(err)) from err
+        raise _refusal(err) from err
+    report = run_selfcheck(*arguments)
     obj = {
         "q0_values": list(report.q0_values),
         "max_dual": report.max_dual,

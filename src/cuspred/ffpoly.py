@@ -24,7 +24,8 @@ ordering coefficient tuples from the constant term up, under which
 multiplying by x has period exactly q - 1.  A full period puts every
 nonzero residue among the powers of x, so the polynomial is irreducible
 and x generates the unit group.  Those powers give the discrete log, and
-products, inverses, powers and sigma are read off it.
+the tables of a FieldTable are read off it: public lists, indexed as in
+F.mul[a][b]; only pow computes.
 
 The value types, FieldSpec here and FiniteFactor, GroupSpec and
 ParahoricSpec in groups, have one object per value: their metaclass,
@@ -36,12 +37,14 @@ class parsed from JSON stays its own object, freed when the command is
 done, though the cached class listing holds an equal one; its derived
 values, hash included, are plain attributes set the same way.
 
+A polynomial is its tuple of coefficients from the constant term up,
+read with its field, and a SelfDualClass is the field and the tuple.
 Class candidates come from one loop for both involutions: the constant
 term runs over the norm-one elements, the upper half of the coefficients
 is free and the lower half is solved from P~ = P.  Each candidate is
-tested for irreducibility by Ben-Or's test, run on coefficient lists
-through the same tables: P of degree n is irreducible exactly when it is
-prime to x^(q^k) - x for every k <= n/2.
+tested for irreducibility by Ben-Or's test, run on the tuples through
+the same tables: P of degree n is irreducible exactly when it is prime
+to x^(q^k) - x for every k <= n/2.
 
 >>> F3 = FieldSpec(3)
 >>> [c.label for c in enumerate_self_dual_classes(F3, 1)]
@@ -66,16 +69,17 @@ from functools import lru_cache
 
 __all__ = [
     "MAX_ENUM_DEGREE",
+    "MAX_Q",
     "DegreeLimitError",
     "Interned",
     "FieldSpec",
     "FieldTable",
-    "Poly",
     "ClassType",
     "SelfDualClass",
     "field_table",
     "is_irreducible",
     "sigma_dual",
+    "poly_text",
     "enumerate_self_dual_classes",
     "count_self_dual_classes",
     "class_x_minus_one",
@@ -84,12 +88,15 @@ __all__ = [
 
 # Everything downstream is exact combinatorics over residue fields of
 # size at most a few dozen, so the tables stay tiny.
-_MAX_Q = 32
+MAX_Q = 32
 MAX_ENUM_DEGREE = 8
 
 
 class DegreeLimitError(ValueError):
     """A class enumeration asked for a degree above MAX_ENUM_DEGREE."""
+
+    def __init__(self):
+        super().__init__(f"enumeration is limited to degree {MAX_ENUM_DEGREE}")
 
 
 class _NotIrreducible(ValueError):
@@ -98,7 +105,7 @@ class _NotIrreducible(ValueError):
     the error."""
 
     def __str__(self) -> str:
-        return f"{self.args[0]} is not irreducible"
+        return f"{poly_text(self.args[0])} is not irreducible"
 
 
 def _factor(n: int) -> dict[int, int]:
@@ -172,15 +179,15 @@ class FieldSpec(metaclass=Interned):
             raise ValueError("e must be positive")
         # Bound p and e before p is factored and before p ** e is formed:
         # both take time that grows with the input.  For p >= 2 and
-        # e >= bit_length(_MAX_Q), p^e >= 2^e > _MAX_Q.
-        if self.p > _MAX_Q or (self.p > 1 and self.e >= _MAX_Q.bit_length()):
+        # e >= bit_length(MAX_Q), p^e >= 2^e > MAX_Q.
+        if self.p > MAX_Q or (self.p > 1 and self.e >= MAX_Q.bit_length()):
             size = self.p if self.e == 1 else f"{self.p}^{self.e}"
-            raise ValueError(f"field size {size} exceeds {_MAX_Q}")
+            raise ValueError(f"field size {size} exceeds {MAX_Q}")
         if not _is_prime(self.p) or self.p == 2:
             raise ValueError("p must be an odd prime")
         q = self.p ** self.e
-        if q > _MAX_Q:
-            raise ValueError(f"field size {q} exceeds {_MAX_Q}")
+        if q > MAX_Q:
+            raise ValueError(f"field size {q} exceeds {MAX_Q}")
         if self.ext not in ("trivial", "quadratic"):
             raise ValueError("ext must be 'trivial' or 'quadratic'")
         if self.ext == "quadratic" and self.e % 2 != 0:
@@ -189,7 +196,9 @@ class FieldSpec(metaclass=Interned):
 
 
 class FieldTable:
-    """Precomputed arithmetic for one FieldSpec, encoded as the module says."""
+    """Precomputed arithmetic for one FieldSpec, encoded as the module says:
+    exp[k] = x^k, log inverts it, inv[0] is None and norm_one lists the a
+    with a * sigma[a] = 1."""
 
     def __init__(self, spec: FieldSpec):
         self.q = spec.q
@@ -205,56 +214,34 @@ class FieldTable:
         # to 1; one that has not returned after q - 1 steps stops at length
         # q, which no period reaches.  Period q - 1 picks the modulus.
         for lower in itertools.product(range(p), repeat=e):
-            self._exp = [1]
-            while len(self._exp) < q:
-                ds = digits(self._exp[-1])
+            exp = [1]
+            while len(exp) < q:
+                ds = digits(exp[-1])
                 top = ds.pop()
                 nxt = undigits([(d - top * c) % p for d, c in zip([0] + ds, lower)])
                 if nxt == 1:
                     break
-                self._exp.append(nxt)
-            if len(self._exp) == q - 1:
+                exp.append(nxt)
+            if len(exp) == q - 1:
                 break
         self.modulus = lower if e > 1 else None
-        self._log = {a: k for k, a in enumerate(self._exp)}
-        self._add = [[undigits([(x + y) % p for x, y in zip(digits(a), digits(b))])
-                      for b in range(q)] for a in range(q)]
-        self._mul = [[self._exp[(self._log[a] + self._log[b]) % (q - 1)] if a and b else 0
-                      for b in range(q)] for a in range(q)]
-        self._neg = [self._add[a].index(0) for a in range(q)]
-        self._inv = [self.pow(a, q - 2) for a in range(q)]
+        self.exp = exp
+        self.log = {a: k for k, a in enumerate(exp)}
+        self.add = [[undigits([(x + y) % p for x, y in zip(digits(a), digits(b))])
+                     for b in range(q)] for a in range(q)]
+        self.mul = [[exp[(self.log[a] + self.log[b]) % (q - 1)] if a and b else 0
+                     for b in range(q)] for a in range(q)]
+        self.neg = [self.add[a].index(0) for a in range(q)]
+        self.minus_one = self.neg[1]
+        self.inv = [None] + [self.pow(a, q - 2) for a in range(1, q)]
         # a -> a^q0 is the involution: the identity when q0 = q.
-        self._sigma = [self.pow(a, spec.q0) for a in range(q)]
-
-    @property
-    def minus_one(self) -> int:
-        return self._neg[1]
-
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self._inv[a]
+        self.sigma = [self.pow(a, spec.q0) for a in range(q)]
+        self.norm_one = tuple(a for a in range(1, q) if self.mul[a][self.sigma[a]] == 1)
 
     def pow(self, a: int, n: int) -> int:
         if n == 0:
             return 1
-        return self._exp[self._log[a] * n % (self.q - 1)] if a else 0
-
-    def sigma(self, a: int) -> int:
-        return self._sigma[a]
-
-    def norm_one_elements(self) -> tuple[int, ...]:
-        """Elements with a * sigma(a) = 1."""
-        return tuple(a for a in range(1, self.q) if self._mul[a][self._sigma[a]] == 1)
+        return self.exp[self.log[a] * n % (self.q - 1)] if a else 0
 
 
 @lru_cache(maxsize=None)
@@ -262,44 +249,16 @@ def field_table(spec: FieldSpec) -> FieldTable:
     return FieldTable(spec)
 
 
-@dataclass(frozen=True)
-class Poly:
-    """A polynomial over GF(q); coeffs run from the constant term upward."""
-
-    field: FieldSpec
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        q = self.field.q
-        if any(not (0 <= c < q) for c in self.coeffs):
-            raise ValueError("coefficient out of range for the field")
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial given degree -1."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else str(c)
-                power = "x" if i == 1 else f"x^{i}"
-                terms.append(head + power)
-        return "+".join(terms)
+def poly_text(coeffs: tuple[int, ...]) -> str:
+    """The text of a polynomial given by its coefficients from the constant
+    term up, highest term first: (2, 0, 1) is x^2+2, () is 0."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c:
+            head = "" if c == 1 and i else str(c)
+            terms.append(head + ("" if i == 0 else "x" if i == 1 else f"x^{i}"))
+    return "+".join(terms) or "0"
 
 
 def _mod(a: list[int], b: list[int], F: FieldTable) -> list[int]:
@@ -307,9 +266,9 @@ def _mod(a: list[int], b: list[int], F: FieldTable) -> list[int]:
     up; b has a nonzero leading coefficient, the result no trailing zero."""
     a = list(a)
     n = len(b) - 1
-    add, mul = F._add, F._mul
+    add, mul = F.add, F.mul
     # Adding c * x^(top - n) * b * (-1 / lead) clears a[top] = c.
-    scale = mul[F.minus_one][F.inv(b[-1])]
+    scale = mul[F.minus_one][F.inv[b[-1]]]
     b = [mul[scale][c] for c in b]
     for top in range(len(a) - 1, n - 1, -1):
         row = mul[a[top]]
@@ -323,7 +282,7 @@ def _mod(a: list[int], b: list[int], F: FieldTable) -> list[int]:
 
 def _times(a: list[int], b: list[int], F: FieldTable) -> list[int]:
     """The product of two coefficient lists."""
-    add, mul = F._add, F._mul
+    add, mul = F.add, F.mul
     out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
         row = mul[c]
@@ -332,7 +291,7 @@ def _times(a: list[int], b: list[int], F: FieldTable) -> list[int]:
     return out
 
 
-def is_irreducible(poly: Poly) -> bool:
+def is_irreducible(field: FieldSpec, coeffs: tuple[int, ...]) -> bool:
     """Ben-Or's test: P of degree n is irreducible exactly when
     gcd(x^(q^k) - x, P) = 1 for every k <= n/2, because x^(q^k) - x is the
     product of the monic irreducibles whose degree divides k.
@@ -340,23 +299,23 @@ def is_irreducible(poly: Poly) -> bool:
     Runs on coefficient lists through the field tables, for any nonzero
     leading coefficient.
     """
-    n = poly.degree
+    n = len(coeffs) - 1
     if n < 1:
         return False
-    F = field_table(poly.field)
-    P = list(poly.coeffs)
+    F = field_table(field)
+    P = list(coeffs)
     h = [0, 1]  # x^(q^k) mod P, from k = 0
     for _ in range(n // 2):
         # h^q by squaring and multiplying, the bits of q from the top.
         base = h
-        for bit in bin(poly.field.q)[3:]:
+        for bit in bin(field.q)[3:]:
             h = _mod(_times(h, h, F), P, F)
             if bit == "1":
                 h = _mod(_times(h, base, F), P, F)
         # Euclid on h - x (padded to x's length) and P; the last nonzero
         # remainder is their gcd.
         a, b = h + [0, 0], P
-        a[1] = F.add(a[1], F.minus_one)
+        a[1] = F.add[a[1]][F.minus_one]
         while b:
             a, b = b, _mod(a, b, F)
         if len(a) > 1:
@@ -364,22 +323,21 @@ def is_irreducible(poly: Poly) -> bool:
     return True
 
 
-def sigma_dual(poly: Poly) -> Poly:
+def sigma_dual(field: FieldSpec, coeffs: tuple[int, ...]) -> tuple[int, ...]:
     """The monic polynomial whose roots are the inverse (conjugate) roots.
 
     Writing P = sum c_i x^i of degree n, the dual has coefficients
     sigma(c_{n-i}) / sigma(c_0).  It is an involution on monic
     polynomials with nonzero constant term.
     """
-    cs = poly.coeffs
-    if not cs or cs[0] == 0:
+    if not coeffs or coeffs[0] == 0:
         raise ValueError("the dual needs a nonzero constant term")
-    if cs[-1] != 1:
+    if coeffs[-1] != 1:
         raise ValueError("the dual is defined for monic polynomials")
-    F = field_table(poly.field)
-    scale = F.inv(F.sigma(cs[0]))
-    n = len(cs) - 1
-    return Poly(poly.field, tuple(F.mul(F.sigma(cs[n - i]), scale) for i in range(n + 1)))
+    F = field_table(field)
+    mul, sigma = F.mul, F.sigma
+    scale = mul[F.inv[sigma[coeffs[0]]]]
+    return tuple(scale[sigma[c]] for c in reversed(coeffs))
 
 
 class ClassType(namedtuple("ClassType", ("degree", "rank"))):
@@ -402,32 +360,38 @@ class ClassType(namedtuple("ClassType", ("degree", "rank"))):
 
 @dataclass(frozen=True)
 class SelfDualClass:
-    """A monic irreducible polynomial equal to its own sigma-dual.
+    """A monic irreducible polynomial equal to its own sigma-dual, given
+    by its field and its coefficients from the constant term up.
 
     Its type tells x - 1 and x + 1, the linear classes of constant term
     -1 and 1, from the others; sort_key puts them first, as they play a
     distinguished role everywhere.
     """
 
-    poly: Poly
+    field: FieldSpec
+    coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        p = self.poly
-        if p.degree < 1 or not p.is_monic or p.coeffs[0] == 0:
+        field, cs = self.field, self.coeffs
+        if any(not (0 <= c < field.q) for c in cs):
+            raise ValueError("coefficient out of range for the field")
+        if cs and cs[-1] == 0:
+            raise ValueError("leading coefficient must be nonzero")
+        degree = len(cs) - 1
+        if degree < 1 or cs[-1] != 1 or cs[0] == 0:
             raise ValueError("a self-dual class is monic, nonconstant, and prime to x")
-        if sigma_dual(p) != p:
-            raise ValueError(f"{p} is not self-dual")
-        if not is_irreducible(p):
-            raise _NotIrreducible(p)
-        degree = p.degree
-        ranks = {field_table(p.field).minus_one: 0, 1: 1} if degree == 1 else {}
-        kind = ClassType(degree, ranks.get(p.coeffs[0], 2))
-        # Classes key every multiplicity map: hash the polynomial once, not
-        # on every lookup.  Equal classes have equal polynomials, so this
-        # agrees with the generated ==.
-        self.__dict__.update(field=p.field, degree=degree, type=kind, _hash=hash(p),
-                             label="x-1" if kind.is_x_minus_one else str(p),
-                             sort_key=(*kind, p.coeffs))
+        if sigma_dual(field, cs) != cs:
+            raise ValueError(f"{poly_text(cs)} is not self-dual")
+        if not is_irreducible(field, cs):
+            raise _NotIrreducible(cs)
+        ranks = {field_table(field).minus_one: 0, 1: 1} if degree == 1 else {}
+        kind = ClassType(degree, ranks.get(cs[0], 2))
+        # Classes key every multiplicity map: hash the field and the
+        # coefficients once, not on every lookup, as the generated hash
+        # would.  Equal classes have equal fields, so this agrees with ==.
+        self.__dict__.update(degree=degree, type=kind, _hash=hash((field, cs)),
+                             label="x-1" if kind.is_x_minus_one else poly_text(cs),
+                             sort_key=(*kind, cs))
 
     def __hash__(self) -> int:
         return self._hash
@@ -447,7 +411,7 @@ def enumerate_self_dual_classes(field: FieldSpec, degree: int) -> tuple[SelfDual
     if degree < 1:
         raise ValueError("degree must be positive")
     if degree > MAX_ENUM_DEGREE:
-        raise DegreeLimitError(f"enumeration is limited to degree {MAX_ENUM_DEGREE}")
+        raise DegreeLimitError()
     trivial = field.ext == "trivial"
     # No class has this degree: under the trivial involution the roots pair
     # off as r, 1/r, which differ unless r = +-1, so past degree 1 the
@@ -459,20 +423,20 @@ def enumerate_self_dual_classes(field: FieldSpec, degree: int) -> tuple[SelfDual
     half = degree // 2
     found = []
     # P~ = P: c0 * sigma(c0) = 1 and c_i = sigma(c_(n-i)) / sigma(c0).
-    for c0 in F.norm_one_elements():
+    for c0 in F.norm_one:
         # Under the trivial involution c0 = -1 makes P anti-palindromic,
         # so P(1) = 0 and only x - 1 itself is irreducible.
         if trivial and degree > 1 and c0 != 1:
             continue
-        scale = F.inv(F.sigma(c0))
+        scale = F.mul[F.inv[F.sigma[c0]]]
         for upper in itertools.product(range(field.q), repeat=half):
             cs = [c0] + [0] * (degree - 1 - half) + list(upper) + [1]
             for i in range(1, degree - half):
-                cs[i] = F.mul(F.sigma(cs[degree - i]), scale)
+                cs[i] = scale[F.sigma[cs[degree - i]]]
             # Self-dual by construction, so SelfDualClass refuses only the
             # reducible candidates: its checks are the one filter.
             try:
-                found.append(SelfDualClass(Poly(field, tuple(cs))))
+                found.append(SelfDualClass(field, tuple(cs)))
             except ValueError:
                 continue
     return tuple(sorted(found, key=lambda c: c.sort_key))

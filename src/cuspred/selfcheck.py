@@ -59,7 +59,7 @@ from .cuspdata import (
     enumerate_signatures,
     signature_representative,
 )
-from .ffpoly import _MAX_Q, MAX_ENUM_DEGREE, DegreeLimitError, FieldSpec
+from .ffpoly import MAX_ENUM_DEGREE, MAX_Q, DegreeLimitError, FieldSpec
 from .groups import FAMILIES, GroupSpec, dual_dimension, group_forms, mirror
 
 __all__ = [
@@ -72,6 +72,7 @@ __all__ = [
     "canonical_key",
     "iter_group_specs",
     "run_selfcheck",
+    "sweep_arguments",
 ]
 
 @dataclass(frozen=True)
@@ -205,9 +206,10 @@ def _check_selection(what: str, values) -> None:
             raise ValueError(f"{what} {value!r} is given twice")
 
 
-def run_selfcheck(q0_values=DEFAULT_Q0, max_dual: int = DEFAULT_DUAL,
-                  max_degree: int = DEFAULT_DEGREE, checks=ALL_CHECKS) -> SelfcheckReport:
-    """Sweep the groups and stop after the first datum that fails a check."""
+def sweep_arguments(q0_values=DEFAULT_Q0, max_dual: int = DEFAULT_DUAL,
+                    max_degree: int = DEFAULT_DEGREE, checks=ALL_CHECKS) -> tuple:
+    """The arguments of run_selfcheck in its order, the selections as
+    tuples; a ValueError names the first one that a sweep refuses."""
     q0_values, checks = tuple(q0_values), tuple(checks)
     _check_selection("residue size", q0_values)
     for q0 in q0_values:  # the sweep runs over F(q0) and F(q0^2)
@@ -215,13 +217,22 @@ def run_selfcheck(q0_values=DEFAULT_Q0, max_dual: int = DEFAULT_DUAL,
             FieldSpec(q0, 2, "quadratic")
         except ValueError as err:
             raise ValueError(f"residue size {q0} is not supported: the sweep needs an odd prime"
-                             f" q0 with F(q0^2) of at most {_MAX_Q} elements ({err})") from err
+                             f" q0 with F(q0^2) of at most {MAX_Q} elements ({err})") from err
     _check_selection("check", checks)
     for name in checks:
         if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}")
     if min(max_degree, max_dual) > MAX_ENUM_DEGREE:  # a representative would list such classes
-        raise DegreeLimitError(f"enumeration is limited to degree {MAX_ENUM_DEGREE}")
+        raise DegreeLimitError()
+    return q0_values, max_dual, max_degree, checks
+
+
+def run_selfcheck(q0_values=DEFAULT_Q0, max_dual: int = DEFAULT_DUAL,
+                  max_degree: int = DEFAULT_DEGREE, checks=ALL_CHECKS) -> SelfcheckReport:
+    """Sweep the groups and stop after the first datum that fails a check.
+    The arguments are checked first, by sweep_arguments."""
+    q0_values, max_dual, max_degree, checks = sweep_arguments(q0_values, max_dual,
+                                                               max_degree, checks)
     started = time.monotonic()
     layers = _layer_functions()
     groups = signatures = data_weight = 0

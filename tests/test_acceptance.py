@@ -20,7 +20,6 @@ import pytest
 from cuspred.cli import datum_to_obj, main
 from cuspred.ffpoly import (
     FieldSpec,
-    Poly,
     count_self_dual_classes,
     enumerate_self_dual_classes,
     is_irreducible,
@@ -171,8 +170,8 @@ def test_criterion_9_self_dual_census():
             for tail in product(range(q), repeat=degree):
                 if tail[0] == 0:
                     continue
-                poly = Poly(field, tail + (1,))
-                if is_irreducible(poly) and sigma_dual(poly) == poly:
+                poly = tail + (1,)
+                if is_irreducible(field, poly) and sigma_dual(field, poly) == poly:
                     brute += 1
             assert count_self_dual_classes(field, degree) == brute
             assert len(enumerate_self_dual_classes(field, degree)) == brute

@@ -16,7 +16,12 @@ import pytest
 
 import cuspred
 from cuspred.cli import _dumps, datum_from_obj, datum_to_obj, group_from_obj, group_to_obj, main
-from cuspred.cuspdata import CuspidalDatum, count_representations, enumerate_data
+from cuspred.cuspdata import (
+    CuspidalDatum,
+    count_representations,
+    enumerate_data,
+    signature_representative,
+)
 from cuspred.ffpoly import MAX_ENUM_DEGREE, DegreeLimitError, FieldSpec, enumerate_self_dual_classes
 from cuspred.fixtures import gallery, gallery_entry
 from cuspred.groups import GroupSpec
@@ -439,6 +444,23 @@ class TestSelfcheck:
         assert err == (f"error: residue size {q0} is not supported: the sweep needs an odd "
                        f"prime q0 with F(q0^2) of at most 32 elements ({reason})\n")
 
+    def test_library_value_error_in_the_sweep_is_not_bad_input(self, capsys, monkeypatch):
+        # Only the refusals of the arguments exit 2: a ValueError the
+        # library raises once the sweep runs, outside a check, is a fault.
+        calls = []
+
+        def planted(group, sig):
+            calls.append(group)
+            if len(calls) == 5:
+                raise ValueError("planted library fault")
+            return signature_representative(group, sig)
+
+        monkeypatch.setattr("cuspred.selfcheck.signature_representative", planted)
+        code, out, err = run(capsys, "selfcheck", "--dualdim", "3")
+        assert (code, out) == (1, "")
+        assert not err.startswith("error:")
+        assert "planted library fault" in err
+
 
 class TestExamples:
     def test_all_entries_match(self, capsys):
@@ -753,6 +775,23 @@ class TestErrorPaths:
     ], ids=["aniso-string", "aniso-object", "aniso-triple", "aniso-number",
             "poly-string", "poly-number", "supports-string"])
     def test_value_that_is_not_a_list_is_refused_as_such(self, capsys, path, key, value, message):
+        obj = datum_to_obj(gallery_entry("sp6").datum)
+        target = obj
+        for step in path:
+            target = target[step]
+        target[key] = value
+        code, out, err = run(capsys, "validate", json.dumps(obj))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("path, key, value, message", [
+        ((), "group", 3, "group is not a JSON object"),
+        (("group",), "field", 3, "field is not a JSON object"),
+        ((), "parahoric", 3, "parahoric is not a JSON object"),
+        (("supports", 0), 0, 3, "support entry is not a JSON object"),
+        ((), "supports", [[], [], []], "a datum carries exactly two supports"),
+        ((), "supports", [[]], "a datum carries exactly two supports"),
+    ], ids=["group", "field", "parahoric", "support-entry", "three-supports", "one-support"])
+    def test_value_of_the_wrong_shape_is_refused_as_such(self, capsys, path, key, value, message):
         obj = datum_to_obj(gallery_entry("sp6").datum)
         target = obj
         for step in path:

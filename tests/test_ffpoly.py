@@ -10,7 +10,6 @@ import pytest
 from cuspred import ffpoly
 from cuspred.ffpoly import (
     FieldSpec,
-    Poly,
     SelfDualClass,
     class_x_minus_one,
     class_x_plus_one,
@@ -18,6 +17,7 @@ from cuspred.ffpoly import (
     enumerate_self_dual_classes,
     field_table,
     is_irreducible,
+    poly_text,
     sigma_dual,
 )
 
@@ -50,7 +50,7 @@ PINNED_FIELDS = [
 
 def all_monic(field, degree):
     for lower in itertools.product(range(field.q), repeat=degree):
-        yield Poly(field, lower + (1,))
+        yield lower + (1,)
 
 
 def poly_mul(field, a, b):
@@ -59,7 +59,7 @@ def poly_mul(field, a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = F.add(out[i + j], F.mul(x, y))
+            out[i + j] = F.add[out[i + j]][F.mul[x][y]]
     return tuple(out)
 
 
@@ -68,36 +68,36 @@ def reducible_monic(field, degree):
     """Product sieve: a monic P of degree n is reducible exactly when it is
     a * b for monic a and b of degrees d and n - d, with 1 <= d <= n/2."""
     return frozenset(
-        poly_mul(field, a.coeffs, b.coeffs)
+        poly_mul(field, a, b)
         for d in range(1, degree // 2 + 1)
         for a in all_monic(field, d)
         for b in all_monic(field, degree - d)
     )
 
 
-def oracle_irreducible(poly):
+def oracle_irreducible(field, cs):
     """Irreducibility of a monic polynomial, read off the product sieve."""
-    return poly.degree >= 1 and poly.coeffs not in reducible_monic(poly.field, poly.degree)
+    degree = len(cs) - 1
+    return degree >= 1 and cs not in reducible_monic(field, degree)
 
 
-def oracle_self_dual(poly):
+def oracle_self_dual(field, cs):
     """Direct check of the coefficient functional equation."""
-    F = field_table(poly.field)
-    cs = poly.coeffs
+    F = field_table(field)
     if not cs or cs[0] == 0 or cs[-1] != 1:
         return False
     n = len(cs) - 1
-    scale = F.inv(F.sigma(cs[0]))
-    return all(cs[i] == F.mul(F.sigma(cs[n - i]), scale) for i in range(n + 1))
+    scale = F.inv[F.sigma[cs[0]]]
+    return all(cs[i] == F.mul[F.sigma[cs[n - i]]][scale] for i in range(n + 1))
 
 
 def brute_force_classes(field, degree):
     out = []
     for cand in all_monic(field, degree):
-        if cand.coeffs[0] == 0:
+        if cand[0] == 0:
             continue
-        if oracle_self_dual(cand) and oracle_irreducible(cand):
-            out.append(cand.coeffs)
+        if oracle_self_dual(field, cand) and oracle_irreducible(field, cand):
+            out.append(cand)
     return sorted(out)
 
 
@@ -114,20 +114,20 @@ class TestFieldTable:
         F = field_table(spec)
         q = spec.q
         for a in range(q):
-            assert F.add(a, 0) == a
-            assert F.mul(a, 1) == a
-            assert F.add(a, F.neg(a)) == 0
+            assert F.add[a][0] == a
+            assert F.mul[a][1] == a
+            assert F.add[a][F.neg[a]] == 0
             if a:
-                assert F.mul(a, F.inv(a)) == 1
+                assert F.mul[a][F.inv[a]] == 1
         for a in range(q):
             for b in range(q):
-                assert F.add(a, b) == F.add(b, a)
-                assert F.mul(a, b) == F.mul(b, a)
+                assert F.add[a][b] == F.add[b][a]
+                assert F.mul[a][b] == F.mul[b][a]
         for a in range(q):
             for b in range(q):
                 for c in range(0, q, max(1, q // 7)):
-                    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
-                    assert F.mul(a, F.mul(b, c)) == F.mul(F.mul(a, b), c)
+                    assert F.mul[a][F.add[b][c]] == F.add[F.mul[a][b]][F.mul[a][c]]
+                    assert F.mul[a][F.mul[b][c]] == F.mul[F.mul[a][b]][c]
 
     def test_tables_and_classes_are_pinned(self):
         # One digest over every supported field: the modulus, the add, mul,
@@ -140,13 +140,13 @@ class TestFieldTable:
             rows = [
                 repr(spec),
                 F.modulus,
-                [[F.add(a, b) for b in range(q)] for a in range(q)],
-                [[F.mul(a, b) for b in range(q)] for a in range(q)],
-                [F.neg(a) for a in range(q)],
-                [F.inv(a) for a in range(1, q)],
-                [F.sigma(a) for a in range(q)],
+                [[F.add[a][b] for b in range(q)] for a in range(q)],
+                [[F.mul[a][b] for b in range(q)] for a in range(q)],
+                [F.neg[a] for a in range(q)],
+                [F.inv[a] for a in range(1, q)],
+                [F.sigma[a] for a in range(q)],
                 [[F.pow(a, n) for n in range(q + 1)] for a in range(q)],
-                [[(c.poly.coeffs, c.label) for c in enumerate_self_dual_classes(spec, d)]
+                [[(c.coeffs, c.label) for c in enumerate_self_dual_classes(spec, d)]
                  for d in range(1, maxdeg + 1)],
             ]
             digest.update(repr(rows).encode())
@@ -155,17 +155,17 @@ class TestFieldTable:
     def test_frobenius_and_sigma(self):
         F = field_table(F9Q)
         for a in range(9):
-            assert F.sigma(a) == F.pow(a, 3)
-            assert F.sigma(F.sigma(a)) == a
+            assert F.sigma[a] == F.pow(a, 3)
+            assert F.sigma[F.sigma[a]] == a
             for b in range(9):
-                assert F.sigma(F.mul(a, b)) == F.mul(F.sigma(a), F.sigma(b))
-                assert F.sigma(F.add(a, b)) == F.add(F.sigma(a), F.sigma(b))
+                assert F.sigma[F.mul[a][b]] == F.mul[F.sigma[a]][F.sigma[b]]
+                assert F.sigma[F.add[a][b]] == F.add[F.sigma[a]][F.sigma[b]]
         # sigma fixes exactly the prime subfield here
-        assert [a for a in range(9) if F.sigma(a) == a] == [0, 1, 2]
+        assert [a for a in range(9) if F.sigma[a] == a] == [0, 1, 2]
 
     def test_norm_one_torus_size(self):
-        assert len(field_table(F9Q).norm_one_elements()) == 4
-        assert len(field_table(F25Q).norm_one_elements()) == 6
+        assert len(field_table(F9Q).norm_one) == 4
+        assert len(field_table(F25Q).norm_one) == 6
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -192,16 +192,16 @@ class TestFieldTable:
 
 class TestPoly:
     def test_str_rendering(self):
-        assert str(Poly(F3, (1, 0, 1))) == "x^2+1"
-        assert str(Poly(F3, (2, 1))) == "x+2"
-        assert str(Poly(F3, ())) == "0"
-        assert str(Poly(F3, (0, 2, 1))) == "x^2+2x"
+        assert poly_text((1, 0, 1)) == "x^2+1"
+        assert poly_text((2, 1)) == "x+2"
+        assert poly_text(()) == "0"
+        assert poly_text((0, 2, 1)) == "x^2+2x"
 
     def test_normalization(self):
-        with pytest.raises(ValueError):
-            Poly(F3, (1, 0))
-        with pytest.raises(ValueError):
-            Poly(F3, (3, 1))
+        with pytest.raises(ValueError, match="^leading coefficient must be nonzero$"):
+            SelfDualClass(F3, (1, 0))
+        with pytest.raises(ValueError, match="^coefficient out of range for the field$"):
+            SelfDualClass(F3, (3, 1))
 
 
 class TestIrreducibility:
@@ -216,11 +216,11 @@ class TestIrreducibility:
             # so every coefficient value still occurs.
             step = 1 if field.q ** degree <= 10_000 else 11
             for cand in itertools.islice(all_monic(field, degree), 0, None, step):
-                expected = oracle_irreducible(cand)
-                assert is_irreducible(cand) == expected, str(cand)
+                expected = oracle_irreducible(field, cand)
+                assert is_irreducible(field, cand) == expected, poly_text(cand)
                 # -P is not monic and has the same factors.
-                negated = Poly(field, tuple(F.neg(c) for c in cand.coeffs))
-                assert is_irreducible(negated) == expected, str(negated)
+                negated = tuple(F.neg[c] for c in cand)
+                assert is_irreducible(field, negated) == expected, poly_text(negated)
 
 
 class TestSigmaDual:
@@ -228,21 +228,21 @@ class TestSigmaDual:
     def test_involution_on_monic(self, field):
         for degree in (1, 2, 3):
             for cand in all_monic(field, degree):
-                if cand.coeffs[0] == 0:
+                if cand[0] == 0:
                     continue
-                assert sigma_dual(sigma_dual(cand)) == cand
+                assert sigma_dual(field, sigma_dual(field, cand)) == cand
 
     def test_trivial_dual_is_reciprocal(self):
-        p = Poly(F3, (2, 1, 0, 1))  # x^3 + x + 2
-        dual = sigma_dual(p)
+        p = (2, 1, 0, 1)  # x^3 + x + 2
+        dual = sigma_dual(F3, p)
         # roots of the dual are the inverse roots: constant 2^{-1} = 2
-        assert dual.coeffs == (2, 0, 2, 1)
+        assert dual == (2, 0, 2, 1)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            sigma_dual(Poly(F3, (0, 1)))
+            sigma_dual(F3, (0, 1))
         with pytest.raises(ValueError):
-            sigma_dual(Poly(F3, (1, 2)))
+            sigma_dual(F3, (1, 2))
 
 
 class TestCensus:
@@ -255,7 +255,7 @@ class TestCensus:
     @pytest.mark.parametrize("field,maxdeg", [(F3, 4), (F5, 4), (F9T, 4), (F9Q, 3)])
     def test_enumeration_matches_brute_force(self, field, maxdeg):
         for degree in range(1, maxdeg + 1):
-            got = sorted(c.poly.coeffs for c in enumerate_self_dual_classes(field, degree))
+            got = sorted(c.coeffs for c in enumerate_self_dual_classes(field, degree))
             assert got == brute_force_classes(field, degree), (field, degree)
 
     # Past the reach of the brute-force oracle the listing is checked
@@ -273,15 +273,15 @@ class TestCensus:
 
     def test_classes_are_validated(self):
         with pytest.raises(ValueError, match=r"^x\^2\+x\+1 is not irreducible$"):
-            SelfDualClass(Poly(F3, (1, 1, 1)))  # x^2+x+1 has root 1
+            SelfDualClass(F3, (1, 1, 1))  # x^2+x+1 has root 1
         with pytest.raises(ValueError, match=r"^x\^2\+2 is not irreducible$"):
-            SelfDualClass(Poly(F3, (2, 0, 1)))  # x^2+2 = (x-1)(x+1), self-dual
+            SelfDualClass(F3, (2, 0, 1))  # x^2+2 = (x-1)(x+1), self-dual
         with pytest.raises(ValueError, match=r"^x\^2\+x\+2 is not self-dual$"):
-            SelfDualClass(Poly(F3, (2, 1, 1)))  # its dual is x^2+2x+2
+            SelfDualClass(F3, (2, 1, 1))  # its dual is x^2+2x+2
 
     def test_linear_helpers(self):
         assert class_x_minus_one(F3).label == "x-1"
-        assert class_x_minus_one(F3).poly.coeffs == (2, 1)
+        assert class_x_minus_one(F3).coeffs == (2, 1)
         assert class_x_plus_one(F3).label == "x+1"
         a, b = enumerate_self_dual_classes(F3, 1)
         assert (a.type.rank, b.type.rank) == (0, 1)

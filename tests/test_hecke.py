@@ -88,7 +88,7 @@ class TestFiniteParameter:
                 for cls in enumerate_self_dual_classes(field, degree):
                     rank = cls.type.rank
                     assert (rank == 0) == (cls.label == "x-1"), cls
-                    assert (rank == 1) == (cls.poly.coeffs == (1, 1)), cls
+                    assert (rank == 1) == (cls.coeffs == (1, 1)), cls
                     assert cls.type == cls.sort_key[:2]
                     seen.add(rank)
             assert seen == {0, 1, 2}
