@@ -54,12 +54,15 @@ selfcheck that would list classes past degree 8 (pass --degree 8 or
 less; enumerate refuses before it lists any class, and selfcheck before
 it sweeps, when both --degree and --dualdim exceed 8). An unknown
 examples --name, the empty one included, exits 2 too.  Only these
-refusals of its arguments make selfcheck exit 2: a ValueError the
-library raises once the sweep runs exits 1.  An internal
+refusals of its arguments make selfcheck exit 2.  An internal
 invariant failure (a failed assertion or a KeyError raised inside the
-library) exits 1 with "internal error:" and the input JSON as a
-reproducer on stderr.  A reader that closes stdout early, as
-"| head -c 100" does, ends the command with exit 1 and nothing on stderr.
+library, or a ValueError it raises in selfcheck or examples, which read
+no input) exits 1 with "internal error:" on stderr, and with the input
+JSON as a reproducer for a command that reads one.  A ValueError the
+library raises on the input of validate, describe, packet, crossform or
+enumerate exits 1 with "invalid input:".  A reader that closes stdout
+early, as "| head -c 100" does, ends the command with exit 1 and nothing
+on stderr.
 """
 
 from __future__ import annotations
@@ -883,14 +886,15 @@ def main(argv=None) -> int:
     except (OSError, SchemaError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (AssertionError, KeyError) as err:  # a broken invariant, not bad input
-        print(f"internal error: {err if isinstance(err, AssertionError) else repr(err)}",
+    except (AssertionError, KeyError, ValueError) as err:
+        if isinstance(err, ValueError) and "input" in args:
+            print(f"invalid input: {err}", file=sys.stderr)
+            return 1
+        # A broken invariant, or a ValueError where no input was read: not bad input.
+        print(f"internal error: {repr(err) if isinstance(err, KeyError) else err}",
               file=sys.stderr)
         if "obj" in args:
             print(f"reproducer: {json.dumps(args.obj, sort_keys=True)}", file=sys.stderr)
-        return 1
-    except ValueError as err:
-        print(f"invalid input: {err}", file=sys.stderr)
         return 1
 
 

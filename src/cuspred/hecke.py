@@ -25,7 +25,7 @@ reducibility points; each contributes the Jordan chain m = 2s - 1,
 The tables take the type of a class, ffpoly.ClassType, never the class:
 its degree and whether it is x - 1, x + 1 or neither.  So the exponent
 pair is type_exponent_pair, memoised on the slot kinds, the type and the
-multiplicities; exponent_pair reads it for a class.
+multiplicities; reducibility_pair reads it for a class of a datum.
 
 A parameter shape distributes the two chains of each class over its two
 tagged members, named by the rank of the class's signature type
@@ -57,7 +57,6 @@ __all__ = [
     "ParamShape",
     "finite_parameter",
     "parameter_pair",
-    "exponent_pair",
     "type_exponent_pair",
     "reducibility_pair",
     "real_points",
@@ -125,20 +124,11 @@ def parameter_pair(datum: CuspidalDatum, cls: SelfDualClass) -> tuple[HalfInt, H
     return (finite_parameter(f1.kind, cls.type, m1), finite_parameter(f2.kind, cls.type, m2))
 
 
-def exponent_pair(kinds: tuple[str, str], cls: SelfDualClass,
-                  pair: tuple[int, int]) -> tuple[HalfInt, HalfInt]:
-    """(s, s') with s >= s', both half-integers, of the class at
-    multiplicities (m1, m2) in slots of the given kinds."""
-    s_pair = type_exponent_pair(kinds, cls.type, pair)
-    if s_pair is None:
-        raise AssertionError(f"reducibility exponent of {cls.label} is not half-integral")
-    return s_pair
-
-
 @lru_cache(maxsize=4096)
 def type_exponent_pair(kinds: tuple[str, str], ctype: ClassType,
                        pair: tuple[int, int]) -> tuple[HalfInt, HalfInt] | None:
-    """exponent_pair of every class of the type, None when not half-integral."""
+    """(s, s') with s >= s' of every class of the type at multiplicities
+    (m1, m2) in slots of the given kinds, None when not half-integral."""
     f1, f2 = (finite_parameter(kind, ctype, m).twice for kind, m in zip(kinds, pair))
     twice_degree = 2 * ctype.degree
     total, diff = f1 + f2, abs(f1 - f2)
@@ -149,7 +139,10 @@ def type_exponent_pair(kinds: tuple[str, str], ctype: ClassType,
 
 def reducibility_pair(datum: CuspidalDatum, cls: SelfDualClass) -> tuple[HalfInt, HalfInt]:
     """(s, s') with s >= s', both half-integers."""
-    return exponent_pair(datum.group.slot_kinds, cls, datum.pairs.get(cls, (0, 0)))
+    s_pair = type_exponent_pair(datum.group.slot_kinds, cls.type, datum.pairs.get(cls, (0, 0)))
+    if s_pair is None:
+        raise AssertionError(f"reducibility exponent of {cls.label} is not half-integral")
+    return s_pair
 
 
 def iteration_domain(datum: CuspidalDatum) -> tuple[SelfDualClass, ...]:

@@ -26,7 +26,7 @@ Against the slot kinds of the group searched, each class of datum.pairs
 has, unswapped and swapped, its two slot exponent costs a_P(m) deg P
 (x - 1 at m = 0 costs the implicit Sp entry), its two minus-type block
 counts, and its real reducibility points (hecke.real_points, the s >= 1
-members of hecke.exponent_pair).  All three are per class: the totals
+members of hecke.type_exponent_pair).  All three are per class: the totals
 and block counts of a swapped datum are sums over its classes, and its
 IRed lists the points class by class in canonical order.  So a subset
 scores as the unswapped sums plus the deltas of its classes, and it
@@ -35,18 +35,20 @@ each other class unswapped.  What the search reads of a class is one
 row, memoised on the searched and the datum's own slot kinds, the class
 type and the pair: the four unswapped numbers, their swap delta, and
 whether the points unswapped and swapped are the datum's own; so each
-class costs one lookup per search.  Subsets are visited by size, each
-size in lexicographic order, and a subset's totals are those of the
-subset less its last class plus one delta: the walk keeps only the
-prefix totals of the current subset, O(q) memory however large q is.
+class costs one lookup per search.  Subsets are visited by _subsets, the
+walk the closed form takes too: by size, each size in lexicographic
+order.  A subset's totals are the unswapped sums plus the deltas of its
+classes, summed for that subset alone, so the walk holds one subset at
+a time, O(q) memory however large q is.
 The totals name the parahoric through groups.parahoric_of, an
 arithmetic solve of the dual-dimension rule that costs the same at any
 Witt index, and the score hands it on.  The score rejects a missing or
 nonmaximal parahoric, an SOeven slot whose block parity contradicts its
 sign, and a swap that moves a point; clauses a and b hold for every
 swap.  Each survivor is built once, on its parahoric, and validated in
-full, except the empty swap on the datum's own parahoric: that
-companion is the datum itself, already validated.  A survivor that
+full, by _survivor for the census and the cross-form search alike,
+except the empty swap on the datum's own parahoric: _survivor reuses
+the datum itself, already validated.  A survivor that
 fails validation, or a kept swap that passes all but the points, is an
 internal error naming the swap.  The closed form, enumerate_epsilon,
 asks parahoric_of only whether a swap re-solves at all.
@@ -79,7 +81,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
 from .cuspdata import (
     CuspidalDatum,
@@ -237,22 +238,6 @@ def _prescore_row(kinds: tuple[str, str], own: tuple[str, str], ctype: ClassType
     return score, delta, unswapped == points, swapped_points == points
 
 
-def _subset_totals(base: tuple[int, int, int, int], deltas):
-    """(indices, totals) for every subset of range(len(deltas)), in
-    _subsets order, the totals being base plus the deltas of the subset.
-
-    A subset's totals are its prefix's plus the delta of its last index;
-    the walk holds the prefix totals of one subset, O(len(deltas))."""
-    def walk(start, r, totals, subset):
-        if not r:
-            yield subset, totals
-            return
-        for i in range(start, len(deltas) - r + 1):
-            yield from walk(i + 1, r - 1, tuple(map(add, totals, deltas[i])), subset + (i,))
-    for r in range(len(deltas) + 1):
-        yield from walk(0, r, base, ())
-
-
 def _prescore(group: GroupSpec, datum: CuspidalDatum):
     """Yield (swap set, parahoric, same points) for every subset of the
     raw classes (m1 != m2, in the order of datum.pairs), in _subsets
@@ -279,7 +264,9 @@ def _prescore(group: GroupSpec, datum: CuspidalDatum):
         must_stay |= (not swapped_stays) << len(raw)
         raw.append(cls)
         deltas.append(delta)
-    for subset, (t1, t2, b1, b2) in _subset_totals(tuple(map(sum, zip(*scores))), deltas):
+    base = tuple(map(sum, zip(*scores)))
+    for subset in _subsets(range(len(raw))):
+        t1, t2, b1, b2 = map(sum, zip(base, *(deltas[i] for i in subset)))
         parahoric = parahoric_of(group, (t1, t2))
         if parahoric is None or not parahoric.maximal:
             continue
@@ -296,7 +283,10 @@ def _prescore(group: GroupSpec, datum: CuspidalDatum):
 
 def _survivor(parahoric: ParahoricSpec, datum: CuspidalDatum, subset) -> Companion:
     """The companion a swap that passed the pre-score builds on the
-    parahoric the score named, validated in full."""
+    parahoric the score named, validated in full; the empty swap on the
+    datum's own parahoric is the datum itself, already validated."""
+    if not subset and parahoric == datum.parahoric:
+        return Companion(subset, datum, count_representations(datum).total)
     swapped = set(subset)
     s1, s2 = [], []  # datum.pairs is in support order
     for cls, (m1, m2) in datum.pairs.items():
@@ -322,9 +312,7 @@ def companions(datum: CuspidalDatum) -> CompanionCensus:
     kept = set(qs.kept)
     out = []
     for subset, parahoric, same in _prescore(datum.group, datum):
-        if same and not subset and parahoric == datum.parahoric:
-            out.append(Companion((), datum, count_representations(datum).total))
-        elif same:
+        if same:
             out.append(_survivor(parahoric, datum, subset))
         elif kept.issuperset(subset):
             raise AssertionError(

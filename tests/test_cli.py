@@ -461,6 +461,20 @@ class TestSelfcheck:
         assert not err.startswith("error:")
         assert "planted library fault" in err
 
+    def test_library_value_error_in_the_sweep_is_an_internal_error(self, capsys, monkeypatch):
+        # selfcheck reads no input: the fault is the library's, with no reproducer.
+        calls = []
+
+        def planted(group, sig):
+            calls.append(group)
+            if len(calls) == 5:
+                raise ValueError("planted library fault")
+            return signature_representative(group, sig)
+
+        monkeypatch.setattr("cuspred.selfcheck.signature_representative", planted)
+        code, out, err = run(capsys, "selfcheck", "--dualdim", "3")
+        assert (code, out, err) == (1, "", "internal error: planted library fault\n")
+
 
 class TestExamples:
     def test_all_entries_match(self, capsys):
@@ -470,6 +484,15 @@ class TestExamples:
         assert [e["name"] for e in rep["entries"]] == [
             "sp6", "sp4", "so8", "so20", "u14", "so5"]
         assert all(e["diffs"] == {} for e in rep["entries"])
+
+    def test_library_value_error_is_an_internal_error(self, capsys, monkeypatch):
+        # examples reads no input: the fault is the library's, with no reproducer.
+        def planted(entry):
+            raise ValueError("planted library fault")
+
+        monkeypatch.setattr("cuspred.cli.evaluate_entry", planted)
+        code, out, err = run(capsys, "examples")
+        assert (code, out, err) == (1, "", "internal error: planted library fault\n")
 
     def test_single_entry_with_note(self, capsys):
         code, rep = run_json(capsys, "examples", "--name", "so5")

@@ -1,5 +1,7 @@
 """Tests for reducibility exponents, Jordan data and parameter shapes."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from cuspred.cuspdata import (
@@ -17,7 +19,6 @@ from cuspred.fixtures import gallery, gallery_entry
 from cuspred.groups import GroupSpec, ParahoricSpec
 from cuspred.hecke import (
     HalfInt,
-    exponent_pair,
     finite_parameter,
     identity_sides,
     ired,
@@ -96,9 +97,10 @@ class TestFiniteParameter:
     def test_exponent_that_is_not_half_integral_names_the_class(self):
         # No group pairs a U slot with an orthogonal one: there x - 1
         # would get s = (1/2 + 1) / 2 = 3/4.
+        datum = SimpleNamespace(group=SimpleNamespace(slot_kinds=("U", "SOodd")), pairs={})
         with pytest.raises(AssertionError,
                            match=r"^reducibility exponent of x-1 is not half-integral$"):
-            exponent_pair(("U", "SOodd"), class_x_minus_one(F3), (0, 0))
+            reducibility_pair(datum, class_x_minus_one(F3))
 
     def test_jordan_chain(self):
         assert jordan_chain(HalfInt.of(3)) == (5, 3, 1)
