@@ -14,9 +14,8 @@ checks on one representative per signature:
 
 Each check takes the datum and its census, a memoised thunk: epsilon
 and census-law share one companion search, and a search that raises
-fails both.  Each check also takes the layer functions it calls, which
-a sweep reads from hecke and packets once, when it starts: importing
-this module loads neither.
+fails both.  Each check imports the hecke and packets functions it calls
+as it runs: importing this module loads neither, and patches take effect.
 
 Classes of equal degree enter every checked quantity interchangeably,
 so one representative per signature covers the whole census; the report
@@ -51,7 +50,6 @@ ends there.
 from __future__ import annotations
 
 import time
-from collections import namedtuple
 from dataclasses import dataclass
 
 from .cuspdata import (
@@ -125,37 +123,30 @@ def canonical_key(group: GroupSpec, sig: DatumSignature) -> tuple:
     return min(_field_free_key(group, sig), _field_free_key(mirror(group), sig.flipped()))
 
 
-# The layer functions the checks call, passed to each check.
-_Layers = namedtuple("_Layers", ("verify_identity", "reducibility_pair", "companions",
-                                 "enumerate_epsilon", "packet_stats", "recover_m_pair"))
+def _check_identity(datum, census) -> str | None:
+    from .hecke import verify_identity
 
-
-def _layer_functions() -> _Layers:
-    """The layer functions as hecke and packets hold them now, so that a
-    patched or traced function is the one called.  A sweep reads them
-    once, and importing this module loads neither hecke nor packets."""
-    from . import hecke, packets
-    return _Layers(hecke.verify_identity, hecke.reducibility_pair, packets.companions,
-                  packets.enumerate_epsilon, packets.packet_stats, packets.recover_m_pair)
-
-
-def _check_identity(datum, census, layers) -> str | None:
-    if not layers.verify_identity(datum):
+    if not verify_identity(datum):
         return "degree identity failed"
     return None
 
 
-def _check_recovery(datum, census, layers) -> str | None:
+def _check_recovery(datum, census) -> str | None:
+    from .hecke import reducibility_pair
+    from .packets import recover_m_pair
+
     for cls, pair in datum.pairs.items():
-        s, s2 = layers.reducibility_pair(datum, cls)
-        if layers.recover_m_pair(cls, s, s2) != (max(pair), min(pair)):
+        s, s2 = reducibility_pair(datum, cls)
+        if recover_m_pair(cls, s, s2) != (max(pair), min(pair)):
             return f"multiplicities of {cls.label} not recovered"
     return None
 
 
-def _check_epsilon(datum, census, layers) -> str | None:
+def _check_epsilon(datum, census) -> str | None:
+    from .packets import enumerate_epsilon
+
     swap_sets = census().swap_sets
-    closed = layers.enumerate_epsilon(datum, census().qsets)
+    closed = enumerate_epsilon(datum, census().qsets)
     if swap_sets != closed:
         got = [[c.label for c in s] for s in swap_sets]
         predicted = [[c.label for c in s] for s in closed]
@@ -163,10 +154,12 @@ def _check_epsilon(datum, census, layers) -> str | None:
     return None
 
 
-def _check_census_law(datum, census, layers) -> str | None:
+def _check_census_law(datum, census) -> str | None:
+    from .packets import packet_stats
+
     if datum.group.family != "Sp":
         return None
-    stats = layers.packet_stats(census())
+    stats = packet_stats(census())
     if stats.census_total != 2 ** (stats.q + stats.delta):
         return (f"census total {stats.census_total} differs from "
                 f"2^({stats.q}+{stats.delta})")
@@ -186,13 +179,14 @@ DEFAULT_DUAL = 13
 DEFAULT_DEGREE = 4
 
 
-def _searched_once(datum, companions):
+def _searched_once(datum):
     """The datum's companion census as a thunk that searches on its first
     call only.  A search that raises is not kept, so it raises again."""
     found = []
 
     def census():
         if not found:
+            from .packets import companions
             found.append(companions(datum))
         return found[0]
     return census
@@ -234,7 +228,6 @@ def run_selfcheck(q0_values=DEFAULT_Q0, max_dual: int = DEFAULT_DUAL,
     q0_values, max_dual, max_degree, checks = sweep_arguments(q0_values, max_dual,
                                                                max_degree, checks)
     started = time.monotonic()
-    layers = _layer_functions()
     groups = signatures = data_weight = 0
     failures: list[CheckFailure] = []
     checked = set()
@@ -257,10 +250,10 @@ def run_selfcheck(q0_values=DEFAULT_Q0, max_dual: int = DEFAULT_DUAL,
                 continue
             checked.add(key)
             datum = signature_representative(group, sig)
-            census = _searched_once(datum, layers.companions)
+            census = _searched_once(datum)
             for name in checks:
                 try:
-                    detail = _CHECKS[name](datum, census, layers)
+                    detail = _CHECKS[name](datum, census)
                 except (AssertionError, ValueError) as err:
                     detail = f"raised {err}"
                 if detail is not None:

@@ -444,24 +444,9 @@ class TestSelfcheck:
         assert err == (f"error: residue size {q0} is not supported: the sweep needs an odd "
                        f"prime q0 with F(q0^2) of at most 32 elements ({reason})\n")
 
-    def test_library_value_error_in_the_sweep_is_not_bad_input(self, capsys, monkeypatch):
+    def test_library_value_error_in_the_sweep_is_an_internal_error(self, capsys, monkeypatch):
         # Only the refusals of the arguments exit 2: a ValueError the
         # library raises once the sweep runs, outside a check, is a fault.
-        calls = []
-
-        def planted(group, sig):
-            calls.append(group)
-            if len(calls) == 5:
-                raise ValueError("planted library fault")
-            return signature_representative(group, sig)
-
-        monkeypatch.setattr("cuspred.selfcheck.signature_representative", planted)
-        code, out, err = run(capsys, "selfcheck", "--dualdim", "3")
-        assert (code, out) == (1, "")
-        assert not err.startswith("error:")
-        assert "planted library fault" in err
-
-    def test_library_value_error_in_the_sweep_is_an_internal_error(self, capsys, monkeypatch):
         # selfcheck reads no input: the fault is the library's, with no reproducer.
         calls = []
 

@@ -39,7 +39,7 @@ from cuspred.ffpoly import (
 from cuspred.groups import FiniteFactor, GroupSpec, ParahoricSpec, enumerate_parahorics
 from cuspred.hecke import identity_sides, ired, parameter_shapes
 from cuspred.packets import companions, enumerate_epsilon, packet_stats
-from cuspred.selfcheck import _CHECKS, _layer_functions, iter_group_specs
+from cuspred.selfcheck import _CHECKS, iter_group_specs
 
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
@@ -505,14 +505,13 @@ class TestSignatures:
         # concrete datum must pass the same checks and give the same
         # results as its representative.
         checked = 0
-        layers = _layer_functions()
         for group in self.GROUPS:
             trivial = group.field.ext == "trivial"
             expected = {}
             for datum in enumerate_data(group, max_degree=4):
                 census = cache(partial(companions, datum))
                 for name, check in _CHECKS.items():
-                    assert check(datum, census, layers) is None, (name, str(datum))
+                    assert check(datum, census) is None, (name, str(datum))
                 sig = signature_of(datum)
                 if sig not in expected:
                     rep = signature_representative(group, sig)

@@ -25,7 +25,6 @@ from cuspred.packets import companions, enumerate_epsilon, packet_stats
 from cuspred.selfcheck import (
     _CHECKS,
     _field_free_key,
-    _layer_functions,
     canonical_key,
     iter_group_specs,
     run_selfcheck,
@@ -102,7 +101,7 @@ class TestReport:
             run_selfcheck(q0_values=(3, q0), max_dual=2)
 
     def test_stops_at_first_failing_datum(self, monkeypatch):
-        monkeypatch.setitem(_CHECKS, "identity", lambda datum, census, layers: "planted")
+        monkeypatch.setitem(_CHECKS, "identity", lambda datum, census: "planted")
         report = run_selfcheck(q0_values=(3,), max_dual=6, checks=("identity", "recovery"))
         assert report.signatures == 1 and not report.ok
         assert report.failure_counts == {"identity": 1, "recovery": 0}
@@ -113,6 +112,18 @@ class TestReport:
         assert report.checks == ("identity",)
         assert set(report.failure_counts) == {"identity"}
         assert report.ok
+
+    def test_census_is_searched_only_for_the_checks_that_read_it(self, monkeypatch):
+        def no_search(datum):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr("cuspred.packets.companions", no_search)
+        report = run_selfcheck(q0_values=(3,), max_dual=6, checks=("identity", "recovery"))
+        assert report.ok
+        assert (report.checked, report.signatures) == (199, 380)
+        report = run_selfcheck(q0_values=(3,), max_dual=6, checks=("epsilon",))
+        assert not report.ok
+        assert [(f.check, f.detail) for f in report.failures] == [("epsilon", "raised searched")]
 
 
 class TestCanonicalKeys:
@@ -135,7 +146,7 @@ class TestCanonicalKeys:
         found = census()
         qs, stats = found.qsets, packet_stats(found)
         return {
-            "verdicts": tuple(check(datum, census, _layer_functions()) is None
+            "verdicts": tuple(check(datum, census) is None
                              for check in _CHECKS.values()),
             "census": sorted(((c.datum.parahoric.n1, c.datum.parahoric.n2)[order],
                               typed(c.swap_set), c.reps) for c in found.companions),
@@ -173,7 +184,7 @@ class TestCanonicalKeys:
     @pytest.mark.parametrize("q0", [(3, 5), (5, 3)])
     def test_each_key_is_checked_once(self, monkeypatch, q0):
         calls = []
-        monkeypatch.setitem(_CHECKS, "identity", lambda datum, census, layers: calls.append(datum))
+        monkeypatch.setitem(_CHECKS, "identity", lambda datum, census: calls.append(datum))
         report = run_selfcheck(q0_values=q0, max_dual=6)
         assert report.ok
         assert (report.groups, report.signatures, report.data_weight) == (118, 857, 37234)
@@ -197,7 +208,7 @@ class TestCanonicalKeys:
         sig = DatumSignature(2, 0, ((ClassType(1, 1), 1, 0), (ClassType(2, 2), 1, 0)))
         target = canonical_key(GroupSpec("SOodd", 5, 2, (0, 1), FieldSpec(3)), sig)
 
-        def planted(datum, census, layers):
+        def planted(datum, census):
             return "planted" if canonical_key(datum.group, signature_of(datum)) == target else None
 
         monkeypatch.setitem(_CHECKS, "identity", planted)
@@ -289,12 +300,11 @@ class TestPastTheSweepBound:
                 break
         assert len(data) == 60
         assert {datum.group.family for datum in data} == set(FAMILIES)
-        layers = _layer_functions()
         for datum in data:
             assert datum_from_obj(json.loads(json.dumps(datum_to_obj(datum)))) == datum
             census = cache(partial(companions, datum))
             for name, check in _CHECKS.items():
-                assert check(datum, census, layers) is None, (name, str(datum))
+                assert check(datum, census) is None, (name, str(datum))
 
 
 class TestFailureReports:
