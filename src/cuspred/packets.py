@@ -53,6 +53,24 @@ fails validation, or a kept swap that passes all but the points, is an
 internal error naming the swap.  The closed form, enumerate_epsilon,
 asks parahoric_of only whether a swap re-solves at all.
 
+The census swap sets can also be read off the group's own signature
+listing, without building a datum: listed_swap_sets, which the sweep
+uses, as it lists every group anyway.  The points are compared class by
+class, so a swap keeps them exactly when each class it swaps keeps them
+swapped (the search's test, here on the datum's own group), and only
+subsets of those raw classes are walked, in _subsets order.  Such a swap
+has a survivor exactly when the swapped rows (DatumSignature.rows) are
+those of a listed signature.  The rows fix the exponent totals of both
+slots, so the dual-dimension rule names at most one parahoric, the one
+the search's score names.  A listed signature lies on a maximal
+parahoric whose factors' dual dimensions are those totals, as _spend
+spends both budgets exactly (clause c), and its SOeven slots have the
+block parity of their signs (cuspdata._signature_sign_ok, clause d);
+clauses a and b hold for every swap.  So the search's survivor there
+validates.  Conversely, a survivor is a valid datum of the group on the
+datum's classes, so its signature is listed, given a degree cap that
+the datum's classes meet.
+
 Cross-form companions play the same game against every other form of
 the group: same family, dimension, residue field and ramification
 sign, different Witt index and anisotropic split.
@@ -105,6 +123,7 @@ __all__ = [
     "recover_m_pair",
     "q_sets",
     "enumerate_epsilon",
+    "listed_swap_sets",
     "companions",
     "cross_form_companions",
     "full_orthogonal_count",
@@ -320,6 +339,37 @@ def companions(datum: CuspidalDatum) -> CompanionCensus:
     return CompanionCensus(datum, qs, tuple(out))
 
 
+def listed_swap_sets(datum: CuspidalDatum, listed: set) -> tuple[tuple[SelfDualClass, ...], ...]:
+    """The swap sets of companions(datum), read off the group's listing
+    without building a datum: listed holds the DatumSignature.rows of
+    every signature of datum.group that enumerate_signatures yields, at a
+    degree cap the datum's classes meet.  Subsets of the raw classes that
+    keep their real reducibility points when swapped, in _subsets order,
+    are kept when their swapped rows are listed."""
+    kinds = datum.group.slot_kinds
+    rows, movable = [], []  # movable: (index into rows, swapped row, class)
+    for cls, pair in datum.pairs.items():
+        if pair == (0, 0):  # x -+ 1 when absent: no row, and never raw
+            continue
+        swapped = pair[::-1]
+        exponents = (type_exponent_pair(kinds, cls.type, pair),
+                     type_exponent_pair(kinds, cls.type, swapped))
+        if None in exponents:
+            raise AssertionError(f"reducibility exponent of {cls.label} is not half-integral")
+        ctype = signature_type(cls)
+        if pair != swapped and real_points(exponents[0]) == real_points(exponents[1]):
+            movable.append((len(rows), (ctype, *swapped), cls))
+        rows.append((ctype, *pair))
+    out = []
+    for subset in _subsets(movable):
+        swapped_rows = rows.copy()
+        for index, row, _ in subset:
+            swapped_rows[index] = row
+        if tuple(sorted(swapped_rows)) in listed:
+            out.append(tuple([cls for _, _, cls in subset]))
+    return tuple(out)
+
+
 def enumerate_epsilon(datum: CuspidalDatum,
                       qs: QSets) -> tuple[tuple[SelfDualClass, ...], ...]:
     """Surviving swap sets computed without validating any support:
@@ -328,18 +378,22 @@ def enumerate_epsilon(datum: CuspidalDatum,
     q_sets(datum), which a census already holds."""
     # Clause c makes the unswapped totals the factors' dual dimensions.
     f1, f2 = datum.parahoric.factors
-    constrained = set(qs.constrained)
+    kept, constrained = qs.kept, set(qs.constrained)
+    # Per kept class, by index: whether it is constrained, and the shift
+    # its swap adds to the first slot's total (the second loses as much).
+    pinned = [cls in constrained for cls in kept]
+    shifts = []
+    for cls in kept:
+        m1, m2 = datum.pairs[cls]
+        shifts.append((char_poly_exponent(f1.kind, cls.type, m2)
+                       - char_poly_exponent(f1.kind, cls.type, m1)) * cls.degree)
     out = []
-    for subset in _subsets(qs.kept):
-        if sum(1 for cls in subset if cls in constrained) % 2:
+    for subset in _subsets(range(len(kept))):
+        if sum(map(pinned.__getitem__, subset)) % 2:
             continue
-        shift = 0
-        for cls in subset:
-            m1, m2 = datum.pairs[cls]
-            shift += (char_poly_exponent(f1.kind, cls.type, m2)
-                      - char_poly_exponent(f1.kind, cls.type, m1)) * cls.degree
+        shift = sum(map(shifts.__getitem__, subset))
         if parahoric_of(datum.group, (f1.dual_dim + shift, f2.dual_dim - shift)) is not None:
-            out.append(subset)
+            out.append(tuple([kept[i] for i in subset]))
     return tuple(out)
 
 

@@ -8,14 +8,20 @@ checks on one representative per signature:
 
     identity    the Jordan chains tile the dual dimension exactly
     recovery    multiplicities are recoverable from the exponent pairs
-    epsilon     the closed swap-set description matches generate and
-                validate companion search
-    census-law  symplectic censuses have size 2^(q + delta)
+    epsilon     the closed swap-set description matches the census swap
+                sets read off the group's listing
+                (packets.listed_swap_sets)
+    census-law  on Sp, the generate and validate companion census
+                (packets.companions) has size 2^(q + delta)
 
-Each check takes the datum and its census, a memoised thunk: epsilon
-and census-law share one companion search, and a search that raises
-fails both.  Each check imports the hecke and packets functions it calls
-as it runs: importing this module loads neither, and patches take effect.
+Each check takes the datum and the rows (DatumSignature.rows) of every
+signature of its group: the sweep lists a group in full before it checks
+any of its signatures.  So the sweep runs the companion search on
+symplectic groups alone; tests/test_selfcheck.py holds the listing's
+swap sets to the search's on every representative of the default sweep.
+Each check imports the hecke and packets modules as it runs and calls
+their functions as attributes: importing this module loads neither, and
+patches take effect.
 
 Classes of equal degree enter every checked quantity interchangeably,
 so one representative per signature covers the whole census; the report
@@ -123,30 +129,29 @@ def canonical_key(group: GroupSpec, sig: DatumSignature) -> tuple:
     return min(_field_free_key(group, sig), _field_free_key(mirror(group), sig.flipped()))
 
 
-def _check_identity(datum, census) -> str | None:
-    from .hecke import verify_identity
+def _check_identity(datum, listed) -> str | None:
+    from . import hecke
 
-    if not verify_identity(datum):
+    if not hecke.verify_identity(datum):
         return "degree identity failed"
     return None
 
 
-def _check_recovery(datum, census) -> str | None:
-    from .hecke import reducibility_pair
-    from .packets import recover_m_pair
+def _check_recovery(datum, listed) -> str | None:
+    from . import hecke, packets
 
     for cls, pair in datum.pairs.items():
-        s, s2 = reducibility_pair(datum, cls)
-        if recover_m_pair(cls, s, s2) != (max(pair), min(pair)):
+        s, s2 = hecke.reducibility_pair(datum, cls)
+        if packets.recover_m_pair(cls, s, s2) != (max(pair), min(pair)):
             return f"multiplicities of {cls.label} not recovered"
     return None
 
 
-def _check_epsilon(datum, census) -> str | None:
-    from .packets import enumerate_epsilon
+def _check_epsilon(datum, listed) -> str | None:
+    from . import packets
 
-    swap_sets = census().swap_sets
-    closed = enumerate_epsilon(datum, census().qsets)
+    swap_sets = packets.listed_swap_sets(datum, listed)
+    closed = packets.enumerate_epsilon(datum, packets.q_sets(datum))
     if swap_sets != closed:
         got = [[c.label for c in s] for s in swap_sets]
         predicted = [[c.label for c in s] for s in closed]
@@ -154,12 +159,12 @@ def _check_epsilon(datum, census) -> str | None:
     return None
 
 
-def _check_census_law(datum, census) -> str | None:
-    from .packets import packet_stats
-
+def _check_census_law(datum, listed) -> str | None:
     if datum.group.family != "Sp":
         return None
-    stats = packet_stats(census())
+    from . import packets
+
+    stats = packets.packet_stats(packets.companions(datum))
     if stats.census_total != 2 ** (stats.q + stats.delta):
         return (f"census total {stats.census_total} differs from "
                 f"2^({stats.q}+{stats.delta})")
@@ -177,19 +182,6 @@ ALL_CHECKS = tuple(_CHECKS)
 DEFAULT_Q0 = (3, 5)
 DEFAULT_DUAL = 13
 DEFAULT_DEGREE = 4
-
-
-def _searched_once(datum):
-    """The datum's companion census as a thunk that searches on its first
-    call only.  A search that raises is not kept, so it raises again."""
-    found = []
-
-    def census():
-        if not found:
-            from .packets import companions
-            found.append(companions(datum))
-        return found[0]
-    return census
 
 
 def _check_selection(what: str, values) -> None:
@@ -231,18 +223,18 @@ def run_selfcheck(q0_values=DEFAULT_Q0, max_dual: int = DEFAULT_DUAL,
     groups = signatures = data_weight = 0
     failures: list[CheckFailure] = []
     checked = set()
-    listed: dict[GroupSpec, list] = {}  # group -> its listing, until its mirror comes
+    listings: dict[GroupSpec, list] = {}  # group -> its listing, until its mirror comes
     for group in iter_group_specs(q0_values, max_dual):
         groups += 1
-        twin = listed.pop(mirror(group), None)  # never the group itself: it is not listed yet
+        twin = listings.pop(mirror(group), None)  # never the group itself: it is not listed yet
         if twin is not None:  # every key of the group is checked: only count
             for _, weight in enumerate_signatures(group, max_degree=max_degree, mirrored=twin):
                 signatures += 1
                 data_weight += weight
             continue
-        listing = []
-        for sig, weight in enumerate_signatures(group, max_degree=max_degree):
-            listing.append((sig, weight))
+        listing = list(enumerate_signatures(group, max_degree=max_degree))
+        listed = {sig.rows for sig, _ in listing}
+        for sig, weight in listing:
             signatures += 1
             data_weight += weight
             key = canonical_key(group, sig)
@@ -250,10 +242,9 @@ def run_selfcheck(q0_values=DEFAULT_Q0, max_dual: int = DEFAULT_DUAL,
                 continue
             checked.add(key)
             datum = signature_representative(group, sig)
-            census = _searched_once(datum)
             for name in checks:
                 try:
-                    detail = _CHECKS[name](datum, census)
+                    detail = _CHECKS[name](datum, listed)
                 except (AssertionError, ValueError) as err:
                     detail = f"raised {err}"
                 if detail is not None:
@@ -263,7 +254,7 @@ def run_selfcheck(q0_values=DEFAULT_Q0, max_dual: int = DEFAULT_DUAL,
         if failures:
             break
         if mirror(group) != group:
-            listed[group] = listing
+            listings[group] = listing
     failure_counts = {name: sum(f.check == name for f in failures) for name in checks}
     return SelfcheckReport(
         q0_values=q0_values,

@@ -154,8 +154,10 @@ def test_criterion_7_recovery_round_trip(sweep):
 
 
 def test_criterion_8_closed_form_matches_search(sweep):
-    # a single mismatch between generate-and-validate companion sets and
-    # the closed parity description is a hard failure
+    # a single mismatch between the companion sets read off each group's
+    # listing and the closed parity description is a hard failure; the
+    # listing census is held to generate-and-validate search in
+    # tests/test_selfcheck.py
     assert sweep.failure_counts["epsilon"] == 0, sweep.failures
 
 
@@ -193,3 +195,4 @@ def test_sweep_counts_every_signature(sweep):
     # The sweep checks one representative per canonical key, yet counts
     # every group, signature and concrete datum of the sweep.
     assert (sweep.groups, sweep.signatures, sweep.data_weight) == (358, 59980, 19940921422)
+    assert sweep.checked == 20558

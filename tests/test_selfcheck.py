@@ -5,7 +5,7 @@ import itertools
 import json
 import random
 from collections import Counter, defaultdict
-from functools import cache, partial
+from functools import cache
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +21,7 @@ from cuspred.cuspdata import (
 from cuspred.ffpoly import ClassType, FieldSpec
 from cuspred.groups import FAMILIES, GroupSpec, dual_dimension, mirror
 from cuspred.hecke import ired, jordan
-from cuspred.packets import companions, enumerate_epsilon, packet_stats
+from cuspred.packets import companions, enumerate_epsilon, listed_swap_sets, packet_stats
 from cuspred.selfcheck import (
     _CHECKS,
     _field_free_key,
@@ -101,7 +101,7 @@ class TestReport:
             run_selfcheck(q0_values=(3, q0), max_dual=2)
 
     def test_stops_at_first_failing_datum(self, monkeypatch):
-        monkeypatch.setitem(_CHECKS, "identity", lambda datum, census: "planted")
+        monkeypatch.setitem(_CHECKS, "identity", lambda datum, listed: "planted")
         report = run_selfcheck(q0_values=(3,), max_dual=6, checks=("identity", "recovery"))
         assert report.signatures == 1 and not report.ok
         assert report.failure_counts == {"identity": 1, "recovery": 0}
@@ -114,16 +114,42 @@ class TestReport:
         assert report.ok
 
     def test_census_is_searched_only_for_the_checks_that_read_it(self, monkeypatch):
-        def no_search(datum):
-            raise AssertionError("searched")
+        # epsilon reads its census off the group's listing; only census-law
+        # searches, once per checked symplectic key.
+        searched = []
 
-        monkeypatch.setattr("cuspred.packets.companions", no_search)
-        report = run_selfcheck(q0_values=(3,), max_dual=6, checks=("identity", "recovery"))
-        assert report.ok
-        assert (report.checked, report.signatures) == (199, 380)
-        report = run_selfcheck(q0_values=(3,), max_dual=6, checks=("epsilon",))
-        assert not report.ok
-        assert [(f.check, f.detail) for f in report.failures] == [("epsilon", "raised searched")]
+        def counting(datum):
+            searched.append(datum)
+            return companions(datum)
+
+        monkeypatch.setattr("cuspred.packets.companions", counting)
+        for checks in (("identity", "recovery"), ("epsilon",)):
+            report = run_selfcheck(q0_values=(3,), max_dual=6, checks=checks)
+            assert report.ok
+            assert (report.checked, report.signatures) == (199, 380)
+            assert searched == []
+        report = run_selfcheck(q0_values=(3,), max_dual=6, checks=("census-law",))
+        assert report.ok and report.checked == 199
+        symplectic = {canonical_key(group, sig) for group in iter_group_specs((3,), 6)
+                      if group.family == "Sp"
+                      for sig, _ in enumerate_signatures(group, max_degree=4)}
+        assert {canonical_key(d.group, signature_of(d)) for d in searched} == symplectic
+        assert len(searched) == len(symplectic) == 8
+
+    @pytest.mark.parametrize("q0", [(3, 5), (5, 3)])
+    def test_listing_census_equals_the_search(self, monkeypatch, q0):
+        # The oracle of the epsilon check's census: on every representative
+        # the default sweep checks, the swap sets read off the group's
+        # listing are those the generate and validate search finds.
+        compared = []
+
+        def compare(datum, listed):
+            assert listed_swap_sets(datum, listed) == companions(datum).swap_sets, str(datum)
+            compared.append(datum)
+
+        monkeypatch.setitem(_CHECKS, "epsilon", compare)
+        report = run_selfcheck(q0_values=q0, max_dual=13, checks=("epsilon",))
+        assert report.ok and report.checked == len(compared) == 3900
 
 
 class TestCanonicalKeys:
@@ -133,20 +159,24 @@ class TestCanonicalKeys:
     either field and on either side of the flip."""
 
     @staticmethod
-    def invariants(group, sig, flip):
+    @cache
+    def listed(group):
+        return {sig.rows for sig, _ in enumerate_signatures(group, max_degree=4)}
+
+    @classmethod
+    def invariants(cls, group, sig, flip):
         """What the checks read of the signature's representative, free of
         the field; a datum on the flipped side is mapped back."""
         datum = signature_representative(group, sig)
-        census = cache(partial(companions, datum))
         order = slice(None, None, -1 if flip else 1)
 
         def typed(classes):
             return tuple(sorted((signature_type(c), *datum.pairs[c][order]) for c in classes))
 
-        found = census()
+        found = companions(datum)
         qs, stats = found.qsets, packet_stats(found)
         return {
-            "verdicts": tuple(check(datum, census) is None
+            "verdicts": tuple(check(datum, cls.listed(group)) is None
                              for check in _CHECKS.values()),
             "census": sorted(((c.datum.parahoric.n1, c.datum.parahoric.n2)[order],
                               typed(c.swap_set), c.reps) for c in found.companions),
@@ -184,7 +214,7 @@ class TestCanonicalKeys:
     @pytest.mark.parametrize("q0", [(3, 5), (5, 3)])
     def test_each_key_is_checked_once(self, monkeypatch, q0):
         calls = []
-        monkeypatch.setitem(_CHECKS, "identity", lambda datum, census: calls.append(datum))
+        monkeypatch.setitem(_CHECKS, "identity", lambda datum, listed: calls.append(datum))
         report = run_selfcheck(q0_values=q0, max_dual=6)
         assert report.ok
         assert (report.groups, report.signatures, report.data_weight) == (118, 857, 37234)
@@ -208,7 +238,7 @@ class TestCanonicalKeys:
         sig = DatumSignature(2, 0, ((ClassType(1, 1), 1, 0), (ClassType(2, 2), 1, 0)))
         target = canonical_key(GroupSpec("SOodd", 5, 2, (0, 1), FieldSpec(3)), sig)
 
-        def planted(datum, census):
+        def planted(datum, listed):
             return "planted" if canonical_key(datum.group, signature_of(datum)) == target else None
 
         monkeypatch.setitem(_CHECKS, "identity", planted)
@@ -294,17 +324,17 @@ class TestPastTheSweepBound:
         for group in itertools.chain.from_iterable(zip(*pools)):
             signatures = [sig for sig, _ in enumerate_signatures(group, max_degree=3)]
             if len(signatures) >= 5:
-                data.extend(signature_representative(group, sig)
+                listed = {sig.rows for sig in signatures}
+                data.extend((signature_representative(group, sig), listed)
                             for sig in rng.sample(signatures, 5))
             if len(data) == 60:
                 break
         assert len(data) == 60
-        assert {datum.group.family for datum in data} == set(FAMILIES)
-        for datum in data:
+        assert {datum.group.family for datum, _ in data} == set(FAMILIES)
+        for datum, listed in data:
             assert datum_from_obj(json.loads(json.dumps(datum_to_obj(datum)))) == datum
-            census = cache(partial(companions, datum))
             for name, check in _CHECKS.items():
-                assert check(datum, census) is None, (name, str(datum))
+                assert check(datum, listed) is None, (name, str(datum))
 
 
 class TestFailureReports:
@@ -322,6 +352,9 @@ class TestFailureReports:
     def raising_search(datum):
         raise AssertionError("planted search fault")
 
+    def raising_listing(datum, listed):
+        raise AssertionError("planted listing fault")
+
     PLANTS = {
         "identity": ("hecke.verify_identity", lambda datum: False,
                      {"identity": "degree identity failed"}),
@@ -332,8 +365,9 @@ class TestFailureReports:
         "census-law": ("packets.packet_stats", planted_stats,
                        {"census-law": "census total 3 differs from 2^(1+0)"}),
         "search": ("packets.companions", raising_search,
-                   {"epsilon": "raised planted search fault",
-                    "census-law": "raised planted search fault"}),
+                   {"census-law": "raised planted search fault"}),
+        "listing": ("packets.listed_swap_sets", raising_listing,
+                    {"epsilon": "raised planted listing fault"}),
     }
 
     def sweep(self, capsys, monkeypatch, plant, fmt):
