@@ -33,10 +33,7 @@ while under the quadratic involution every class is pooled and U(2)/F9
 has none at degree 0.
 validate and enumerate load only ffpoly, groups and cuspdata, with the
 fixtures and selfcheck that the parser reads; describe loads hecke too,
-and packet, crossform, selfcheck and examples load hecke and packets, so
-a cold import of this module took a median of 82 ms without a bytecode
-cache and 39 ms with one, against 110 and 61 ms when it loaded every
-layer (42 fresh processes each, 2-core Xeon, Python 3.11).
+and packet, crossform, selfcheck and examples load hecke and packets.
 Exit codes: 0 success, 1 failed validation or a failed check, 2 bad
 input: a file that is not UTF-8, malformed JSON, JSON nested too deeply,
 input that is not a JSON object, a key given twice in one object, an
@@ -386,7 +383,7 @@ def _cmd_validate(args) -> int:
 # ---------------------------------------------------------------- describe
 
 def _cmd_describe(args) -> int:
-    from .hecke import ired, jordan, parameter_shapes, reducibility_report
+    from .hecke import half_text, ired, jordan, parameter_shapes, reducibility_report
 
     datum = datum_from_obj(args.obj)
     report = reducibility_report(datum)
@@ -399,7 +396,7 @@ def _cmd_describe(args) -> int:
     options = {id(option): option for shape in shapes for option in shape.entries}
     option_objs = {
         key: {"class": cls.label,
-              "members": [{"tag": m.tag, "s": str(m.s), "chain": list(m.chain)}
+              "members": [{"tag": m.tag, "s": half_text(m.s), "chain": list(m.chain)}
                           for m in members]}
         for key, (cls, members) in options.items()
     }
@@ -417,13 +414,13 @@ def _cmd_describe(args) -> int:
             {
                 "class": c.cls.label,
                 "degree": c.cls.degree,
-                "f_pair": [str(f) for f in c.f_pair],
-                "s_pair": [str(s) for s in c.s_pair],
+                "f_pair": [half_text(f) for f in c.f_pair],
+                "s_pair": [half_text(s) for s in c.s_pair],
                 "chains": [list(chain) for chain in c.chains],
             }
             for c in report.classes
         ],
-        "ired": [[cls.label, str(s)] for cls, s in ired(datum)],
+        "ired": [[cls.label, half_text(s)] for cls, s in ired(datum)],
         "jordan": [{"class": j.cls.label, "member": j.member, "m": j.m}
                    for j in jordan(datum)],
         "identity": {"lhs": report.lhs, "rhs": report.dual_dimension,

@@ -217,6 +217,7 @@ def evaluate_entry(entry: GalleryEntry) -> dict:
     two dictionaries checks every frozen value at once.
     """
     from .hecke import (
+        half_text,
         identity_sides,
         ired,
         iteration_domain,
@@ -233,11 +234,11 @@ def evaluate_entry(entry: GalleryEntry) -> dict:
     values = {
         "rep_total": count_representations(datum).total,
         "identity": list(identity_sides(datum)),
-        "f_pairs": {label: [str(f) for f in parameter_pair(datum, by_label[label])]
+        "f_pairs": {label: [half_text(f) for f in parameter_pair(datum, by_label[label])]
                     for label in entry.expected.get("f_pairs", ())},
-        "s_pairs": {label: [str(s) for s in reducibility_pair(datum, by_label[label])]
+        "s_pairs": {label: [half_text(s) for s in reducibility_pair(datum, by_label[label])]
                     for label in entry.expected.get("s_pairs", ())},
-        "ired": [[cls.label, str(s)] for cls, s in ired(datum)],
+        "ired": [[cls.label, half_text(s)] for cls, s in ired(datum)],
         "jordan_size": stats.jordan_size,
         "packet_size": stats.packet_size,
         "e": stats.e,

@@ -22,6 +22,20 @@ reducibility points; each contributes the Jordan chain m = 2s - 1,
 
     sum over P of (floor(s^2) + floor(s'^2)) deg P  =  dual dimension.
 
+Every f, s and s' is held as its double, a plain int, so all of this is
+integer arithmetic; half_text is the one place that writes a half-integer
+out.  On SO(5) over F3 with x -+ 1 each in one slot, (s, s') = (3/2, 1/2)
+at both classes, and the identity reads (2 + 0) + (2 + 0) = 4:
+
+    >>> from cuspred.fixtures import gallery_entry
+    >>> datum = gallery_entry("so5").datum
+    >>> [(cls.label, reducibility_pair(datum, cls)) for cls in datum.pairs]
+    [('x-1', (3, 1)), ('x+1', (3, 1))]
+    >>> [half_text(s) for s in reducibility_pair(datum, next(iter(datum.pairs)))]
+    ['3/2', '1/2']
+    >>> identity_sides(datum)
+    (4, 4)
+
 The tables take the type of a class, ffpoly.ClassType, never the class:
 its degree and whether it is x - 1, x + 1 or neither.  So the exponent
 pair is type_exponent_pair, memoised on the slot kinds, the type and the
@@ -49,7 +63,7 @@ from .ffpoly import ClassType, SelfDualClass
 from .groups import dual_dimension
 
 __all__ = [
-    "HalfInt",
+    "half_text",
     "ClassReport",
     "ReducibilityReport",
     "JordanEntry",
@@ -71,53 +85,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """An element of (1/2) Z, stored as its double."""
-
-    twice: int
-
-    @staticmethod
-    def of(n: int) -> "HalfInt":
-        return HalfInt(2 * n)
-
-    @property
-    def is_integral(self) -> bool:
-        return self.twice % 2 == 0
-
-    def as_int(self) -> int:
-        if not self.is_integral:
-            raise ValueError(f"{self} is not an integer")
-        return self.twice // 2
-
-    @property
-    def floor_square(self) -> int:
-        """floor of the square: exact for integers, k^2 + k for k + 1/2."""
-        return self.twice * self.twice // 4
-
-    def __str__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+def half_text(twice: int) -> str:
+    """The half-integer twice / 2 as text: "3" or "5/2"."""
+    if twice % 2 == 0:
+        return str(twice // 2)
+    return f"{twice}/2"
 
 
-def finite_parameter(kind: str, ctype: ClassType, m: int) -> HalfInt:
+def finite_parameter(kind: str, ctype: ClassType, m: int) -> int:
     """The slot parameter f of every class of the type at multiplicity m
     (0 if absent): the table of the module docstring."""
     if m < 0:
         raise ValueError("multiplicity must be nonnegative")
     if kind == "U" or not ctype.is_linear:
-        return HalfInt((2 * m + 1) * ctype.degree)
+        return (2 * m + 1) * ctype.degree
     if kind == "SOodd":
-        return HalfInt.of(2 * m + 1)
+        return 2 * (2 * m + 1)
     if kind == "Sp":
-        return HalfInt.of(2 * m + 1 if ctype.is_x_minus_one else 2 * m)
+        return 2 * (2 * m + 1 if ctype.is_x_minus_one else 2 * m)
     if kind == "SOeven":
-        return HalfInt.of(2 * m)
+        return 4 * m
     raise ValueError(f"unknown factor kind {kind!r}")
 
 
-def parameter_pair(datum: CuspidalDatum, cls: SelfDualClass) -> tuple[HalfInt, HalfInt]:
+def parameter_pair(datum: CuspidalDatum, cls: SelfDualClass) -> tuple[int, int]:
     """(f1, f2) of the class in the two slots."""
     f1, f2 = datum.parahoric.factors
     m1, m2 = datum.pairs.get(cls, (0, 0))
@@ -126,18 +117,18 @@ def parameter_pair(datum: CuspidalDatum, cls: SelfDualClass) -> tuple[HalfInt, H
 
 @lru_cache(maxsize=4096)
 def type_exponent_pair(kinds: tuple[str, str], ctype: ClassType,
-                       pair: tuple[int, int]) -> tuple[HalfInt, HalfInt] | None:
+                       pair: tuple[int, int]) -> tuple[int, int] | None:
     """(s, s') with s >= s' of every class of the type at multiplicities
     (m1, m2) in slots of the given kinds, None when not half-integral."""
-    f1, f2 = (finite_parameter(kind, ctype, m).twice for kind, m in zip(kinds, pair))
+    f1, f2 = (finite_parameter(kind, ctype, m) for kind, m in zip(kinds, pair))
     twice_degree = 2 * ctype.degree
     total, diff = f1 + f2, abs(f1 - f2)
     if total % twice_degree or diff % twice_degree:
         return None
-    return (HalfInt(total // twice_degree), HalfInt(diff // twice_degree))
+    return (total // twice_degree, diff // twice_degree)
 
 
-def reducibility_pair(datum: CuspidalDatum, cls: SelfDualClass) -> tuple[HalfInt, HalfInt]:
+def reducibility_pair(datum: CuspidalDatum, cls: SelfDualClass) -> tuple[int, int]:
     """(s, s') with s >= s', both half-integers."""
     s_pair = type_exponent_pair(datum.group.slot_kinds, cls.type, datum.pairs.get(cls, (0, 0)))
     if s_pair is None:
@@ -150,22 +141,22 @@ def iteration_domain(datum: CuspidalDatum) -> tuple[SelfDualClass, ...]:
     return tuple(datum.pairs)
 
 
-def real_points(s_pair: tuple[HalfInt, HalfInt]) -> tuple[int, ...]:
+def real_points(s_pair: tuple[int, int]) -> tuple[int, ...]:
     """The real reducibility points of a class with exponents (s, s'), in
-    slots of any kinds: the members with s >= 1, as their doubles 2s."""
-    return tuple(s.twice for s in s_pair if s.twice >= 2)
+    slots of any kinds: the members with s >= 1."""
+    return tuple(s for s in s_pair if s >= 2)
 
 
-def ired(datum: CuspidalDatum) -> tuple[tuple[SelfDualClass, HalfInt], ...]:
+def ired(datum: CuspidalDatum) -> tuple[tuple[SelfDualClass, int], ...]:
     """Multiset of real reducibility points, class by class."""
     # Classes come in canonical order and s >= s', so this is sorted.
-    return tuple((cls, HalfInt(twice)) for cls in datum.pairs
-                 for twice in real_points(reducibility_pair(datum, cls)))
+    return tuple((cls, s) for cls in datum.pairs
+                 for s in real_points(reducibility_pair(datum, cls)))
 
 
-def jordan_chain(s: HalfInt) -> tuple[int, ...]:
+def jordan_chain(s: int) -> tuple[int, ...]:
     """Multiplicities 2s - 1, 2s - 3, ... >= 1 (empty when s < 1)."""
-    return tuple(range(s.twice - 1, 0, -2))
+    return tuple(range(s - 1, 0, -2))
 
 
 @dataclass(frozen=True)
@@ -187,7 +178,8 @@ def identity_sides(datum: CuspidalDatum) -> tuple[int, int]:
     lhs = 0
     for cls in datum.pairs:
         s, s2 = reducibility_pair(datum, cls)
-        lhs += (s.floor_square + s2.floor_square) * cls.degree
+        # (2s)^2 // 4 is floor(s^2): s^2 for integers, k^2 + k at k + 1/2.
+        lhs += (s * s // 4 + s2 * s2 // 4) * cls.degree
     return lhs, dual_dimension(datum.group)
 
 
@@ -199,8 +191,8 @@ def verify_identity(datum: CuspidalDatum) -> bool:
 @dataclass(frozen=True)
 class ClassReport:
     cls: SelfDualClass
-    f_pair: tuple[HalfInt, HalfInt]
-    s_pair: tuple[HalfInt, HalfInt]
+    f_pair: tuple[int, int]
+    s_pair: tuple[int, int]
     chains: tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -237,7 +229,7 @@ _KLEIN = {"1": (0, 0), "w0": (1, 0), "w1": (0, 1), "w2": (1, 1)}
 @dataclass(frozen=True)
 class ShapeMember:
     tag: str
-    s: HalfInt
+    s: int
     chain: tuple[int, ...]
 
 

@@ -112,7 +112,7 @@ from .cuspdata import (
 )
 from .ffpoly import ClassType, SelfDualClass, class_x_plus_one
 from .groups import GroupSpec, ParahoricSpec, group_forms, parahoric_of
-from .hecke import HalfInt, ired, jordan, real_points, type_exponent_pair
+from .hecke import ired, jordan, real_points, type_exponent_pair
 
 __all__ = [
     "QSets",
@@ -131,12 +131,13 @@ __all__ = [
 ]
 
 
-def recover_m_pair(cls: SelfDualClass, s: HalfInt, s2: HalfInt) -> tuple[int, int]:
-    """The multiplicity pair {m1, m2} recovered from the exponent pair.
+def recover_m_pair(cls: SelfDualClass, s: int, s2: int) -> tuple[int, int]:
+    """The multiplicity pair {m1, m2} recovered from the exponent pair,
+    given as doubles (hecke module docstring).
 
     Unordered: returned with the larger multiplicity first.
     """
-    total, diff = s.twice + s2.twice, abs(s.twice - s2.twice)
+    total, diff = s + s2, abs(s - s2)
     if signature_type(cls).rank < 2:
         pair = (total // 4, diff // 4)
     else:
@@ -370,12 +371,11 @@ def listed_swap_sets(datum: CuspidalDatum, listed: set) -> tuple[tuple[SelfDualC
     return tuple(out)
 
 
-def enumerate_epsilon(datum: CuspidalDatum,
-                      qs: QSets) -> tuple[tuple[SelfDualClass, ...], ...]:
+def enumerate_epsilon(datum: CuspidalDatum) -> tuple[tuple[SelfDualClass, ...], ...]:
     """Surviving swap sets computed without validating any support:
     subsets of the kept classes with evenly many constrained ones,
-    subject only to the parahoric re-solving being possible.  qs is
-    q_sets(datum), which a census already holds."""
+    subject only to the parahoric re-solving being possible."""
+    qs = q_sets(datum)
     # Clause c makes the unswapped totals the factors' dual dimensions.
     f1, f2 = datum.parahoric.factors
     kept, constrained = qs.kept, set(qs.constrained)
@@ -460,7 +460,7 @@ def packet_stats(census: CompanionCensus) -> PacketStats:
     datum = census.datum
     size = len(jordan(datum))
     # e counts the integral members of IRed; e0 is 1 when one of them is odd.
-    integral = [s.as_int() for _, s in ired(datum) if s.is_integral]
+    integral = [s // 2 for _, s in ired(datum) if s % 2 == 0]
     e = len(integral)
     e0 = int(any(s % 2 for s in integral))
     expected = 2 ** (e - e0)

@@ -151,7 +151,7 @@ def _check_epsilon(datum, listed) -> str | None:
     from . import packets
 
     swap_sets = packets.listed_swap_sets(datum, listed)
-    closed = packets.enumerate_epsilon(datum, packets.q_sets(datum))
+    closed = packets.enumerate_epsilon(datum)
     if swap_sets != closed:
         got = [[c.label for c in s] for s in swap_sets]
         predicted = [[c.label for c in s] for s in closed]

@@ -27,6 +27,7 @@ from cuspred.ffpoly import (
 )
 from cuspred.fixtures import gallery_entry
 from cuspred.hecke import (
+    half_text,
     identity_sides,
     ired,
     parameter_pair,
@@ -51,7 +52,7 @@ def timed(budget: float):
 
 
 def pair_str(pair):
-    return [str(x) for x in pair]
+    return [half_text(x) for x in pair]
 
 
 def domain_class(datum, label):
@@ -83,7 +84,7 @@ def test_criterion_1_sp6():
 def test_criterion_2_sp4():
     done = timed(1.0)
     datum = gallery_entry("sp4").datum
-    assert [(cls.label, str(s)) for cls, s in ired(datum)] == [
+    assert [(cls.label, half_text(s)) for cls, s in ired(datum)] == [
         ("x-1", "1"), ("x+1", "2")]
     assert len(parameter_shapes(datum)) == 2
     stats = packet_stats(companions(datum))
@@ -96,7 +97,7 @@ def test_criterion_2_sp4():
 def test_criterion_3_so8(capsys):
     done = timed(1.0)
     datum = gallery_entry("so8").datum
-    assert [(cls.label, str(s)) for cls, s in ired(datum)] == [
+    assert [(cls.label, half_text(s)) for cls, s in ired(datum)] == [
         ("x-1", "2"), ("x-1", "2")]
     stats = packet_stats(companions(datum))
     assert stats.census_total == 2
@@ -131,7 +132,7 @@ def test_criterion_5_u14():
     quadratic = domain_class(datum, "x^2+1")
     assert quadratic.degree == 2
     assert pair_str(parameter_pair(datum, quadratic)) == ["3", "7"]
-    assert [(cls.label, str(s)) for cls, s in ired(datum)] == [
+    assert [(cls.label, half_text(s)) for cls, s in ired(datum)] == [
         ("x^2+1", "5/2"), ("x^2+1", "1")]
     assert identity_sides(datum) == (14, 14)
     census = companions(datum)

@@ -337,6 +337,38 @@ def stdlib_dumps(obj, depth: int = 0) -> str:
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
 
 
+STORED = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+
+
+def digest_prefix_matches(out: str, prefix: str) -> bool:
+    assert len(prefix) == 20
+    return hashlib.sha256(out.encode()).hexdigest().startswith(prefix)
+
+
+class TestStoredQueries:
+    """The JSON outputs of the benchmark's stored queries keep the SHA-256
+    prefixes recorded with them in perfbench/data, which this only reads."""
+
+    def test_every_query_output_matches_its_digest(self, capsys):
+        records = json.loads((STORED / "queries.json").read_text(encoding="utf-8"))
+        assert len(records) == 406
+        mismatched = []
+        for index, record in enumerate(records):
+            assert sorted(record["sha256"]) == ["crossform", "describe", "packet", "validate"]
+            text = json.dumps(record["datum"])
+            for command, prefix in sorted(record["sha256"].items()):
+                code, out, err = run(capsys, command, text, "--format", "json")
+                if (code, err) != (0, "") or not digest_prefix_matches(out, prefix):
+                    mismatched.append((index, command, code, err))
+        assert mismatched == []
+
+    def test_examples_match_their_digest(self, capsys):
+        reference = json.loads((STORED / "reference.json").read_text(encoding="utf-8"))
+        code, out, err = run(capsys, "examples", "--format", "json")
+        assert (code, err) == (0, "")
+        assert digest_prefix_matches(out, reference["examples_sha256"])
+
+
 class TestJsonBytes:
     """Every JSON output is byte for byte json.dumps(..., sort_keys=True, indent=2)."""
 

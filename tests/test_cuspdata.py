@@ -543,9 +543,9 @@ def _signature_invariants(datum, trivial):
     stats = packet_stats(census)
     out = {
         "identity": identity_sides(datum),
-        "ired": sorted((tag(c), s.twice) for c, s in ired(datum)),
+        "ired": sorted((tag(c), s) for c, s in ired(datum)),
         "companions": swaps(census.swap_sets),
-        "closed form": swaps(enumerate_epsilon(datum, census.qsets)),
+        "closed form": swaps(enumerate_epsilon(datum)),
         "reps": count_representations(datum).total,
         "census": stats.census_total,
         "q": stats.q,

@@ -1,9 +1,11 @@
 """Tests for reducibility exponents, Jordan data and parameter shapes."""
 
+import doctest
 from types import SimpleNamespace
 
 import pytest
 
+from cuspred import hecke
 from cuspred.cuspdata import (
     CuspidalDatum,
     FactorSupport,
@@ -18,8 +20,8 @@ from cuspred.ffpoly import (
 from cuspred.fixtures import gallery, gallery_entry
 from cuspred.groups import GroupSpec, ParahoricSpec
 from cuspred.hecke import (
-    HalfInt,
     finite_parameter,
+    half_text,
     identity_sides,
     ired,
     iteration_domain,
@@ -36,45 +38,48 @@ F3 = FieldSpec(3)
 F9Q = FieldSpec(3, 2, "quadratic")
 
 
-class TestHalfInt:
-    def test_str(self):
-        assert str(HalfInt.of(3)) == "3"
-        assert str(HalfInt(5)) == "5/2"
-        assert str(HalfInt(0)) == "0"
+def test_doctests():
+    failures, _ = doctest.testmod(hecke)
+    assert failures == 0
 
-    def test_floor_square(self):
-        assert HalfInt.of(3).floor_square == 9
-        assert HalfInt(5).floor_square == 6  # (5/2)^2 = 6.25
-        assert HalfInt(1).floor_square == 0
-        assert HalfInt(3).floor_square == 2
 
-    def test_order_and_arith(self):
-        assert HalfInt(3) < HalfInt.of(2)
+class TestHalfText:
+    def test_half_text(self):
+        assert half_text(6) == "3"
+        assert half_text(5) == "5/2"
+        assert half_text(0) == "0"
+        assert half_text(1) == "1/2"
 
-    def test_integrality(self):
-        assert HalfInt.of(4).is_integral and HalfInt.of(4).as_int() == 4
-        assert not HalfInt(5).is_integral
-        with pytest.raises(ValueError):
-            HalfInt(5).as_int()
+    def test_identity_floors_the_squares(self):
+        # floor(s^2) at s = 3, 5/2, 1, 1/2 and 3/2 is 9, 6, 1, 0 and 2.
+        cases = {
+            "so20": ({"x-1": (6, 2), "x+1": (6, 2)}, 20),  # (9 + 1) + (9 + 1)
+            "u14": ({"x-1": (1, 1), "x+1": (0, 0), "x^2+1": (5, 2)}, 14),  # (6 + 1) * 2
+            "so5": ({"x-1": (3, 1), "x+1": (3, 1)}, 4),  # (2 + 0) + (2 + 0)
+        }
+        for name, (pairs, total) in cases.items():
+            datum = gallery_entry(name).datum
+            assert {c.label: reducibility_pair(datum, c) for c in datum.pairs} == pairs
+            assert identity_sides(datum) == (total, total), name
 
 
 class TestFiniteParameter:
     def test_linear_tables(self):
         xm, xp = class_x_minus_one(F3).type, class_x_plus_one(F3).type
-        assert [finite_parameter("SOodd", xm, m).twice for m in range(3)] == [2, 6, 10]
-        assert [finite_parameter("SOodd", xp, m).twice for m in range(3)] == [2, 6, 10]
-        assert [finite_parameter("Sp", xm, m).twice for m in range(3)] == [2, 6, 10]
-        assert [finite_parameter("Sp", xp, m).twice for m in range(3)] == [0, 4, 8]
-        assert [finite_parameter("SOeven", xm, m).twice for m in range(3)] == [0, 4, 8]
-        assert [finite_parameter("SOeven", xp, m).twice for m in range(3)] == [0, 4, 8]
+        assert [finite_parameter("SOodd", xm, m) for m in range(3)] == [2, 6, 10]
+        assert [finite_parameter("SOodd", xp, m) for m in range(3)] == [2, 6, 10]
+        assert [finite_parameter("Sp", xm, m) for m in range(3)] == [2, 6, 10]
+        assert [finite_parameter("Sp", xp, m) for m in range(3)] == [0, 4, 8]
+        assert [finite_parameter("SOeven", xm, m) for m in range(3)] == [0, 4, 8]
+        assert [finite_parameter("SOeven", xp, m) for m in range(3)] == [0, 4, 8]
 
     def test_nonlinear_table(self):
         p2 = enumerate_self_dual_classes(F3, 2)[0].type
-        assert [str(finite_parameter("Sp", p2, m)) for m in range(3)] == ["1", "3", "5"]
+        assert [half_text(finite_parameter("Sp", p2, m)) for m in range(3)] == ["1", "3", "5"]
         cubic = enumerate_self_dual_classes(F9Q, 3)[0].type
-        assert [str(finite_parameter("U", cubic, m)) for m in range(3)] == ["3/2", "9/2", "15/2"]
+        assert [half_text(finite_parameter("U", cubic, m)) for m in range(3)] == ["3/2", "9/2", "15/2"]
         linear9 = class_x_minus_one(F9Q).type
-        assert [str(finite_parameter("U", linear9, m)) for m in range(3)] == ["1/2", "3/2", "5/2"]
+        assert [half_text(finite_parameter("U", linear9, m)) for m in range(3)] == ["1/2", "3/2", "5/2"]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown factor kind 'iii'"):
@@ -103,14 +108,14 @@ class TestFiniteParameter:
             reducibility_pair(datum, class_x_minus_one(F3))
 
     def test_jordan_chain(self):
-        assert jordan_chain(HalfInt.of(3)) == (5, 3, 1)
-        assert jordan_chain(HalfInt(5)) == (4, 2)
-        assert jordan_chain(HalfInt(1)) == ()
-        assert jordan_chain(HalfInt(0)) == ()
+        assert jordan_chain(6) == (5, 3, 1)
+        assert jordan_chain(5) == (4, 2)
+        assert jordan_chain(1) == ()
+        assert jordan_chain(0) == ()
 
 
 def as_strs(pair):
-    return [str(v) for v in pair]
+    return [half_text(v) for v in pair]
 
 
 class TestGalleryValues:
@@ -130,7 +135,7 @@ class TestGalleryValues:
 
     def test_ired(self):
         for entry in gallery():
-            got = [[c.label, str(s)] for c, s in ired(entry.datum)]
+            got = [[c.label, half_text(s)] for c, s in ired(entry.datum)]
             assert got == entry.expected["ired"], entry.name
 
     def test_identity(self):
@@ -166,7 +171,7 @@ class TestJordanDetail:
         for entry in gallery():
             for cls in iteration_domain(entry.datum):
                 s, s2 = reducibility_pair(entry.datum, cls)
-                assert s.twice >= s2.twice
+                assert s >= s2
 
     def test_entries_keep_member_index(self):
         entries = jordan(gallery_entry("so8").datum)
@@ -242,7 +247,7 @@ class TestInvariants:
                     if cls.degree == 1 and not quadratic:
                         continue
                     s, s2 = reducibility_pair(datum, cls)
-                    assert s.is_integral != s2.is_integral, (str(datum), cls.label)
+                    assert s % 2 != s2 % 2, (str(datum), cls.label)
 
     def test_linear_members_same_parity(self):
         for group in SMALL_GROUPS:
@@ -252,10 +257,10 @@ class TestInvariants:
                 for cls in iteration_domain(datum):
                     if cls.degree == 1:
                         s, s2 = reducibility_pair(datum, cls)
-                        assert (s.twice + s2.twice) % 2 == 0
+                        assert (s + s2) % 2 == 0
 
     def test_ired_members_at_least_one(self):
         for group in SMALL_GROUPS[:4]:
             for datum in enumerate_data(group, max_degree=4):
                 for cls, s in ired(datum):
-                    assert s.twice >= 2
+                    assert s >= 2

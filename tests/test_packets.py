@@ -164,7 +164,7 @@ class TestClosedForm:
     def test_matches_gallery(self):
         for entry in gallery():
             census = companions(entry.datum)
-            closed = enumerate_epsilon(entry.datum, census.qsets)
+            closed = enumerate_epsilon(entry.datum)
             assert census.swap_sets == closed, entry.name
 
     SWEEP = [
@@ -186,7 +186,7 @@ class TestClosedForm:
         for group in self.SWEEP:
             for datum in enumerate_data(group, max_degree=4):
                 census = companions(datum)
-                closed = enumerate_epsilon(datum, census.qsets)
+                closed = enumerate_epsilon(datum)
                 assert census.swap_sets == closed, str(datum)
 
 
@@ -204,7 +204,7 @@ class TestDeviationWitnesses:
         assert qs.constrained == ()
         census = companions(datum)
         assert len(census.companions) == 8
-        assert census.swap_sets == enumerate_epsilon(datum, census.qsets)
+        assert census.swap_sets == enumerate_epsilon(datum)
 
     def test_even_ramified_unitary(self):
         # Slots (even orthogonal, symplectic): x - 1 removed, x + 1 kept
@@ -218,7 +218,7 @@ class TestDeviationWitnesses:
         assert labels(qs.constrained) == ["x+1", Q4A.label]
         census = companions(datum)
         assert swap_label_sets(census) == {frozenset(), frozenset({"x+1", Q4A.label})}
-        assert census.swap_sets == enumerate_epsilon(datum, census.qsets)
+        assert census.swap_sets == enumerate_epsilon(datum)
 
     def test_odd_ramified_unitary(self):
         # Slots (odd orthogonal, symplectic): x - 1 kept and free, x + 1
@@ -232,7 +232,7 @@ class TestDeviationWitnesses:
         assert labels(qs.free) == ["x-1", P2.label]
         census = companions(datum)
         assert len(census.companions) == 4
-        assert census.swap_sets == enumerate_epsilon(datum, census.qsets)
+        assert census.swap_sets == enumerate_epsilon(datum)
 
     @staticmethod
     def removed_pair_datum():
@@ -254,7 +254,7 @@ class TestDeviationWitnesses:
         assert ired(sneaky) != ired(datum)  # ...but moves a point
         census = companions(datum)
         assert swap_label_sets(census) == {frozenset()}
-        assert census.swap_sets == enumerate_epsilon(datum, census.qsets)
+        assert census.swap_sets == enumerate_epsilon(datum)
 
     def test_kept_swap_that_moves_a_point_raises(self, monkeypatch):
         # Were x -+ 1 kept, the swap of both would be a kept swap that
@@ -419,7 +419,7 @@ class TestWideSearch:
         census = companions(datum)
         assert census.qsets.q == 9
         assert len(census.companions) == census_size
-        assert census.swap_sets == enumerate_epsilon(datum, census.qsets)
+        assert census.swap_sets == enumerate_epsilon(datum)
         triples = TestSearchAgainstBruteForce.triples
         assert triples(census.companions) == brute_force_census(group, datum)
         entries = cross_form_companions(datum)

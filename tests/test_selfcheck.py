@@ -180,12 +180,12 @@ class TestCanonicalKeys:
                              for check in _CHECKS.values()),
             "census": sorted(((c.datum.parahoric.n1, c.datum.parahoric.n2)[order],
                               typed(c.swap_set), c.reps) for c in found.companions),
-            "closed": sorted(map(typed, enumerate_epsilon(datum, qs))),
+            "closed": sorted(map(typed, enumerate_epsilon(datum))),
             "qsets": tuple(map(len, (qs.raw, qs.kept, qs.removed, qs.constrained, qs.free))),
             # Under the quadratic involution x + 1 is pooled with the other
             # linear classes, so delta is not a signature invariant there.
             "delta": qs.delta if group.field.ext == "trivial" else None,
-            "ired": sorted((signature_type(cls), s.twice) for cls, s in ired(datum)),
+            "ired": sorted((signature_type(cls), s) for cls, s in ired(datum)),
             "jordan": len(jordan(datum)),
             "totals": (stats.census_total, stats.multiple, stats.o_total),
         }
@@ -360,7 +360,7 @@ class TestFailureReports:
                      {"identity": "degree identity failed"}),
         "recovery": ("packets.recover_m_pair", lambda cls, s, s2: (-1, -1),
                      {"recovery": "multiplicities of x-1 not recovered"}),
-        "epsilon": ("packets.enumerate_epsilon", lambda datum, qsets: [],
+        "epsilon": ("packets.enumerate_epsilon", lambda datum: [],
                     {"epsilon": "census swaps [[], ['x^2+1']] but closed form []"}),
         "census-law": ("packets.packet_stats", planted_stats,
                        {"census-law": "census total 3 differs from 2^(1+0)"}),
