@@ -393,7 +393,7 @@ def _cmd_describe(args) -> int:
     # option the same tuple: one dict per tuple, so that _dumps lays each
     # out once however many shapes take it.  Keyed by id: hashing a tuple
     # hashes its members again on every lookup.
-    options = {id(option): option for shape in shapes for option in shape.entries}
+    options = {id(option): option for shape in shapes for option in shape}
     option_objs = {
         key: {"class": cls.label,
               "members": [{"tag": m.tag, "s": half_text(m.s), "chain": list(m.chain)}
@@ -427,7 +427,7 @@ def _cmd_describe(args) -> int:
                      "ok": report.identity_holds},
         "shapes": {
             "count": len(shapes),
-            "entries": [[option_objs[id(option)] for option in shape.entries]
+            "entries": [[option_objs[id(option)] for option in shape]
                         for shape in shapes],
         },
         "notes": _datum_notes(datum.parahoric),

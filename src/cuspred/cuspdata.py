@@ -221,7 +221,12 @@ def validate_support(factor: FiniteFactor, support: FactorSupport, field: FieldS
 
 @dataclass(frozen=True)
 class CuspidalDatum:
-    """A maximal parahoric together with one valid support per factor."""
+    """A maximal parahoric together with one valid support per factor.
+
+    group and field, the parahoric's, are plain attributes set once the
+    supports validate, and pairs is computed on first read; all three sit
+    outside the fields, so ==, hash and repr ignore them.
+    """
 
     parahoric: ParahoricSpec
     supports: tuple[FactorSupport, FactorSupport]
@@ -229,23 +234,15 @@ class CuspidalDatum:
     def __post_init__(self) -> None:
         if not self.parahoric.maximal:
             raise ValueError("cuspidal data live on maximal parahorics")
-        field = self.group.field
+        group = self.parahoric.group
         for factor, support in zip(self.parahoric.factors, self.supports):
-            validate_support(factor, support, field)
-
-    @property
-    def group(self) -> GroupSpec:
-        return self.parahoric.group
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.group.field
+            validate_support(factor, support, group.field)
+        self.__dict__.update(group=group, field=group.field)
 
     @cached_property
     def pairs(self) -> dict[SelfDualClass, tuple[int, int]]:
         """Class -> (m1, m2) over the support classes and x -+ 1, in sort_key
-        order, 0 where a class is absent.  Computed once, outside the fields
-        (==, hash and repr ignore it); callers must not mutate it."""
+        order, 0 where a class is absent; callers must not mutate it."""
         m1, m2 = (dict(support.entries) for support in self.supports)
         field = self.field
         classes = {class_x_minus_one(field), class_x_plus_one(field), *m1, *m2}

@@ -68,7 +68,6 @@ __all__ = [
     "ReducibilityReport",
     "JordanEntry",
     "ShapeMember",
-    "ParamShape",
     "finite_parameter",
     "parameter_pair",
     "type_exponent_pair",
@@ -198,7 +197,6 @@ class ClassReport:
 
 @dataclass(frozen=True)
 class ReducibilityReport:
-    datum: CuspidalDatum
     classes: tuple[ClassReport, ...]
     lhs: int
     dual_dimension: int
@@ -216,7 +214,7 @@ def reducibility_report(datum: CuspidalDatum) -> ReducibilityReport:
         chains = (jordan_chain(s_pair[0]), jordan_chain(s_pair[1]))
         reports.append(ClassReport(cls, f_pair, s_pair, chains))
     lhs, rhs = identity_sides(datum)
-    return ReducibilityReport(datum, tuple(reports), lhs, rhs)
+    return ReducibilityReport(tuple(reports), lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +231,19 @@ class ShapeMember:
     chain: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ParamShape:
-    entries: tuple[tuple[SelfDualClass, tuple[ShapeMember, ShapeMember]], ...]
-
-
 # Member tags by the rank of signature_type: x - 1, x + 1, any other.
 _TAGS = (("1", "w0"), ("w1", "w2"), ("rho", "rho'"))
 
 
-def parameter_shapes(datum: CuspidalDatum) -> tuple[ParamShape, ...]:
-    """All chain-to-member assignments, det-filtered for symplectic groups."""
-    per_class: list[list[tuple[SelfDualClass, tuple[ShapeMember, ShapeMember]]]] = []
+# One class's choice of members; a shape is a tuple of these.
+_Option = tuple[SelfDualClass, tuple[ShapeMember, ShapeMember]]
+
+
+def parameter_shapes(datum: CuspidalDatum) -> tuple[tuple[_Option, ...], ...]:
+    """All chain-to-member assignments, det-filtered for symplectic groups.
+    A shape is the tuple of its options, one (class, (member, member)) per
+    class with a chain; shapes that take the same option share its tuple."""
+    per_class: list[list[_Option]] = []
     free_determinant = False
     for cls in datum.pairs:
         s, s2 = reducibility_pair(datum, cls)
@@ -260,13 +259,13 @@ def parameter_shapes(datum: CuspidalDatum) -> tuple[ParamShape, ...]:
             options.append((cls, (ShapeMember(tags[0], s2, chains[1]),
                                   ShapeMember(tags[1], s, chains[0]))))
         per_class.append(options)
-    shapes = [ParamShape(tuple(combo)) for combo in product(*per_class)]
+    shapes = tuple(product(*per_class))
     if datum.group.family != "Sp" or free_determinant:
-        return tuple(shapes)
+        return shapes
     kept = []
     for shape in shapes:
         det = (0, 0)
-        for cls, members in shape.entries:
+        for _, members in shape:
             for member in members:
                 vec = _KLEIN.get(member.tag)
                 if vec and sum(member.chain) % 2:

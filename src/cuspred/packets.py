@@ -439,7 +439,6 @@ def full_orthogonal_count(datum: CuspidalDatum) -> int:
 
 @dataclass(frozen=True)
 class PacketStats:
-    datum: CuspidalDatum
     jordan_size: int
     packet_size: int
     e: int
@@ -465,7 +464,6 @@ def packet_stats(census: CompanionCensus) -> PacketStats:
     e0 = int(any(s % 2 for s in integral))
     expected = 2 ** (e - e0)
     stats = dict(
-        datum=datum,
         jordan_size=size,
         packet_size=2 ** max(size - 1, 0),
         e=e,

@@ -204,6 +204,8 @@ def sweep_arguments(q0_values=DEFAULT_Q0, max_dual: int = DEFAULT_DUAL,
         except ValueError as err:
             raise ValueError(f"residue size {q0} is not supported: the sweep needs an odd prime"
                              f" q0 with F(q0^2) of at most {MAX_Q} elements ({err})") from err
+    if "" in checks:
+        raise ValueError("empty check name")
     _check_selection("check", checks)
     for name in checks:
         if name not in _CHECKS:

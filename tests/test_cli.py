@@ -461,10 +461,11 @@ class TestSelfcheck:
         assert "check 'identity' is given twice" in err
 
     def test_empty_check_list_is_usage_error(self, capsys):
-        # It used to run all four checks, as if --checks were absent.
-        code, out, err = run(capsys, "selfcheck", "--dualdim", "2", "--checks", "")
-        assert (code, out) == (2, "")
-        assert "unknown check ''" in err
+        # "" used to run all four checks, as if --checks were absent; an
+        # empty name is refused as such, not as unknown or given twice.
+        for checks in ("", ",", "identity,,epsilon"):
+            code, out, err = run(capsys, "selfcheck", "--dualdim", "2", "--checks", checks)
+            assert (code, out, err) == (2, "", "error: empty check name\n"), checks
 
     @pytest.mark.parametrize("q0, reason", [
         ("7", "field size 49 exceeds 32"),

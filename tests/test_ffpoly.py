@@ -202,6 +202,10 @@ class TestPoly:
             SelfDualClass(F3, (1, 0))
         with pytest.raises(ValueError, match="^coefficient out of range for the field$"):
             SelfDualClass(F3, (3, 1))
+        for coeffs in ((0, 1), (1,)):  # x itself, and a constant
+            with pytest.raises(ValueError,
+                               match="^a self-dual class is monic, nonconstant, and prime to x$"):
+                SelfDualClass(F3, coeffs)
 
 
 class TestIrreducibility:
@@ -221,6 +225,9 @@ class TestIrreducibility:
                 # -P is not monic and has the same factors.
                 negated = tuple(F.neg[c] for c in cand)
                 assert is_irreducible(field, negated) == expected, poly_text(negated)
+
+    def test_constant_is_not_irreducible(self):
+        assert not is_irreducible(F3, (2,))
 
 
 class TestSigmaDual:
@@ -263,6 +270,13 @@ class TestCensus:
     @pytest.mark.parametrize("field,degree", [(F9Q, 7), (F25Q, 5), (F5, 8)])
     def test_listing_matches_count(self, field, degree):
         assert len(enumerate_self_dual_classes(field, degree)) == count_self_dual_classes(field, degree)
+
+    def test_degree_must_be_positive(self):
+        for degree in (0, -1):
+            with pytest.raises(ValueError, match="^degree must be positive$"):
+                enumerate_self_dual_classes(F3, degree)
+            with pytest.raises(ValueError, match="^degree must be positive$"):
+                count_self_dual_classes(F3, degree)
 
     def test_parity_laws(self):
         # trivial involution: no odd degree beyond 1; quadratic: odd only

@@ -287,6 +287,21 @@ class TestParahorics:
         with pytest.raises(ValueError):
             FiniteFactor("SOeven", 0, sign=-1)
 
+    def test_factor_refusals_name_their_rule(self):
+        with pytest.raises(ValueError, match="^factor dimension must be nonnegative$"):
+            FiniteFactor("U", -1)
+        with pytest.raises(ValueError, match="^odd orthogonal factors have odd dimension$"):
+            FiniteFactor("SOodd", 4)
+        with pytest.raises(ValueError, match="^even orthogonal factors have even dimension$"):
+            FiniteFactor("SOeven", 3, sign=1)
+
+    def test_split_must_fill_the_witt_index(self):
+        G = GroupSpec("Sp", 6, 3, (0, 0), F3)
+        for n1, n2 in ((2, 0), (2, 2), (-1, 4), (4, -1)):
+            with pytest.raises(ValueError,
+                               match=r"^\(n1, n2\) must be a nonnegative split of the Witt index$"):
+                ParahoricSpec(G, n1, n2)
+
 
 def test_doctests():
     failures, _ = doctest.testmod(groups)

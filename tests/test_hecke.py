@@ -85,6 +85,10 @@ class TestFiniteParameter:
         with pytest.raises(ValueError, match="unknown factor kind 'iii'"):
             finite_parameter("iii", class_x_plus_one(F3).type, 1)
 
+    def test_negative_multiplicity_rejected(self):
+        with pytest.raises(ValueError, match="^multiplicity must be nonnegative$"):
+            finite_parameter("Sp", class_x_minus_one(F3).type, -1)
+
     def test_tables_read_a_class_only_through_its_type(self):
         # The tables take a type: rank 0 is x - 1, rank 1 is x + 1, under
         # either involution, and the type leads the sort key.
@@ -182,7 +186,7 @@ class TestJordanDetail:
 class TestShapes:
     def test_sp6_surviving_shape(self):
         (shape,) = parameter_shapes(gallery_entry("sp6").datum)
-        by_label = {cls.label: members for cls, members in shape.entries}
+        by_label = {cls.label: members for cls, members in shape}
         # Both chains at eigenvalue -1 have odd sum and contribute w1 + w2;
         # cancelling that forces the odd chain at eigenvalue 1 onto w0.
         tags = {m.tag: m.chain for m in by_label["x-1"]}
@@ -192,7 +196,7 @@ class TestShapes:
         shapes = parameter_shapes(gallery_entry("sp4").datum)
         assert len(shapes) == 2
         for shape in shapes:
-            by_label = {cls.label: members for cls, members in shape.entries}
+            by_label = {cls.label: members for cls, members in shape}
             tags = {m.tag: m.chain for m in by_label["x-1"]}
             assert tags["1"] == (1,)  # the only filtered choice
 
@@ -213,7 +217,7 @@ class TestShapes:
 
     def test_rho_tags(self):
         shapes = parameter_shapes(gallery_entry("u14").datum)
-        tags = {m.tag for shape in shapes for _, members in shape.entries for m in members}
+        tags = {m.tag for shape in shapes for _, members in shape for m in members}
         assert tags == {"rho", "rho'"}
 
 

@@ -58,6 +58,44 @@ def test_only_standard_library_imports():
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
 
 
+def module_level_names(tree: ast.Module) -> tuple[set, dict]:
+    """The names a module binds at its top level, and which of them its
+    top-level imports bind, each with the line of its import."""
+    bound, imported = set(), {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.add(name)
+                imported[name] = node.lineno
+    return bound, imported
+
+
+def test_exported_names_are_bound_and_imports_are_read():
+    # A name deleted from a module but left in its __all__, or an import
+    # that nothing reads any more, fails here rather than at star-import.
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        bound, imported = module_level_names(tree)
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                for name in ast.literal_eval(node.value):
+                    assert name in bound, f"{path.name}: __all__ names unbound {name}"
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for name, line in imported.items():
+            assert name in read, f"{path.name}:{line} imports {name} and never reads it"
+
+
 def test_traced_functions_exist():
     # perfbench/tracing.py wraps these by name; a renamed or deleted one
     # would drop out of the per-layer report without an error.

@@ -38,6 +38,7 @@ from cuspred.packets import (
     cross_form_companions,
     enumerate_epsilon,
     full_orthogonal_count,
+    listed_swap_sets,
     packet_stats,
     q_sets,
     recover_m_pair,
@@ -455,6 +456,12 @@ class TestWideSearch:
         with pytest.raises(AssertionError,
                            match=r"^reducibility exponent of x-1 is not half-integral$"):
             list(_prescore(SimpleNamespace(slot_kinds=("U", "SOodd")), datum))
+        # So does the census read off a listing, on the same impossible slots.
+        misplaced = SimpleNamespace(group=SimpleNamespace(slot_kinds=("U", "SOodd")),
+                                    pairs=datum.pairs)
+        with pytest.raises(AssertionError,
+                           match=r"^reducibility exponent of x-1 is not half-integral$"):
+            listed_swap_sets(misplaced, set())
 
 
 class TestCrossForm:

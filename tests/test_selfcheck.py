@@ -85,6 +85,7 @@ class TestReport:
         ({"checks": ("identity", "identity")}, "check 'identity' is given twice"),
         ({"q0_values": ()}, "no residue size selected"),
         ({"checks": ()}, "no check selected"),
+        ({"checks": ("",)}, "^empty check name$"),
     ])
     def test_repeated_or_empty_selection_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
