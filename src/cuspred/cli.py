@@ -43,13 +43,14 @@ integers, "supports" that is not a JSON list, a number that is not a
 JSON integer (3.7, "2" and true are refused), a polynomial listed twice
 in one support, a support that is not a JSON list, a "poly" whose
 leading coefficient is 0, a field of more than 32 elements (however
-large p or e), a JSON integer of more than 4,300 digits, a negative
---degree or --dualdim, a selfcheck residue size or check given twice, a
-selfcheck residue size other than an odd prime q0 with F(q0^2) of at
-most 32 elements (so 3 or 5), an empty check name, or an enumerate or a
-selfcheck that would list classes past degree 8 (pass --degree 8 or
-less; enumerate refuses before it lists any class, and selfcheck before
-it sweeps, when both --degree and --dualdim exceed 8). An unknown
+large p or e), a JSON integer of more than 4,300 digits, a --degree,
+--dualdim or --q that is not a nonnegative integer in ASCII digits, a
+selfcheck residue size or check given twice, a selfcheck residue size
+other than an odd prime q0 with F(q0^2) of at most 32 elements (so 3
+or 5), an empty check name, or an enumerate or a selfcheck that would
+list classes past degree 8 (pass --degree 8 or less; enumerate refuses
+before it lists any class, and selfcheck before it sweeps, when both
+--degree and --dualdim exceed 8). An unknown
 examples --name, the empty one included, exits 2 too.  Only these
 refusals of its arguments make selfcheck exit 2.  An internal
 invariant failure (a failed assertion or a KeyError raised inside the
@@ -79,11 +80,12 @@ from .cuspdata import (
     count_representations,
     datum_label,
     enumerate_census,
+    slot_series,
     support_violation,
 )
 from .ffpoly import MAX_ENUM_DEGREE, DegreeLimitError, FieldSpec, SelfDualClass
 from .fixtures import evaluate_entry, gallery, gallery_entry
-from .groups import GroupSpec, ParahoricSpec
+from .groups import GroupSpec, ParahoricSpec, component_group_order
 from .selfcheck import (ALL_CHECKS, DEFAULT_DEGREE, DEFAULT_DUAL, DEFAULT_Q0, run_selfcheck,
                         sweep_arguments)
 
@@ -383,11 +385,12 @@ def _cmd_validate(args) -> int:
 # ---------------------------------------------------------------- describe
 
 def _cmd_describe(args) -> int:
-    from .hecke import half_text, ired, jordan, parameter_shapes, reducibility_report
+    from .hecke import (half_text, identity_sides, ired, jordan, parameter_shapes,
+                        reducibility_report)
 
     datum = datum_from_obj(args.obj)
-    report = reducibility_report(datum)
-    reps = count_representations(datum)
+    (n1, act1), (n2, act2) = map(slot_series, datum.parahoric.factors, datum.supports)
+    lhs, rhs = identity_sides(datum)
     shapes = parameter_shapes(datum)
     # parameter_shapes hands every shape that takes a (class, members)
     # option the same tuple: one dict per tuple, so that _dumps lays each
@@ -404,11 +407,11 @@ def _cmd_describe(args) -> int:
         "datum": str(datum),
         "group": str(datum.group),
         "representations": {
-            "n1": reps.n1,
-            "n2": reps.n2,
-            "component_order": reps.component_order,
-            "slot_actions": list(reps.slot_actions),
-            "total": reps.total,
+            "n1": n1,
+            "n2": n2,
+            "component_order": component_group_order(datum.parahoric),
+            "slot_actions": [act1, act2],
+            "total": count_representations(datum),
         },
         "classes": [
             {
@@ -418,13 +421,12 @@ def _cmd_describe(args) -> int:
                 "s_pair": [half_text(s) for s in c.s_pair],
                 "chains": [list(chain) for chain in c.chains],
             }
-            for c in report.classes
+            for c in reducibility_report(datum)
         ],
         "ired": [[cls.label, half_text(s)] for cls, s in ired(datum)],
         "jordan": [{"class": j.cls.label, "member": j.member, "m": j.m}
                    for j in jordan(datum)],
-        "identity": {"lhs": report.lhs, "rhs": report.dual_dimension,
-                     "ok": report.identity_holds},
+        "identity": {"lhs": lhs, "rhs": rhs, "ok": lhs == rhs},
         "shapes": {
             "count": len(shapes),
             "entries": [[option_objs[id(option)] for option in shape]
@@ -469,7 +471,7 @@ def _cmd_describe(args) -> int:
         return lines
 
     _emit(args, obj, render)
-    return 0 if report.identity_holds else 1
+    return 0 if lhs == rhs else 1
 
 
 # ---------------------------------------------------------------- packet
@@ -808,8 +810,9 @@ def _cmd_examples(args) -> int:
 # ---------------------------------------------------------------- driver
 
 def _bound(text: str) -> int:
-    """A nonnegative integer bound; argparse exits 2 on anything else."""
-    if not text.isdecimal():
+    """A nonnegative integer in ASCII digits; argparse exits 2 on anything
+    else, a sign, a space or another script's digits included."""
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
 
@@ -847,7 +850,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("selfcheck", _cmd_selfcheck, "exhaustive consistency sweep",
             needs_input=False)
-    p.add_argument("--q", type=int, action="append",
+    p.add_argument("--q", type=_bound, action="append",
                    help="residue field size q0, an odd prime with F(q0^2) of at most 32 elements;"
                         f" repeatable (default {' and '.join(map(str, DEFAULT_Q0))})")
     p.add_argument("--dualdim", type=_bound, default=None,

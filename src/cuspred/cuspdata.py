@@ -91,7 +91,6 @@ from .groups import (
 __all__ = [
     "FactorSupport",
     "CuspidalDatum",
-    "RepCount",
     "DatumSignature",
     "char_poly_exponent",
     "minus_type_exponent",
@@ -260,17 +259,6 @@ def datum_label(parahoric: ParahoricSpec, support1: FactorSupport | str,
     return f"{parahoric} [{support1}] x [{support2}]"
 
 
-@dataclass(frozen=True)
-class RepCount:
-    """Series counts per slot and the total number of representations."""
-
-    n1: int
-    n2: int
-    component_order: int
-    slot_actions: tuple[str, str]  # "fixed" or "swapped"
-    total: int
-
-
 def slot_series(factor: FiniteFactor, support: FactorSupport) -> tuple[int, str]:
     """Number of inertial series of the slot and the component action on
     them, read off which of x - 1 (rank 0) and x + 1 (rank 1) the
@@ -302,13 +290,12 @@ def _orbit_total(order: int, slot1: tuple[int, str], slot2: tuple[int, str]) -> 
     return 2 * n1 * n2
 
 
-def count_representations(datum: CuspidalDatum) -> RepCount:
+def count_representations(datum: CuspidalDatum) -> int:
     """Representations above the datum: the orbit rule of the module
     docstring under the component group."""
-    slots = tuple(map(slot_series, datum.parahoric.factors, datum.supports))
-    (n1, act1), (n2, act2) = slots
-    order = component_group_order(datum.parahoric)
-    return RepCount(n1, n2, order, (act1, act2), _orbit_total(order, *slots))
+    parahoric = datum.parahoric
+    return _orbit_total(component_group_order(parahoric),
+                        *map(slot_series, parahoric.factors, datum.supports))
 
 
 def _degree_pool(field: FieldSpec, budget: int, max_degree: int | None) -> range:

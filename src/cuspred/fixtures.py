@@ -232,7 +232,7 @@ def evaluate_entry(entry: GalleryEntry) -> dict:
     census = companions(datum)
     stats = packet_stats(census)
     values = {
-        "rep_total": count_representations(datum).total,
+        "rep_total": count_representations(datum),
         "identity": list(identity_sides(datum)),
         "f_pairs": {label: [half_text(f) for f in parameter_pair(datum, by_label[label])]
                     for label in entry.expected.get("f_pairs", ())},

@@ -22,6 +22,9 @@ reducibility points; each contributes the Jordan chain m = 2s - 1,
 
     sum over P of (floor(s^2) + floor(s'^2)) deg P  =  dual dimension.
 
+identity_sides is the identity's one home: it returns both sides, and
+verify_identity and the describe command read them from it.
+
 Every f, s and s' is held as its double, a plain int, so all of this is
 integer arithmetic; half_text is the one place that writes a half-integer
 out.  On SO(5) over F3 with x -+ 1 each in one slot, (s, s') = (3/2, 1/2)
@@ -65,7 +68,6 @@ from .groups import dual_dimension
 __all__ = [
     "half_text",
     "ClassReport",
-    "ReducibilityReport",
     "JordanEntry",
     "ShapeMember",
     "finite_parameter",
@@ -195,26 +197,15 @@ class ClassReport:
     chains: tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class ReducibilityReport:
-    classes: tuple[ClassReport, ...]
-    lhs: int
-    dual_dimension: int
-
-    @property
-    def identity_holds(self) -> bool:
-        return self.lhs == self.dual_dimension
-
-
-def reducibility_report(datum: CuspidalDatum) -> ReducibilityReport:
+def reducibility_report(datum: CuspidalDatum) -> tuple[ClassReport, ...]:
+    """The parameters, exponents and chains of each class of datum.pairs."""
     reports = []
     for cls in datum.pairs:
         f_pair = parameter_pair(datum, cls)
         s_pair = reducibility_pair(datum, cls)
         chains = (jordan_chain(s_pair[0]), jordan_chain(s_pair[1]))
         reports.append(ClassReport(cls, f_pair, s_pair, chains))
-    lhs, rhs = identity_sides(datum)
-    return ReducibilityReport(tuple(reports), lhs, rhs)
+    return tuple(reports)
 
 
 # ---------------------------------------------------------------------------

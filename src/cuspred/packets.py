@@ -35,11 +35,13 @@ each other class unswapped.  What the search reads of a class is one
 row, memoised on the searched and the datum's own slot kinds, the class
 type and the pair: the four unswapped numbers, their swap delta, and
 whether the points unswapped and swapped are the datum's own; so each
-class costs one lookup per search.  Subsets are visited by _subsets, the
-walk the closed form takes too: by size, each size in lexicographic
-order.  A subset's totals are the unswapped sums plus the deltas of its
-classes, summed for that subset alone, so the walk holds one subset at
-a time, O(q) memory however large q is.
+class costs one lookup per search.  _rows reads the rows of a datum's
+classes, and refuses an exponent that is not half-integral; the listing
+census below is the row's second reader.  Subsets are visited by
+_subsets, the walk the closed form takes too: by size, each size in
+lexicographic order.  A subset's totals are the unswapped sums plus the
+deltas of its classes, summed for that subset alone, so the walk holds
+one subset at a time, O(q) memory however large q is.
 The totals name the parahoric through groups.parahoric_of, an
 arithmetic solve of the dual-dimension rule that costs the same at any
 Witt index, and the score hands it on.  The score rejects a missing or
@@ -57,19 +59,19 @@ The census swap sets can also be read off the group's own signature
 listing, without building a datum: listed_swap_sets, which the sweep
 uses, as it lists every group anyway.  The points are compared class by
 class, so a swap keeps them exactly when each class it swaps keeps them
-swapped (the search's test, here on the datum's own group), and only
-subsets of those raw classes are walked, in _subsets order.  Such a swap
-has a survivor exactly when the swapped rows (DatumSignature.rows) are
-those of a listed signature.  The rows fix the exponent totals of both
-slots, so the dual-dimension rule names at most one parahoric, the one
-the search's score names.  A listed signature lies on a maximal
-parahoric whose factors' dual dimensions are those totals, as _spend
-spends both budgets exactly (clause c), and its SOeven slots have the
-block parity of their signs (cuspdata._signature_sign_ok, clause d);
-clauses a and b hold for every swap.  So the search's survivor there
-validates.  Conversely, a survivor is a valid datum of the group on the
-datum's classes, so its signature is listed, given a degree cap that
-the datum's classes meet.
+swapped (the search's test, read off the row's swapped-points flag with
+the datum's own group searched), and only subsets of those raw classes
+are walked, in _subsets order.  Such a swap has a survivor exactly when
+the swapped rows (DatumSignature.rows) are those of a listed signature.
+The rows fix the exponent totals of both slots, so the dual-dimension
+rule names at most one parahoric, the one the search's score names.  A
+listed signature lies on a maximal parahoric whose factors' dual
+dimensions are those totals, as _spend spends both budgets exactly
+(clause c), and its SOeven slots have the block parity of their signs
+(cuspdata._signature_sign_ok, clause d); clauses a and b hold for every
+swap.  So the search's survivor there validates.  Conversely, a survivor
+is a valid datum of the group on the datum's classes, so its signature
+is listed, given a degree cap that the datum's classes meet.
 
 Cross-form companions play the same game against every other form of
 the group: same family, dimension, residue field and ramification
@@ -258,6 +260,16 @@ def _prescore_row(kinds: tuple[str, str], own: tuple[str, str], ctype: ClassType
     return score, delta, unswapped == points, swapped_points == points
 
 
+def _rows(kinds: tuple[str, str], own: tuple[str, str], datum: CuspidalDatum):
+    """Yield (class, pair, _prescore_row) for each class of datum.pairs,
+    searched in slots of the given kinds against the datum's own kinds."""
+    for cls, pair in datum.pairs.items():
+        row = _prescore_row(kinds, own, cls.type, pair)
+        if row is None:
+            raise AssertionError(f"reducibility exponent of {cls.label} is not half-integral")
+        yield cls, pair, row
+
+
 def _prescore(group: GroupSpec, datum: CuspidalDatum):
     """Yield (swap set, parahoric, same points) for every subset of the
     raw classes (m1 != m2, in the order of datum.pairs), in _subsets
@@ -265,17 +277,13 @@ def _prescore(group: GroupSpec, datum: CuspidalDatum):
     totals name a maximal parahoric, which is yielded, and every SOeven
     slot gets the block parity of its sign.  Same points tells whether
     the swap keeps the datum's real reducibility points."""
-    kinds, own = group.slot_kinds, datum.group.slot_kinds
     scores, raw, deltas = [], [], []
     # Bit i stands for raw[i]: its unswapped points differ (so it must be
     # swapped), or its swapped points differ (so it must not be).
     must_swap = must_stay = 0
     moved = False  # a class that never swaps has other points on this group
-    for cls, pair in datum.pairs.items():
-        row = _prescore_row(kinds, own, cls.type, pair)
-        if row is None:
-            raise AssertionError(f"reducibility exponent of {cls.label} is not half-integral")
-        score, delta, stays, swapped_stays = row
+    for cls, pair, (score, delta, stays, swapped_stays) in _rows(
+            group.slot_kinds, datum.group.slot_kinds, datum):
         scores.append(score)
         if pair[0] == pair[1]:
             moved = moved or not stays
@@ -306,7 +314,7 @@ def _survivor(parahoric: ParahoricSpec, datum: CuspidalDatum, subset) -> Compani
     parahoric the score named, validated in full; the empty swap on the
     datum's own parahoric is the datum itself, already validated."""
     if not subset and parahoric == datum.parahoric:
-        return Companion(subset, datum, count_representations(datum).total)
+        return Companion(subset, datum, count_representations(datum))
     swapped = set(subset)
     s1, s2 = [], []  # datum.pairs is in support order
     for cls, (m1, m2) in datum.pairs.items():
@@ -321,7 +329,7 @@ def _survivor(parahoric: ParahoricSpec, datum: CuspidalDatum, subset) -> Compani
     except ValueError as err:
         raise AssertionError(f"swap {[c.label for c in subset]} passed the pre-score "
                              f"on {parahoric} but fails validation: {err}") from err
-    return Companion(subset, built, count_representations(built).total)
+    return Companion(subset, built, count_representations(built))
 
 
 def companions(datum: CuspidalDatum) -> CompanionCensus:
@@ -349,18 +357,13 @@ def listed_swap_sets(datum: CuspidalDatum, listed: set) -> tuple[tuple[SelfDualC
     are kept when their swapped rows are listed."""
     kinds = datum.group.slot_kinds
     rows, movable = [], []  # movable: (index into rows, swapped row, class)
-    for cls, pair in datum.pairs.items():
-        if pair == (0, 0):  # x -+ 1 when absent: no row, and never raw
+    for cls, (m1, m2), (*_, swapped_stays) in _rows(kinds, kinds, datum):
+        if m1 == m2 == 0:  # x -+ 1 when absent: no row, and never raw
             continue
-        swapped = pair[::-1]
-        exponents = (type_exponent_pair(kinds, cls.type, pair),
-                     type_exponent_pair(kinds, cls.type, swapped))
-        if None in exponents:
-            raise AssertionError(f"reducibility exponent of {cls.label} is not half-integral")
         ctype = signature_type(cls)
-        if pair != swapped and real_points(exponents[0]) == real_points(exponents[1]):
-            movable.append((len(rows), (ctype, *swapped), cls))
-        rows.append((ctype, *pair))
+        if m1 != m2 and swapped_stays:
+            movable.append((len(rows), (ctype, m2, m1), cls))
+        rows.append((ctype, m1, m2))
     out = []
     for subset in _subsets(movable):
         swapped_rows = rows.copy()

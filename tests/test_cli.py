@@ -275,7 +275,7 @@ def listing_oracle(group, degree, count_only: bool) -> dict:
         "group": str(group),
         "degree_bound": degree,
         "count": len(data),
-        "total_reps": sum(count_representations(d).total for d in data),
+        "total_reps": sum(count_representations(d) for d in data),
     }
     if not count_only:
         payload["data"] = [datum_to_obj(d) for d in data]
@@ -869,6 +869,10 @@ class TestErrorPaths:
         ("selfcheck", "--dualdim", "-3"),
         ("selfcheck", "--degree", "-1"),
         ("selfcheck", "--dualdim", "2.5"),
+        ("enumerate", "--degree", "\uff13", TestEnumerate.GROUP),
+        ("selfcheck", "--dualdim", "\u0663"),
+        ("selfcheck", "--q", "+3"),
+        ("selfcheck", "--q", "\uff13"),
     ])
     def test_negative_or_fractional_bound(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:

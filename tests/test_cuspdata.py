@@ -24,6 +24,7 @@ from cuspred.cuspdata import (
     signature_of,
     signature_representative,
     signature_weight,
+    slot_series,
     support_violation,
     validate_support,
 )
@@ -35,7 +36,8 @@ from cuspred.ffpoly import (
     class_x_plus_one,
     enumerate_self_dual_classes,
 )
-from cuspred.groups import FiniteFactor, GroupSpec, ParahoricSpec, enumerate_parahorics
+from cuspred.groups import (FiniteFactor, GroupSpec, ParahoricSpec, component_group_order,
+                            enumerate_parahorics)
 from cuspred.hecke import identity_sides, ired, parameter_shapes
 from cuspred.packets import companions, enumerate_epsilon, listed_swap_sets, packet_stats
 from cuspred.selfcheck import _CHECKS, iter_group_specs
@@ -251,28 +253,29 @@ class TestDatum:
 
 class TestRepresentationCounts:
     def test_gallery_totals(self):
-        assert count_representations(sp6_datum()).total == 2
-        assert count_representations(sp4_datum()).total == 4
-        assert count_representations(so8_datum()).total == 1
-        assert count_representations(so20_datum()).total == 8
-        assert count_representations(so5_datum()).total == 4
-        assert count_representations(u14_datum()).total == 1
+        assert count_representations(sp6_datum()) == 2
+        assert count_representations(sp4_datum()) == 4
+        assert count_representations(so8_datum()) == 1
+        assert count_representations(so20_datum()) == 8
+        assert count_representations(so5_datum()) == 4
+        assert count_representations(u14_datum()) == 1
+
+    @staticmethod
+    def slot_details(d):
+        """(n1, n2, component order, slot actions) of the datum."""
+        (n1, act1), (n2, act2) = map(slot_series, d.parahoric.factors, d.supports)
+        return n1, n2, component_group_order(d.parahoric), (act1, act2)
 
     def test_slot_details(self):
-        rc = count_representations(so20_datum())
-        assert (rc.n1, rc.n2, rc.component_order) == (2, 2, 2)
-        assert rc.slot_actions == ("fixed", "fixed")
-        rc = count_representations(u14_datum())
-        assert (rc.n1, rc.n2, rc.component_order) == (2, 1, 2)
-        assert rc.slot_actions == ("swapped", "fixed")
-        rc = count_representations(sp6_datum())
-        assert (rc.n1, rc.n2, rc.component_order) == (1, 2, 1)
+        assert self.slot_details(so20_datum()) == (2, 2, 2, ("fixed", "fixed"))
+        assert self.slot_details(u14_datum()) == (2, 1, 2, ("swapped", "fixed"))
+        assert self.slot_details(sp6_datum()) == (1, 2, 1, ("fixed", "fixed"))
 
     def test_even_orthogonal_split_pair(self):
         # Both eigenvalues present: two series, fixed by the component group.
         d = so20_datum()
-        rc = count_representations(d)
-        assert rc.total == 2 * rc.n1 * rc.n2
+        n1, n2, _, _ = self.slot_details(d)
+        assert count_representations(d) == 2 * n1 * n2
 
 
 class TestEnumeration:
@@ -390,7 +393,7 @@ class TestEnumeration:
             assert sum(len(s1) * len(s2) for _, (s1, s2) in census) == len(data), str(group)
             assert size in (None, len(data)), str(group)
             assert census_total_reps(census) == \
-                sum(count_representations(d).total for d in data), str(group)
+                sum(count_representations(d) for d in data), str(group)
 
     def test_census_enumerates_each_factor_once(self, monkeypatch):
         # Sp(12)/F3: seven parahorics Sp(2 n1) x Sp(2 n2), seven factors.
@@ -546,7 +549,7 @@ def _signature_invariants(datum, trivial):
         "ired": sorted((tag(c), s) for c, s in ired(datum)),
         "companions": swaps(census.swap_sets),
         "closed form": swaps(enumerate_epsilon(datum)),
-        "reps": count_representations(datum).total,
+        "reps": count_representations(datum),
         "census": stats.census_total,
         "q": stats.q,
         "e": (stats.e, stats.e0),
